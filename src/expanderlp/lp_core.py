@@ -18,6 +18,16 @@ inverse are independent, so the winner is unique, cycling is impossible,
 and the entering rule stays Dantzig (most positive reduced cost, lowest
 index on ties).  All choices are deterministic, so identical inputs give
 identical iterates.
+
+Two shortcuts make each pivot cheaper without changing which pivot is taken.
+The tie-break divides the tied rows' inverse block once and skips the
+columns where every still-tied row agrees, since those cannot narrow the
+tie.  A pivot whose column is nonzero in at most a quarter of the rows
+updates only the block of rows where that column is nonzero and columns
+where the pivot row is; every other entry of the full outer-product update
+is a subtraction of zero.  The pivot sequence and the tableau are the same
+as with the column-by-column tie-break and the dense update
+(tests/oracles.py keeps both as references).
 """
 
 from __future__ import annotations
@@ -101,7 +111,15 @@ class _Tableau:
         T = self.T
         piv_row = T[row] / T[row, col]
         body_col = T[:, col].copy()
-        T -= np.outer(body_col, piv_row)
+        rows = np.flatnonzero(body_col)
+        if 4 * len(rows) <= len(body_col):
+            # the update is zero outside the rows where the pivot column is
+            # nonzero and the columns where the pivot row is; skipping it
+            # leaves every entry as the full update would
+            cols = np.flatnonzero(piv_row)
+            T[np.ix_(rows, cols)] -= np.outer(body_col[rows], piv_row[cols])
+        else:
+            T -= np.outer(body_col, piv_row)
         T[row] = piv_row
         T[:, col] = 0.0
         T[row, col] = 1.0
@@ -122,12 +140,21 @@ class _Tableau:
             return None
         ratios = self.T[pos, -1] / colvals[pos]
         tied = pos[ratios == ratios.min()]
-        j = self.n
-        last = self.T.shape[1] - 1
-        while len(tied) > 1 and j < last:
-            vals = self.T[tied, j] / colvals[tied]
-            tied = tied[vals == vals.min()]
-            j += 1
+        if len(tied) > 1:
+            # tied rows' basis-inverse rows over their pivot entries, compared
+            # left to right; a column where all still-tied rows agree cannot
+            # narrow the tie, so jump to the first one where they differ
+            keys = self.T[tied, self.n:-1] / colvals[tied, None]
+            j = 0
+            while len(tied) > 1:
+                differ = np.flatnonzero((keys[:, j:] != keys[0, j:]).any(axis=0))
+                if len(differ) == 0:
+                    break
+                j += int(differ[0])
+                vals = keys[:, j]
+                keep = vals == vals.min()
+                tied, keys = tied[keep], keys[keep]
+                j += 1
         if len(tied) > 1:
             raise NumericError(
                 "lexicographic ratio test could not separate candidate rows")
@@ -191,7 +218,8 @@ def solve(problem: LpProblem,
         else:
             tab.pivot(r, int(candidates[0]))
     if drop:
-        keep = [r for r in range(m) if r not in set(drop)]
+        dropped = set(drop)
+        keep = [r for r in range(m) if r not in dropped]
         tab.T = tab.T[keep]
         tab.basis = [tab.basis[r] for r in keep]
 

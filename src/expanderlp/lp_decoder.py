@@ -243,20 +243,22 @@ def decode(code: ExpanderCode, y,
     if sol.status != "optimal":
         raise InternalInvariantError(
             f"decoding LP reported {sol.status}; it is feasible and bounded by design")
-    graph = code.graph
-    cw_a = code.code_a.codewords()
-    f = np.zeros((layout.num_edges, layout.q))
+    n, q = layout.n, layout.q
+    split = n * layout.block_a
+    w_a = sol.values[:split].reshape(n, layout.block_a)
+    w_b = sol.values[split:].reshape(n, layout.block_b)
     raw_w: dict[tuple[str, int], np.ndarray] = {}
-    for v in range(layout.n):
-        sl_a = layout.w_slice("a", v)
-        sl_b = layout.w_slice("b", v)
-        wa = sol.values[sl_a.start - layout.f_count: sl_a.stop - layout.f_count]
-        wb = sol.values[sl_b.start - layout.f_count: sl_b.stop - layout.f_count]
-        raw_w[("a", v)] = wa.copy()
-        raw_w[("b", v)] = wb.copy()
-        for t in range(graph.delta):
-            e = int(graph.a_edges[v, t])
-            f[e] = np.bincount(cw_a[:, t], weights=wa, minlength=layout.q)
+    for v in range(n):
+        raw_w[("a", v)] = w_a[v].copy()
+        raw_w[("b", v)] = w_b[v].copy()
+    # f[e, alpha] is the w mass at e's A endpoint on local codewords with
+    # alpha at e; each bucket sums its codewords in order, as a per-edge
+    # bincount would
+    cw_a = code.code_a.codewords()
+    index = code.graph.a_edges[:, :, None] * q + cw_a.T[None]
+    weights = np.broadcast_to(w_a[:, None, :], index.shape)
+    f = np.bincount(index.ravel(), weights=weights.ravel(),
+                    minlength=layout.num_edges * q).reshape(layout.num_edges, q)
 
     near_one = np.abs(f - 1.0) <= int_tol
     near_zero = np.abs(f) <= int_tol

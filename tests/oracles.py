@@ -13,6 +13,9 @@ import math
 
 import numpy as np
 
+from expanderlp.errors import NumericError
+from expanderlp.lp_core import _PIVOT_TOL
+
 
 def lp_optimum_by_enumeration(objective, eq_coeffs, eq_rhs, tol=1e-9):
     """Maximize objective over {x >= 0 : Ax = b} by trying every basis.
@@ -90,3 +93,57 @@ def nearest_codeword_scan(code, y):
         elif d == best:
             count += 1
     return best, count
+
+
+# -- simplex pivot rules, the plain way ---------------------------------------
+# Drop-in replacements for expanderlp.lp_core._Tableau.pivot and ._leaving
+# (bind them with monkeypatch.setattr on the class).  The solver's versions
+# must take exactly the same pivots and produce equal tableaux.
+
+def pivot_dense(self, row, col):
+    """_Tableau.pivot as one full outer-product update of the whole tableau."""
+    T = self.T
+    piv_row = T[row] / T[row, col]
+    body_col = T[:, col].copy()
+    T -= np.outer(body_col, piv_row)
+    T[row] = piv_row
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+    self.z -= self.z[col] * piv_row
+    self.z[col] = 0.0
+    self.basis[row] = col
+    self.iterations += 1
+
+
+def leaving_column_by_column(self, col):
+    """_Tableau._leaving breaking ties one basis-inverse column at a time."""
+    colvals = self.T[:, col]
+    pos = np.nonzero(colvals > _PIVOT_TOL)[0]
+    if len(pos) == 0:
+        return None
+    ratios = self.T[pos, -1] / colvals[pos]
+    tied = pos[ratios == ratios.min()]
+    j = self.n
+    last = self.T.shape[1] - 1
+    while len(tied) > 1 and j < last:
+        vals = self.T[tied, j] / colvals[tied]
+        tied = tied[vals == vals.min()]
+        j += 1
+    if len(tied) > 1:
+        raise NumericError(
+            "lexicographic ratio test could not separate candidate rows")
+    return int(tied[0])
+
+
+def lift_f_by_edge(code, raw_w):
+    """decode's f lift as one bincount per (A vertex, position): f[e] is the
+    A endpoint's w mass per symbol at e."""
+    graph = code.graph
+    q = code.field.q
+    cw_a = code.code_a.codewords()
+    f = np.zeros((graph.num_edges, q))
+    for v in range(graph.n):
+        wa = raw_w[("a", v)]
+        for t in range(graph.delta):
+            f[int(graph.a_edges[v, t])] = np.bincount(cw_a[:, t], weights=wa, minlength=q)
+    return f

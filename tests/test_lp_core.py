@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from expanderlp import LpProblem, solve
+from expanderlp import ExpanderCode, LpProblem, NumericError, lp_core, solve
+from expanderlp.harness import resolve_code, resolve_graph, sample_error_pattern
+from expanderlp.lp_decoder import build_reduced
 
-from oracles import lp_optimum_by_enumeration
+from oracles import leaving_column_by_column, lp_optimum_by_enumeration, pivot_dense
 
 
 def make_bounded_problem(rng, m, n):
@@ -147,3 +149,90 @@ def test_iteration_budget_is_finite():
     sol = solve(problem)
     assert sol.status == "optimal"
     assert sol.iterations < 1000
+
+
+def tie_heavy_tableau(rng, m, n):
+    """A tableau whose ratio tests tie often and deep.
+
+    Most right-hand sides are zero, and the lower half of the rows repeat
+    upper rows scaled by small integers (all entries are small integers, so
+    scaled rows divide out to exactly equal keys).  Most repeats then differ
+    from their source in one random basis-inverse column; the rest never do.
+    """
+    T = np.zeros((m, n + m + 1))
+    T[:, :n] = rng.integers(-2, 3, size=(m, n))
+    T[:, n:-1] = rng.integers(0, 2, size=(m, m)) * (rng.random((m, m)) < 0.2)
+    T[:, -1] = np.where(rng.random(m) < 0.7, 0.0, rng.integers(1, 3, size=m))
+    for r in range(m // 2, m):
+        T[r] = rng.integers(1, 4) * T[rng.integers(0, m // 2)]
+        if rng.random() < 0.8:
+            T[r, n + rng.integers(0, m)] += 1.0
+    return lp_core._Tableau(T, n, list(range(n, n + m)), 1e-9, 1000)
+
+
+def test_leaving_matches_column_by_column_on_ties():
+    rng = np.random.default_rng(2024)
+    multi_row_ties = unseparable = 0
+    for _ in range(60):
+        tab = tie_heavy_tableau(rng, int(rng.integers(4, 30)), 6)
+        for col in range(tab.n):
+            try:
+                expected = leaving_column_by_column(tab, col)
+            except NumericError:
+                with pytest.raises(NumericError):
+                    tab._leaving(col)
+                unseparable += 1
+                continue
+            assert tab._leaving(col) == expected
+            colvals = tab.T[:, col]
+            pos = np.flatnonzero(colvals > 1e-9)
+            if len(pos):
+                ratios = tab.T[pos, -1] / colvals[pos]
+                multi_row_ties += np.count_nonzero(ratios == ratios.min()) > 2
+    assert multi_row_ties > 50 and unseparable > 10
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_and_dense_pivots_give_equal_tableaux(seed):
+    # m = 40 rows: a pivot column with at most 10 nonzeros takes the sparse
+    # update, 11 or more the dense one; both sides of the switch are covered
+    rng = np.random.default_rng(seed)
+    m, n = 40, 30
+    T = rng.normal(size=(m, n + m + 1)) * (rng.random((m, n + m + 1)) < 0.3)
+    T[:, n:-1] = np.eye(m)
+    fast = lp_core._Tableau(T.copy(), n, list(range(n, n + m)), 1e-9, 1000)
+    ref = lp_core._Tableau(T.copy(), n, list(range(n, n + m)), 1e-9, 1000)
+    fast.z[:] = ref.z[:] = rng.normal(size=n + m + 1)
+    for k in (1, 2, 10, 11, 25, m) * 3:
+        col = int(rng.integers(0, n))
+        rows = rng.choice(m, size=k, replace=False)
+        column = np.zeros(m)
+        column[rows] = rng.uniform(0.5, 2.0, size=k) * rng.choice([-1.0, 1.0], size=k)
+        fast.T[:, col] = ref.T[:, col] = column
+        fast.pivot(int(rows[0]), col)
+        pivot_dense(ref, int(rows[0]), col)
+        assert np.array_equal(fast.T, ref.T)
+        assert np.array_equal(fast.z, ref.z)
+        assert fast.basis == ref.basis
+
+
+@pytest.mark.parametrize("graph, local, weight", [
+    ("random:40:6:1", "repetition:2:6", 30),
+    ("random:40:6:1", "repetition:2:6", 54),
+    ("random:12:6:1", "parity:2:6", 3),
+    ("random:12:6:1", "parity:2:6", 6),
+])
+def test_solve_takes_the_reference_pivots(monkeypatch, graph, local, weight):
+    g = resolve_graph(graph)
+    code = ExpanderCode(g, resolve_code(local, g.delta), resolve_code(local, g.delta))
+    rng = np.random.default_rng(weight)
+    c = code.random_codeword(rng)
+    problem, _ = build_reduced(code, sample_error_pattern(code, c, weight, rng))
+    fast = solve(problem)
+    monkeypatch.setattr(lp_core._Tableau, "pivot", pivot_dense)
+    monkeypatch.setattr(lp_core._Tableau, "_leaving", leaving_column_by_column)
+    ref = solve(problem)
+    assert fast.status == ref.status == "optimal"
+    assert fast.iterations == ref.iterations
+    assert fast.objective_value == ref.objective_value
+    assert np.array_equal(fast.values, ref.values)

@@ -17,7 +17,7 @@ from expanderlp import (
     unembed,
 )
 
-from oracles import nearest_codeword_scan
+from oracles import lift_f_by_edge, nearest_codeword_scan
 
 
 def test_embed_is_one_hot():
@@ -134,6 +134,18 @@ def test_decode_marginals_are_distributions(four_cycle_rep3):
     for key, block in result.raw_w.items():
         assert block.sum() == pytest.approx(1.0)
         assert block.min() >= -1e-9
+
+
+@pytest.mark.parametrize("name", ["four_cycle_rep3", "k33_parity2", "k66_grs", "r20_rep2"])
+def test_lift_matches_per_edge_bincount(request, name):
+    code = request.getfixturevalue(name)
+    rng = np.random.default_rng(17)
+    for weight in (1, code.num_edges // 3, code.num_edges // 2):
+        y = code.random_codeword(rng)
+        flip = rng.choice(code.num_edges, size=weight, replace=False)
+        y[flip] = (y[flip] + rng.integers(1, code.field.q, size=weight)) % code.field.q
+        result = decode(code, y)
+        assert result.raw_f.tobytes() == lift_f_by_edge(code, result.raw_w).tobytes()
 
 
 def test_decode_matches_oracle_when_integral(k33_parity2):
