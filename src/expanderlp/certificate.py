@@ -23,10 +23,14 @@ core, an error subset whose every involved vertex keeps a constant fraction
 of error edges.  The orientation route directs the error edges so that
 every vertex has small in-degree, and in-edges take the role of the peeled
 edges.  Everything here is exact rational arithmetic; nothing floats.
+Witnesses hold Fraction values, and check_witness compares them exactly as
+integers: every value is scaled by one common denominator, so each
+constraint becomes an integer comparison done on whole numpy arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -313,8 +317,42 @@ def build_witness_from_orientation(code: ExpanderCode, c, y,
 
 # -- feasibility check ---------------------------------------------------------------
 
+_INT64_SAFE = 2 ** 62
+
+
+def _scaled_taus(witness: DualWitness, shape: tuple[int, int],
+                 delta: int) -> tuple[np.ndarray, int, int]:
+    """The witness's tau values times one common denominator, as integers.
+
+    den is the lcm of 2, eps's denominator and every tau denominator, so
+    tau*den, eps*den and the vertex bounds (2*dist - Delta)*den/2 are all
+    integers.  Returns the (2, E, q) array of tau_a, tau_b scaled by den,
+    then den and eps*den.  Every value the check forms is at most
+    (Delta+2)*max(|tau*den|, den + eps*den) in absolute value: below 2**62
+    the array is int64, above it holds Python ints (dtype object).  Both
+    are exact.
+    """
+    ratios = [x.as_integer_ratio()
+              for taus in (witness.tau_a, witness.tau_b) for row in taus for x in row]
+    eps_num, eps_den = witness.epsilon.as_integer_ratio()
+    denominators = {d for _, d in ratios}
+    den = math.lcm(2, eps_den, *denominators)
+    factor = {d: den // d for d in denominators}
+    scaled = [num * factor[d] for num, d in ratios]
+    eps_scaled = eps_num * (den // eps_den)
+    largest = max(max(scaled), -min(scaled), den + eps_scaled)
+    dtype = np.int64 if largest * (delta + 2) < _INT64_SAFE else object
+    return np.array(scaled, dtype=dtype).reshape((2,) + shape), den, eps_scaled
+
+
 def check_witness(code: ExpanderCode, c, y, witness: DualWitness) -> WitnessCheck:
-    """Exact feasibility check of a witness; reports the first violation found."""
+    """Exact feasibility check of a witness; reports the first violation found.
+
+    Every constraint is an integer comparison over the common denominator
+    of the witness's values.  The order is every edge by (e, alpha), then
+    side a before side b, vertex by vertex, the sigma check before that
+    vertex's local codewords; the message quotes the witness's own values.
+    """
     graph = code.graph
     q = code.field.q
     cw = np.asarray(c, dtype=np.int64)
@@ -324,47 +362,60 @@ def check_witness(code: ExpanderCode, c, y, witness: DualWitness) -> WitnessChec
     eps = witness.epsilon
     if eps <= 0:
         return WitnessCheck(ok=False, violation="epsilon must be positive")
+    num_edges = graph.num_edges
+    delta = graph.delta
+    tau, den, eps_scaled = _scaled_taus(witness, (num_edges, q), delta)
 
-    for e in range(graph.num_edges):
-        c_e = int(cw[e])
-        y_e = int(yw[e])
-        for alpha in range(q):
-            cost = Fraction(-1 if alpha == y_e else 1)
-            total = witness.tau_a[e][alpha] + witness.tau_b[e][alpha]
-            if alpha == c_e:
-                if total > cost:
-                    return WitnessCheck(
-                        ok=False,
-                        violation=f"weak edge constraint at edge {e}, symbol {alpha}: "
-                                  f"{total} > {cost}")
-            elif total > cost - eps:
-                return WitnessCheck(
-                    ok=False,
-                    violation=f"strict edge constraint at edge {e}, symbol {alpha}: "
-                              f"{total} > {cost} - eps")
+    # cost*den, less eps*den except at the codeword symbol (the weak constraint)
+    symbols = np.arange(q)
+    limit = np.full((num_edges, q), den, dtype=tau.dtype)
+    limit[symbols == yw[:, None]] = -den
+    limit[symbols != cw[:, None]] -= eps_scaled
+    bad = np.flatnonzero(tau[0] + tau[1] > limit)
+    if bad.size:
+        e, alpha = divmod(int(bad[0]), q)
+        cost = Fraction(-1 if alpha == yw[e] else 1)
+        total = witness.tau_a[e][alpha] + witness.tau_b[e][alpha]
+        if alpha == cw[e]:
+            return WitnessCheck(
+                ok=False,
+                violation=f"weak edge constraint at edge {e}, symbol {alpha}: "
+                          f"{total} > {cost}")
+        return WitnessCheck(
+            ok=False,
+            violation=f"strict edge constraint at edge {e}, symbol {alpha}: "
+                      f"{total} > {cost} - eps")
 
-    half_delta = Fraction(graph.delta, 2)
+    half_delta = Fraction(delta, 2)
     n = graph.n
-    for side, codewords, inc in (("a", code.code_a.codewords(), graph.a_edges),
-                                 ("b", code.code_b.codewords(), graph.b_edges)):
-        taus = witness.tau_a if side == "a" else witness.tau_b
-        for v in range(n):
-            vglobal = v if side == "a" else n + v
-            edges = [int(e) for e in inc[v]]
-            dist = hamming_distance(yw[inc[v]], cw[inc[v]])
-            if witness.sigma[vglobal] != half_delta - dist:
+    for s, (side, local, inc, taus) in enumerate(
+            (("a", code.code_a, graph.a_edges, witness.tau_a),
+             ("b", code.code_b, graph.b_edges, witness.tau_b))):
+        codewords = local.codewords()
+        dist = np.count_nonzero(yw[inc] != cw[inc], axis=1)
+        # totals[v, k]: the sum over v's edges of tau at local codeword k's symbol
+        totals = np.zeros((n, len(codewords)), dtype=tau.dtype)
+        for t in range(delta):
+            totals += tau[s][inc[:, t][:, None], codewords[None, :, t]]
+        rhs = (2 * dist - delta).astype(tau.dtype) * (den // 2)
+        bad = np.flatnonzero(totals < rhs[:, None])
+        first = int(bad[0]) // len(codewords) if bad.size else n
+        dist = dist.tolist()
+        for v in range(min(first + 1, n)):
+            sigma = witness.sigma[s * n + v]
+            num, d = sigma.as_integer_ratio()
+            if 2 * num != (delta - 2 * dist[v]) * d:
                 return WitnessCheck(
                     ok=False,
                     violation=f"sigma mismatch at {side}{v}: "
-                              f"{witness.sigma[vglobal]} != {half_delta - dist}")
-            rhs = -half_delta + dist
-            for b in codewords:
-                total = sum(taus[e][int(sym)] for e, sym in zip(edges, b))
-                if total < rhs:
-                    return WitnessCheck(
-                        ok=False,
-                        violation=f"vertex constraint at {side}{v}, local codeword "
-                                  f"{b.tolist()}: {total} < {rhs}")
+                              f"{sigma} != {half_delta - dist[v]}")
+        if bad.size:
+            b = codewords[int(bad[0]) % len(codewords)]
+            total = sum(taus[int(e)][int(sym)] for e, sym in zip(inc[first], b))
+            return WitnessCheck(
+                ok=False,
+                violation=f"vertex constraint at {side}{first}, local codeword "
+                          f"{b.tolist()}: {total} < {-half_delta + dist[first]}")
     return WitnessCheck(ok=True)
 
 
@@ -386,12 +437,16 @@ def find_witness(code: ExpanderCode, c, y, mode: str = "peel",
     witness from the trace; a stagnated peel reports the error core instead.
     mode 'orient' computes the theta caps, orients the error edges, and
     builds the witness from the orientation.  Both retry with halved eps
-    until the exact check passes or the floor is reached.
+    until the exact check passes or the floor is reached.  An epsilon_start
+    below epsilon_floor, or a nonpositive floor, is a ValueError.
     """
     from . import orientation as orientation_mod
     from .expander_code import compute_theta
     from .errors import NoValidThetaError
 
+    if not 0 < epsilon_floor <= epsilon_start:
+        raise ValueError(f"epsilon_start {epsilon_start} must be at least "
+                         f"epsilon_floor {epsilon_floor}, and both positive")
     cw = np.asarray(c, dtype=np.int64)
     yw = np.asarray(y, dtype=np.int64)
     if mode == "peel":

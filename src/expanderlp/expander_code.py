@@ -92,14 +92,14 @@ class ExpanderCode:
             raise ValueError(f"word must have length {self.num_edges}")
         if w.size and (w.min() < 0 or w.max() >= self.field.q):
             raise ValueError(f"symbols must be element indices in [0, {self.field.q})")
-        for side, code, inc in (("a", self.code_a, self.graph.a_edges),
-                                ("b", self.code_b, self.graph.b_edges)):
+        for code, inc in ((self.code_a, self.graph.a_edges),
+                          (self.code_b, self.graph.b_edges)):
             H = code.parity_check
             if H.shape[0] == 0:
                 continue
-            for v in range(self.graph.n):
-                if gflinalg.mat_vec(H, w[inc[v]], self.field).any():
-                    return False
+            # column v of the product is the syndrome of vertex v's subword
+            if gflinalg.mat_mul(H, w[inc].T, self.field).any():
+                return False
         return True
 
     def parity_check_matrix(self) -> np.ndarray:

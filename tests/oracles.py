@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from expanderlp import gflinalg
+from expanderlp.certificate import WitnessCheck
 from expanderlp.errors import NumericError
+from expanderlp.expander_code import hamming_distance
 from expanderlp.lp_core import _PIVOT_TOL
 
 
@@ -147,3 +151,75 @@ def lift_f_by_edge(code, raw_w):
         for t in range(graph.delta):
             f[int(graph.a_edges[v, t])] = np.bincount(cw_a[:, t], weights=wa, minlength=q)
     return f
+
+
+# -- exact witness check and codeword test, one constraint at a time -----------
+
+def check_witness_by_fraction(code, c, y, witness):
+    """check_witness as one Fraction sum per constraint, in the order the
+    violations are reported; the first violation found is returned."""
+    graph = code.graph
+    q = code.field.q
+    cw = np.asarray(c, dtype=np.int64)
+    yw = np.asarray(y, dtype=np.int64)
+    if not code.is_codeword(cw):
+        raise ValueError("c must be a codeword")
+    eps = witness.epsilon
+    if eps <= 0:
+        return WitnessCheck(ok=False, violation="epsilon must be positive")
+
+    for e in range(graph.num_edges):
+        c_e = int(cw[e])
+        y_e = int(yw[e])
+        for alpha in range(q):
+            cost = Fraction(-1 if alpha == y_e else 1)
+            total = witness.tau_a[e][alpha] + witness.tau_b[e][alpha]
+            if alpha == c_e:
+                if total > cost:
+                    return WitnessCheck(
+                        ok=False,
+                        violation=f"weak edge constraint at edge {e}, symbol {alpha}: "
+                                  f"{total} > {cost}")
+            elif total > cost - eps:
+                return WitnessCheck(
+                    ok=False,
+                    violation=f"strict edge constraint at edge {e}, symbol {alpha}: "
+                              f"{total} > {cost} - eps")
+
+    half_delta = Fraction(graph.delta, 2)
+    n = graph.n
+    for side, codewords, inc in (("a", code.code_a.codewords(), graph.a_edges),
+                                 ("b", code.code_b.codewords(), graph.b_edges)):
+        taus = witness.tau_a if side == "a" else witness.tau_b
+        for v in range(n):
+            vglobal = v if side == "a" else n + v
+            edges = [int(e) for e in inc[v]]
+            dist = hamming_distance(yw[inc[v]], cw[inc[v]])
+            if witness.sigma[vglobal] != half_delta - dist:
+                return WitnessCheck(
+                    ok=False,
+                    violation=f"sigma mismatch at {side}{v}: "
+                              f"{witness.sigma[vglobal]} != {half_delta - dist}")
+            rhs = -half_delta + dist
+            for b in codewords:
+                total = sum(taus[e][int(sym)] for e, sym in zip(edges, b))
+                if total < rhs:
+                    return WitnessCheck(
+                        ok=False,
+                        violation=f"vertex constraint at {side}{v}, local codeword "
+                                  f"{b.tolist()}: {total} < {rhs}")
+    return WitnessCheck(ok=True)
+
+
+
+def is_codeword_by_vertex(code, word):
+    """ExpanderCode.is_codeword as one local syndrome per vertex."""
+    w = np.asarray(word, dtype=np.int64)
+    for local, inc in ((code.code_a, code.graph.a_edges), (code.code_b, code.graph.b_edges)):
+        H = local.parity_check
+        if H.shape[0] == 0:
+            continue
+        for v in range(code.graph.n):
+            if gflinalg.mat_vec(H, w[inc[v]], code.field).any():
+                return False
+    return True

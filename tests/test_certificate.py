@@ -7,16 +7,23 @@ import numpy as np
 import pytest
 
 from expanderlp import (
+    GF,
     DualWitness,
+    ExpanderCode,
     OrientedEdgeSet,
     build_witness_from_orientation,
     build_witness_from_peeling,
+    certificate,
     check_witness,
+    complete_bipartite,
     decode,
     find_error_core,
     find_witness,
     peel,
+    repetition,
 )
+
+from oracles import check_witness_by_fraction
 
 EPS = Fraction(1, 10**6)
 
@@ -276,14 +283,33 @@ def test_unknown_mode_rejected(k66_rep2):
 
 
 def test_epsilon_schedule_exhaustion(k66_rep2):
+    # the error edge's A endpoint sums to -6*eps >= -2 only for eps <= 1/3,
+    # so both eps = 1 and eps = 1/2 fail the check
     c = np.zeros(36, dtype=np.int64)
     y = c.copy()
     y[0] = 1
     result = find_witness(k66_rep2, c, y, mode="peel",
-                          epsilon_start=Fraction(1, 10**15),
-                          epsilon_floor=Fraction(1, 10**12))
+                          epsilon_start=Fraction(1),
+                          epsilon_floor=Fraction(1, 2))
     assert not result.witness_found
     assert "no feasible epsilon" in result.reason
+    assert "last violation: vertex constraint at a0" in result.reason
+
+
+@pytest.mark.parametrize("start, floor", [
+    (Fraction(1, 10**15), Fraction(1, 10**12)),
+    (Fraction(0), Fraction(1, 10**12)),
+    (Fraction(-1, 2), Fraction(1, 10**12)),
+    (Fraction(1, 10**6), Fraction(0)),
+])
+def test_epsilon_outside_the_schedule_rejected(k66_rep2, start, floor):
+    # y == c would certify at once; a start below the floor must not turn
+    # into a silent "no feasible epsilon"
+    c = np.zeros(36, dtype=np.int64)
+    with pytest.raises(ValueError) as err:
+        find_witness(k66_rep2, c, c, mode="peel",
+                     epsilon_start=start, epsilon_floor=floor)
+    assert str(start) in str(err.value) and str(floor) in str(err.value)
 
 
 def test_witness_certifies_decode_agreement(k66_rep2, rng):
@@ -300,3 +326,132 @@ def test_witness_certifies_decode_agreement(k66_rep2, rng):
             decoded = decode(k66_rep2, y)
             assert decoded.status == "codeword"
             assert np.array_equal(decoded.codeword, c)
+
+
+# -- the integer checker against the Fraction reference -------------------------------
+
+TINY = Fraction(1, 3**50)     # a denominator that forces Python-int arrays
+
+
+@pytest.fixture(scope="module")
+def k66_rep3():
+    """K_{6,6} with ternary repetition locals."""
+    local = repetition(GF(3), 6)
+    return ExpanderCode(complete_bipartite(6), local, local)
+
+
+def _same_verdict(code, c, y, witness):
+    fast = check_witness(code, c, y, witness)
+    slow = check_witness_by_fraction(code, c, y, witness)
+    assert (fast.ok, fast.violation) == (slow.ok, slow.violation)
+    return fast
+
+
+def _built_witnesses(code, rng, patterns):
+    """(c, y, witness, route) from random error patterns of weight 1 to 3:
+    the base skeleton, and the peel- and orientation-built witnesses found."""
+    q = code.field.q
+    built = []
+    for _ in range(patterns):
+        c = code.random_codeword(rng)
+        y = c.copy()
+        errors = rng.choice(code.num_edges, size=int(rng.integers(1, 4)), replace=False)
+        y[errors] = (y[errors] + rng.integers(1, q, size=len(errors))) % q
+        built.append((c, y, certificate._base_witness(code, c, y, EPS), "base"))
+        for mode in ("peel", "orient"):
+            result = find_witness(code, c, y, mode=mode)
+            if result.witness_found:
+                built.append((c, y, result.witness, mode))
+    return built
+
+
+def _tampered(code, c, witness, rng):
+    """One to three random edits of tau values, sigma or eps."""
+    w = copy.deepcopy(witness)
+    eps = w.epsilon
+    steps = [Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(-3), eps, -eps,
+             Fraction(1, 3), Fraction(-7, 5), TINY, -TINY]
+    for _ in range(int(rng.integers(1, 4))):
+        kind = int(rng.integers(5))
+        if kind < 3:
+            taus = w.tau_a if kind == 0 else w.tau_b
+            e = int(rng.integers(code.num_edges))
+            # the codeword symbol half the time, so weak constraints get hit
+            alpha = int(c[e]) if kind == 2 else int(rng.integers(code.field.q))
+            taus[e][alpha] += steps[int(rng.integers(len(steps)))]
+        elif kind == 3:
+            v = int(rng.integers(2 * code.graph.n))
+            w.sigma[v] += [Fraction(1), Fraction(-1), Fraction(1, 2), TINY][int(rng.integers(4))]
+        else:
+            w.epsilon = [Fraction(0), -eps, 2 * eps, eps / 3, TINY, Fraction(5),
+                         Fraction(1, 4)][int(rng.integers(7))]
+    return w
+
+
+@pytest.mark.parametrize("fixture", ["k66_rep2", "k66_rep3", "k66_grs"])
+def test_checker_matches_fraction_reference(fixture, request):
+    code = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(404)
+    built = _built_witnesses(code, rng, patterns=6)
+    assert {route for *_, route in built} == {"base", "peel", "orient"}
+    kinds = set()
+    for c, y, witness, route in built:
+        assert _same_verdict(code, c, y, witness).ok or route == "base"
+        for _ in range(12):
+            verdict = _same_verdict(code, c, y, _tampered(code, c, witness, rng))
+            kinds.add("ok" if verdict.ok else verdict.violation.split(" at ")[0])
+    assert kinds >= {"ok", "strict edge constraint", "weak edge constraint",
+                     "sigma mismatch", "vertex constraint", "epsilon must be positive"}
+
+
+def test_checker_exact_beyond_int64(k66_grs):
+    # a 3**50 denominator pushes the scaled values past int64; a TINY raise
+    # at a tight edge constraint is a violation only exact arithmetic sees
+    code = k66_grs
+    c = code.random_codeword(np.random.default_rng(9))
+    y = c.copy()
+    y[4] = (y[4] + 1) % 7
+    w = find_witness(code, c, y, mode="peel").witness
+    low = copy.deepcopy(w)
+    low.tau_a[0][(int(c[0]) + 1) % 7] -= TINY
+    tau, _, _ = certificate._scaled_taus(low, (36, 7), 6)
+    assert tau.dtype == object
+    assert _same_verdict(code, c, y, low).ok
+
+    # the weak constraint at a correct edge is tight: -1/2 + -1/2 <= -1
+    high = copy.deepcopy(w)
+    high.tau_b[0][int(c[0])] += TINY
+    verdict = _same_verdict(code, c, y, high)
+    assert verdict.violation.startswith("weak edge constraint at edge 0")
+
+    # the strict constraint at the error edge's received symbol is tight
+    high = copy.deepcopy(w)
+    high.tau_b[4][int(y[4])] += TINY
+    verdict = _same_verdict(code, c, y, high)
+    assert verdict.violation.startswith("strict edge constraint at edge 4")
+
+    # an integer eps past int64 takes the exact path too
+    huge = copy.deepcopy(w)
+    huge.epsilon = Fraction(2**70)
+    verdict = _same_verdict(code, c, y, huge)
+    assert verdict.violation.startswith("strict edge constraint at edge 0")
+
+
+def test_checker_dtype_boundary(k66_grs):
+    # eps = 1/m with m odd makes den = 2m; the largest scaled value is the
+    # error edge's |-5/2 - eps| * den = 5m + 2, so int64 holds up to
+    # (5m + 2) * 8 < 2**62, and the object arrays take over just above
+    code = k66_grs
+    c = code.random_codeword(np.random.default_rng(11))
+    y = c.copy()
+    y[7] = (y[7] + 2) % 7
+    trace = peel(code, c, y)
+    m_last = ((2**62 - 1) // 8 - 2) // 5
+    m_last -= 1 - m_last % 2
+    for m, dtype in ((m_last, np.int64), (m_last + 2, object)):
+        w = build_witness_from_peeling(code, c, y, trace, Fraction(1, m))
+        assert certificate._scaled_taus(w, (36, 7), 6)[0].dtype == dtype
+        assert _same_verdict(code, c, y, w).ok
+        w.tau_b[7][int(y[7])] += Fraction(1, m)
+        assert _same_verdict(code, c, y, w).violation.startswith(
+            "strict edge constraint at edge 7")

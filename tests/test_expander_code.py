@@ -32,6 +32,9 @@ from expanderlp import (
     sqrt_fraction,
     table_fraction,
 )
+from expanderlp.linear_code import LocalCode
+
+from oracles import is_codeword_by_vertex
 
 
 # -- word helpers ------------------------------------------------------------------
@@ -122,6 +125,38 @@ def test_is_codeword_matches_local_membership(k66_grs):
     w2 = w.copy()
     w2[0] = (w2[0] + 3) % 7
     assert not k66_grs.is_codeword(w2)
+
+
+@pytest.fixture(scope="module")
+def full_space_a():
+    """A-side local code is all of GF(3)^2 (no parity checks), B side repetition."""
+    return ExpanderCode(cycle_graph(3), LocalCode(GF(3), np.eye(2, dtype=np.int64)),
+                        repetition(GF(3), 2))
+
+
+@pytest.mark.parametrize("fixture", ["four_cycle_rep3", "k33_parity2", "k66_grs",
+                                     "r20_rep2", "full_space_a"])
+def test_is_codeword_matches_per_vertex_reference(fixture, request):
+    code = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(31)
+    q = code.field.q
+    graph = code.graph
+    local_a = code.code_a.codewords()
+    words = []
+    for _ in range(10):
+        c = code.random_codeword(rng)
+        flipped = c.copy()
+        e = int(rng.integers(code.num_edges))
+        flipped[e] = (flipped[e] + int(rng.integers(1, q))) % q
+        # every A vertex gets a local codeword, so only B-side checks can fail
+        a_only = np.zeros(code.num_edges, dtype=np.int64)
+        for v in range(graph.n):
+            a_only[graph.a_edges[v]] = local_a[int(rng.integers(len(local_a)))]
+        words += [c, flipped, a_only, rng.integers(0, q, size=code.num_edges)]
+    verdicts = [code.is_codeword(w) for w in words]
+    assert verdicts == [is_codeword_by_vertex(code, w) for w in words]
+    assert all(verdicts[::4]) and not all(verdicts[1::4])
+    assert not all(verdicts[2::4])
 
 
 def test_codeword_basis_spans(k33_parity2):
