@@ -9,11 +9,10 @@ CLI wrapper.
 """
 
 from .errors import (DomainError, EnumerationCapError, ExpanderLPError,
-                     FieldMismatchError, GraphConstructionError,
-                     InternalInvariantError, NotIntegralError,
-                     NoValidThetaError, NumericError, StateError,
-                     WitnessUnavailableError)
-from .gf import GF, FieldElement
+                     GraphConstructionError, InternalInvariantError,
+                     NotIntegralError, NoValidThetaError, NumericError,
+                     StateError, WitnessUnavailableError)
+from .gf import GF
 from .gflinalg import mat_mul, mat_vec, null_space, rank, rref
 from .linear_code import (LocalCode, generalized_reed_solomon, repetition,
                           single_parity_check)
@@ -21,15 +20,14 @@ from .tanner_graph import (SpectralInfo, TannerGraph, complete_bipartite,
                            cycle_graph, random_regular_bipartite)
 from .expander_code import (BoundReport, DistanceBound, ExpanderCode,
                             binary_entropy, binary_entropy_inverse,
-                            compute_theta, correctable_fraction_core,
-                            correctable_fraction_core_exact,
+                            check_word, compute_theta,
+                            correctable_fraction_core,
                             correctable_fraction_orientation,
-                            correctable_fraction_orientation_exact,
-                            distance_bound_eq1, distance_bound_eq1_exact,
-                            format_word, hamming_distance, parse_word,
-                            sqrt_fraction, table_fraction)
+                            distance_bound_eq1, format_word,
+                            hamming_distance, parse_word, sqrt_fraction,
+                            table_fraction)
 from .lp_core import LpProblem, LpSolution, solve
-from .lp_decoder import (DecodeResult, decode, build_primal, build_reduced,
+from .lp_decoder import (DecodeResult, decode, build_reduced,
                          cost_from_received, embed, unembed)
 from .certificate import (CertifyResult, DualWitness, ErrorCore, PeelingTrace,
                           WitnessCheck, build_witness_from_orientation,
@@ -40,9 +38,9 @@ from .orientation import (OrientationFailure, OrientedEdgeSet, orient,
 from .ml_oracle import (OracleResult, ScanReport, exhaustive_agreement_scan,
                         ml_decode)
 from .harness import (ExperimentConfig, SweepResult, TrialRecord,
-                      bounds_report, format_tables, print_tables,
-                      resolve_code, resolve_graph, resolve_instance,
-                      run_sweep, sample_error_pattern)
+                      bounds_report, format_tables, resolve_code,
+                      resolve_graph, resolve_instance, run_sweep,
+                      sample_error_pattern)
 
 __version__ = "0.1.0"
 

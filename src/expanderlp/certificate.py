@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InternalInvariantError, WitnessUnavailableError
-from .expander_code import ExpanderCode, hamming_distance
+from .expander_code import ExpanderCode, check_word, hamming_distance
 from .orientation import OrientedEdgeSet
 from .tanner_graph import TannerGraph
 
@@ -132,7 +132,7 @@ def peel(code: ExpanderCode, c, y) -> PeelingTrace:
     graph = code.graph
     n = graph.n
     cw = np.asarray(c, dtype=np.int64)
-    yw = np.asarray(y, dtype=np.int64)
+    yw = check_word(y, code.field.q, code.num_edges)
     if not code.is_codeword(cw):
         raise ValueError("c must be a codeword")
     d_a = code.code_a.min_distance()[0]
@@ -356,7 +356,7 @@ def check_witness(code: ExpanderCode, c, y, witness: DualWitness) -> WitnessChec
     graph = code.graph
     q = code.field.q
     cw = np.asarray(c, dtype=np.int64)
-    yw = np.asarray(y, dtype=np.int64)
+    yw = check_word(y, q, graph.num_edges)
     if not code.is_codeword(cw):
         raise ValueError("c must be a codeword")
     eps = witness.epsilon
@@ -448,7 +448,7 @@ def find_witness(code: ExpanderCode, c, y, mode: str = "peel",
         raise ValueError(f"epsilon_start {epsilon_start} must be at least "
                          f"epsilon_floor {epsilon_floor}, and both positive")
     cw = np.asarray(c, dtype=np.int64)
-    yw = np.asarray(y, dtype=np.int64)
+    yw = check_word(y, code.field.q, code.num_edges)
     if mode == "peel":
         trace = peel(code, cw, yw)
         if not trace.terminated_empty:

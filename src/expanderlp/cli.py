@@ -77,6 +77,19 @@ def _instance(args) -> ExpanderCode:
     return resolve_instance(args.graph, args.code_a, args.code_b)
 
 
+def _core_payload(core, n: int):
+    """An error core as JSON; B-side vertices renumbered from 0."""
+    if core is None:
+        return None
+    return {
+        "edges": sorted(core.edges),
+        "vertices_a": sorted(core.vertices_a),
+        "vertices_b": sorted(v - n for v in core.vertices_b),
+        "zeta_a": str(core.zeta_a),
+        "zeta_b": str(core.zeta_b),
+    }
+
+
 def _cmd_decode(args) -> int:
     code = _instance(args)
     y = _load_word(args.received, code.field.q, code.graph.num_edges)
@@ -105,13 +118,7 @@ def _cmd_certify(args) -> int:
         "mode": result.mode,
         "epsilon": None if result.epsilon is None else str(result.epsilon),
         "reason": result.reason,
-        "core": None if result.core is None else {
-            "edges": sorted(result.core.edges),
-            "vertices_a": sorted(result.core.vertices_a),
-            "vertices_b": sorted(v - code.graph.n for v in result.core.vertices_b),
-            "zeta_a": str(result.core.zeta_a),
-            "zeta_b": str(result.core.zeta_b),
-        },
+        "core": _core_payload(result.core, code.graph.n),
     }
     _emit(payload, args.out)
     return EXIT_OK
@@ -130,13 +137,7 @@ def _cmd_core(args) -> int:
         "final_index": trace.final_index,
         "rounds": len(trace.edge_sets),
         "core_found": core is not None,
-        "core": None if core is None else {
-            "edges": sorted(core.edges),
-            "vertices_a": sorted(core.vertices_a),
-            "vertices_b": sorted(v - code.graph.n for v in core.vertices_b),
-            "zeta_a": str(core.zeta_a),
-            "zeta_b": str(core.zeta_b),
-        },
+        "core": _core_payload(core, code.graph.n),
     }
     _emit(payload, args.out)
     return EXIT_OK
@@ -204,7 +205,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    _emit(format_tables(), args.out)
+    _emit(format_tables(args.step, args.regime), args.out)
     return EXIT_OK
 
 
@@ -287,6 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("tables", help="analytic correctable-fraction tables")
+    p.add_argument("--step", type=float, default=None,
+                   help="rate grid spacing (default: the standard 0.1 grid)")
+    p.add_argument("--regime", choices=("binary", "grs", "both"), default="both",
+                   help="print one regime's column, or both")
     p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("sweep", help="Monte Carlo error-weight sweep")

@@ -5,10 +5,6 @@ class ExpanderLPError(Exception):
     """Base class for every error raised by this package."""
 
 
-class FieldMismatchError(ExpanderLPError):
-    """Two field elements (or a word and a code) belong to different fields."""
-
-
 class EnumerationCapError(ExpanderLPError):
     """An exhaustive enumeration would exceed its configured cap."""
 

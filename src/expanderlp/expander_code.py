@@ -2,11 +2,14 @@
 
 A word assigns one GF(q) symbol to every edge.  It is a codeword when its
 restriction to the edge neighborhood of every A vertex lies in the A-side
-local code and likewise on the B side.  This module also carries the
-analytic machinery: the spectral distance bound, the correctable-fraction
-formulas (both the error-core route and the orientation route), the theta
-quantity used by the orientation route, and the two published rate/fraction
-tables' generating formulas.
+local code and likewise on the B side.  check_word is the one validator of
+a word's length and symbol range, for local and global words alike.  This
+module also carries the analytic machinery: the spectral distance bound,
+the correctable-fraction formulas (both the error-core route and the
+orientation route), the theta quantity used by the orientation route, and
+the two published rate/fraction tables' generating formulas.  Each bound
+formula is exact, returning a Fraction, when all its arguments are
+Fractions, and a float otherwise.
 """
 
 from __future__ import annotations
@@ -29,15 +32,21 @@ DEFAULT_GLOBAL_ENUMERATION_CAP = 2 ** 16
 
 # -- words ---------------------------------------------------------------------
 
+def check_word(word, q: int, length: int | None = None) -> np.ndarray:
+    """The word as an int64 array; ValueError unless it is a 1-d array of
+    element indices in [0, q), of the given length if one is given."""
+    w = np.asarray(word, dtype=np.int64)
+    if w.ndim != 1 or (length is not None and w.shape[0] != length):
+        expected = "a 1-d word" if length is None else f"{length} symbols"
+        raise ValueError(f"expected {expected}, got shape {w.shape}")
+    if w.size and (w.min() < 0 or w.max() >= q):
+        raise ValueError(f"symbols must be element indices in [0, {q})")
+    return w
+
+
 def parse_word(text: str, q: int, expected_length: int | None = None) -> np.ndarray:
     """One line of space-separated element indices."""
-    parts = text.split()
-    word = np.array([int(x) for x in parts], dtype=np.int64)
-    if expected_length is not None and word.shape[0] != expected_length:
-        raise ValueError(f"expected {expected_length} symbols, got {word.shape[0]}")
-    if word.size and (word.min() < 0 or word.max() >= q):
-        raise ValueError(f"symbols must be element indices in [0, {q})")
-    return word
+    return check_word([int(x) for x in text.split()], q, expected_length)
 
 
 def format_word(word) -> str:
@@ -87,11 +96,7 @@ class ExpanderCode:
         return w[inc[v]]
 
     def is_codeword(self, word) -> bool:
-        w = np.asarray(word, dtype=np.int64)
-        if w.shape != (self.num_edges,):
-            raise ValueError(f"word must have length {self.num_edges}")
-        if w.size and (w.min() < 0 or w.max() >= self.field.q):
-            raise ValueError(f"symbols must be element indices in [0, {self.field.q})")
+        w = check_word(word, self.field.q, self.num_edges)
         for code, inc in ((self.code_a, self.graph.a_edges),
                           (self.code_b, self.graph.b_edges)):
             H = code.parity_check
@@ -147,20 +152,10 @@ class ExpanderCode:
         total = self.field.q ** basis.shape[0]
         if total > cap:
             raise EnumerationCapError(f"{total} global codewords exceed cap {cap}")
-        gf = self.field
-        words = np.zeros((1, self.num_edges), dtype=np.int64)
-        for row in basis:
-            scaled = [gf.mul_table[lam, row] for lam in range(gf.q)]
-            words = np.concatenate([gf.add_table[words, s[None, :]] for s in scaled], axis=0)
-        return words
+        return gflinalg.span(basis, self.field)
 
     def brute_force_min_distance(self, cap: int = DEFAULT_GLOBAL_ENUMERATION_CAP) -> int:
-        cw = self.enumerate_codewords(cap)
-        weights = np.count_nonzero(cw, axis=1)
-        nonzero = weights[weights > 0]
-        if len(nonzero) == 0:
-            raise ValueError("the global code is trivial (only the zero word)")
-        return int(nonzero.min())
+        return gflinalg.min_weight(self.enumerate_codewords(cap))
 
     def rate_lower_bound(self) -> Fraction:
         """r_A + r_B - 1, a floor on the global rate dimension/num_edges."""
@@ -187,60 +182,52 @@ def sqrt_fraction(x: Fraction) -> Fraction:
 # -- distance and correctable-fraction bounds --------------------------------------
 
 class DistanceBound(NamedTuple):
-    value: float
+    value: float | Fraction
     positive: bool
 
 
-def distance_bound_eq1(delta_a: float, delta_b: float, gamma: float) -> DistanceBound:
+def _sqrt_for(*args):
+    """Exact sqrt_fraction when every argument is a Fraction, else math.sqrt."""
+    return sqrt_fraction if all(isinstance(a, Fraction) for a in args) else math.sqrt
+
+
+def distance_bound_eq1(delta_a, delta_b, gamma) -> DistanceBound:
     """Spectral lower bound on the relative distance of the global code:
 
         (delta_a*delta_b - gamma*sqrt(delta_a*delta_b)) / (1 - gamma).
 
     The value may be nonpositive when gamma exceeds sqrt(delta_a*delta_b);
-    it is returned as computed, with a positivity flag.
+    it is returned as computed, with a positivity flag.  With Fraction
+    arguments the value is an exact Fraction (sqrt(delta_a*delta_b) must
+    then be rational), otherwise a float.
     """
     _check_rel_distance(delta_a, "delta_a")
     _check_rel_distance(delta_b, "delta_b")
     if not 0 <= gamma < 1:
         raise DomainError(f"gamma must lie in [0, 1), got {gamma}")
+    sqrt = _sqrt_for(delta_a, delta_b, gamma)
     prod = delta_a * delta_b
-    value = (prod - gamma * math.sqrt(prod)) / (1 - gamma)
+    value = (prod - gamma * sqrt(prod)) / (1 - gamma)
     return DistanceBound(value=value, positive=value > 0)
 
 
-def distance_bound_eq1_exact(delta_a: Fraction, delta_b: Fraction,
-                             gamma: Fraction) -> Fraction:
-    """Exact-rational spectral distance bound; sqrt(delta_a*delta_b) must be rational."""
-    if not 0 <= gamma < 1:
-        raise DomainError(f"gamma must lie in [0, 1), got {gamma}")
-    prod = delta_a * delta_b
-    return (prod - gamma * sqrt_fraction(prod)) / (1 - gamma)
-
-
-def correctable_fraction_core(delta_a: float, delta_b: float, gamma: float) -> float:
+def correctable_fraction_core(delta_a, delta_b, gamma):
     """Correctable fraction of edges via the error-core argument:
 
         (delta_a*delta_b/16 - gamma*sqrt(delta_a*delta_b/16)) / (1 - gamma),
 
-    valid when gamma <= sqrt(delta_a*delta_b)/4.
+    valid when gamma <= sqrt(delta_a*delta_b)/4.  Exact, as a Fraction,
+    when every argument is a Fraction.
     """
     _check_rel_distance(delta_a, "delta_a")
     _check_rel_distance(delta_b, "delta_b")
-    limit = math.sqrt(delta_a * delta_b) / 4
+    sqrt = _sqrt_for(delta_a, delta_b, gamma)
+    limit = sqrt(delta_a * delta_b) / 4
     if not 0 <= gamma <= limit:
         raise DomainError(
             f"gamma={gamma} outside [0, sqrt(delta_a*delta_b)/4] = [0, {limit}]")
     prod16 = delta_a * delta_b / 16
-    return (prod16 - gamma * math.sqrt(prod16)) / (1 - gamma)
-
-
-def correctable_fraction_core_exact(delta_a: Fraction, delta_b: Fraction,
-                                    gamma: Fraction) -> Fraction:
-    prod16 = delta_a * delta_b / 16
-    root = sqrt_fraction(prod16)   # equals sqrt(delta_a*delta_b)/4
-    if not 0 <= gamma <= root:
-        raise DomainError("gamma outside the core-bound hypothesis")
-    return (prod16 - gamma * root) / (1 - gamma)
+    return (prod16 - gamma * sqrt(prod16)) / (1 - gamma)
 
 
 def compute_theta(delta: Fraction, degree: int) -> Fraction:
@@ -263,34 +250,26 @@ def compute_theta(delta: Fraction, degree: int) -> Fraction:
     return Fraction(4 * m, degree)
 
 
-def correctable_fraction_orientation(theta_a: float, theta_b: float,
-                                     gamma: float) -> float:
+def correctable_fraction_orientation(theta_a, theta_b, gamma):
     """Correctable fraction of edges via the orientation argument:
 
         (theta_a*theta_b - 2*gamma*sqrt(theta_a*theta_b)) / (4*(1 - gamma)),
 
-    valid when gamma <= sqrt(theta_a*theta_b)/2.
+    valid when gamma <= sqrt(theta_a*theta_b)/2.  Exact, as a Fraction,
+    when every argument is a Fraction.
     """
     _check_rel_distance(theta_a, "theta_a")
     _check_rel_distance(theta_b, "theta_b")
-    limit = math.sqrt(theta_a * theta_b) / 2
+    sqrt = _sqrt_for(theta_a, theta_b, gamma)
+    limit = sqrt(theta_a * theta_b) / 2
     if not 0 <= gamma <= limit:
         raise DomainError(
             f"gamma={gamma} outside [0, sqrt(theta_a*theta_b)/2] = [0, {limit}]")
     prod = theta_a * theta_b
-    return (prod - 2 * gamma * math.sqrt(prod)) / (4 * (1 - gamma))
+    return (prod - 2 * gamma * sqrt(prod)) / (4 * (1 - gamma))
 
 
-def correctable_fraction_orientation_exact(theta_a: Fraction, theta_b: Fraction,
-                                           gamma: Fraction) -> Fraction:
-    prod = theta_a * theta_b
-    root = sqrt_fraction(prod)
-    if not 0 <= gamma <= root / 2:
-        raise DomainError("gamma outside the orientation-bound hypothesis")
-    return (prod - 2 * gamma * root) / (4 * (1 - gamma))
-
-
-def _check_rel_distance(x: float, name: str) -> None:
+def _check_rel_distance(x, name: str) -> None:
     if not 0 < x <= 1:
         raise DomainError(f"{name} must lie in (0, 1], got {x}")
 

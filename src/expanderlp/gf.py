@@ -10,18 +10,14 @@ explicit polynomial.
 
 All binary operations are table lookups, so words can be manipulated as
 numpy integer arrays via ``field.add_table`` / ``field.mul_table`` fancy
-indexing.  The :class:`FieldElement` wrapper is a convenience layer for
-scalar work and carries its field, so cross-field arithmetic fails loudly.
+indexing; the tables are the whole arithmetic API.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-
-from .errors import FieldMismatchError
 
 MAX_ORDER = 256
 
@@ -109,56 +105,6 @@ def _is_irreducible(poly: Sequence[int], p: int) -> bool:
             if not _poly_mod(poly, g, p):
                 return False
     return True
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A single element of a :class:`GF` instance, identified by its index."""
-
-    field: "GF"
-    index: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.index < self.field.q:
-            raise ValueError(
-                f"element index {self.index} out of range for {self.field!r}")
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatchError(
-                f"cannot combine elements of {self.field!r} and {other.field!r}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, int(self.field.add_table[self.index, other.index]))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, int(self.field.sub_table[self.index, other.index]))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, int(self.field.neg_table[self.index]))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, int(self.field.mul_table[self.index, other.index]))
-
-    def inverse(self) -> "FieldElement":
-        if self.index == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return FieldElement(self.field, int(self.field.inv_table[self.index]))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return self * other.inverse()
-
-    def __bool__(self) -> bool:
-        return self.index != 0
-
-    def __repr__(self) -> str:
-        return f"GF{self.field.q}({self.index})"
 
 
 class GF:
@@ -258,49 +204,6 @@ class GF:
         self.mul_table = mul
         self.neg_table = neg
         self.inv_table = inv
-
-    # -- element-level API ---------------------------------------------------
-
-    def element(self, index: int) -> FieldElement:
-        return FieldElement(self, int(index))
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
-    def elements(self) -> Iterator[FieldElement]:
-        for i in range(self.q):
-            yield FieldElement(self, i)
-
-    def _own(self, a: FieldElement) -> None:
-        if not isinstance(a, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(a).__name__}")
-        if a.field != self:
-            raise FieldMismatchError(f"element of {a.field!r} passed to {self!r}")
-
-    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._own(a)
-        return a + b
-
-    def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._own(a)
-        return a - b
-
-    def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._own(a)
-        return a * b
-
-    def neg(self, a: FieldElement) -> FieldElement:
-        self._own(a)
-        return -a
-
-    def inv(self, a: FieldElement) -> FieldElement:
-        self._own(a)
-        return a.inverse()
 
     # -- identity ------------------------------------------------------------
 

@@ -105,3 +105,27 @@ def mat_mul(a, b, gf: GF) -> np.ndarray:
             continue
         out = add[out, mul[col[:, None], row[None, :]]]
     return out
+
+
+def span(rows, gf: GF) -> np.ndarray:
+    """Every linear combination of the rows, one word per row of the result.
+
+    The coefficient of the first row varies fastest: the word for
+    coefficients (l_0, ..., l_{k-1}) is at index sum(l_i * q**i).
+    """
+    R = np.asarray(rows, dtype=np.int64)
+    add, mul = gf.add_table, gf.mul_table
+    words = np.zeros((1, R.shape[1]), dtype=np.int64)
+    for row in R:
+        words = np.concatenate([add[words, mul[lam, row][None, :]]
+                                for lam in range(gf.q)], axis=0)
+    return words
+
+
+def min_weight(words) -> int:
+    """The least Hamming weight among the nonzero words (rows)."""
+    weights = np.count_nonzero(words, axis=1)
+    nonzero = weights[weights > 0]
+    if len(nonzero) == 0:
+        raise ValueError("no nonzero word to take the weight of")
+    return int(nonzero.min())

@@ -352,22 +352,33 @@ def bounds_report(graph: TannerGraph, code_a: LocalCode,
 TABLE_RATES = tuple(Fraction(k, 10) for k in range(1, 10))
 
 
-def format_tables() -> str:
-    """The two analytic correctable-fraction tables, one row per design rate.
+def _table_row(label: str, rate: float, regime: str) -> str:
+    """One table line: the rate label, then the scaled fraction per regime."""
+    if regime == "both":
+        binary = table_fraction(rate, "binary") * 1e4
+        grs = table_fraction(rate, "grs") * 1e2
+        return f"{label}  {binary:<22.4g}  {grs:.6g}"
+    scale = 1e4 if regime == "binary" else 1e2
+    return f"{label}  {table_fraction(rate, regime) * scale:.6g}"
 
-    Column two is the binary-local-code regime (entropy-matched distance,
-    printed x 1e-4); column three is the Reed-Solomon regime ((1-R)^2/16,
-    printed x 1e-2).
+
+def format_tables(step: float | None = None, regime: str = "both") -> str:
+    """The analytic correctable-fraction tables, one row per design rate.
+
+    The binary-local-code regime (entropy-matched distance) is printed
+    x 1e-4, the Reed-Solomon regime ((1-R)^2/16) x 1e-2.  By default both
+    columns on the nine rates 0.1 .. 0.9; a step gives the grid step,
+    2*step, ... below 1, and regime 'binary' or 'grs' a single column.
     """
-    lines = ["rate  binary-locals (x 1e-4)  reed-solomon-locals (x 1e-2)"]
-    for rate in TABLE_RATES:
-        binary = table_fraction(float(rate), "binary") * 1e4
-        grs = table_fraction(float(rate), "grs") * 1e2
-        lines.append(f"{float(rate):.1f}   {binary:<22.4g}  {grs:.6g}")
+    if step is None and regime == "both":
+        rows = [(f"{float(rate):.1f} ", float(rate)) for rate in TABLE_RATES]
+    else:
+        step = 0.1 if step is None else step
+        if not 0.0 < step < 1.0:
+            raise ValueError(f"rate step must lie in (0, 1), got {step}")
+        rates = (i * step for i in range(1, round(1.0 / step)))
+        rows = [(f"{rate:.3f}", rate) for rate in rates if 0.0 < rate < 1.0]
+    header = ("rate  binary-locals (x 1e-4)  reed-solomon-locals (x 1e-2)"
+              if regime == "both" else f"rate  {regime}")
+    lines = [header] + [_table_row(label, rate, regime) for label, rate in rows]
     return "\n".join(lines) + "\n"
-
-
-def print_tables(stream=None) -> str:
-    text = format_tables()
-    print(text, end="", file=stream)
-    return text

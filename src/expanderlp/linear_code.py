@@ -66,13 +66,7 @@ class LocalCode:
             if self.num_codewords > self.enumeration_cap:
                 raise EnumerationCapError(
                     f"{self.num_codewords} codewords exceed cap {self.enumeration_cap}")
-            gf = self.field
-            words = np.zeros((1, self.length), dtype=np.int64)
-            for row in self.generator:
-                scaled = [gf.mul_table[lam, row] for lam in range(gf.q)]
-                words = np.concatenate(
-                    [gf.add_table[words, s[None, :]] for s in scaled], axis=0)
-            self._codewords = words
+            self._codewords = gflinalg.span(self.generator, self.field)
         return self._codewords
 
     def min_distance(self) -> tuple[int, Fraction]:
@@ -82,12 +76,7 @@ class LocalCode:
         codewords, found by full enumeration.
         """
         if self._min_distance is None:
-            cw = self.codewords()
-            weights = np.count_nonzero(cw, axis=1)
-            nonzero = weights[weights > 0]
-            if len(nonzero) == 0:
-                raise ValueError("code has no nonzero codewords")
-            self._min_distance = int(nonzero.min())
+            self._min_distance = gflinalg.min_weight(self.codewords())
         return self._min_distance, Fraction(self._min_distance, self.length)
 
     @property
@@ -95,11 +84,8 @@ class LocalCode:
         return self.min_distance()[1]
 
     def contains(self, word) -> bool:
-        w = np.asarray(word, dtype=np.int64)
-        if w.shape != (self.length,):
-            raise ValueError(f"word must have length {self.length}")
-        if w.min() < 0 or w.max() >= self.field.q:
-            raise ValueError(f"word entries must be element indices in [0, {self.field.q})")
+        from .expander_code import check_word   # expander_code imports this module
+        w = check_word(word, self.field.q, self.length)
         if self.parity_check.shape[0] == 0:
             return True
         return not gflinalg.mat_vec(self.parity_check, w, self.field).any()

@@ -224,7 +224,7 @@ def solve(problem: LpProblem,
         tab.basis = [tab.basis[r] for r in keep]
 
     # phase 2: fresh reduced costs for the real objective
-    basis_arr = np.array(tab.basis)
+    basis_arr = np.array(tab.basis, dtype=np.int64)
     if (basis_arr >= n).any():
         raise NumericError("artificial variable left in the basis after cleanup")
     cb = c[basis_arr]

@@ -14,6 +14,9 @@ Hamming distance from the received word y.
 
 Every codeword's embedding is feasible, and any feasible integral point is a
 codeword's embedding, so an integral LP optimum is a nearest codeword.
+
+The solver never sees this edge-variable form: build_reduced eliminates f
+and keeps only the w blocks, and decode lifts f back from the optimum.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import lp_core
 from .errors import InternalInvariantError, NotIntegralError
-from .expander_code import ExpanderCode, hamming_distance
+from .expander_code import ExpanderCode, check_word, hamming_distance
 from .lp_core import LpProblem, LpSolution
 
 DEFAULT_INT_TOL = 1e-6
@@ -32,9 +35,7 @@ DEFAULT_INT_TOL = 1e-6
 
 def embed(word, q: int) -> np.ndarray:
     """The 0/1 indicator array of a word, shape (len(word), q)."""
-    w = np.asarray(word, dtype=np.int64)
-    if w.size and (w.min() < 0 or w.max() >= q):
-        raise ValueError(f"symbols must be element indices in [0, {q})")
+    w = check_word(word, q)
     out = np.zeros((w.shape[0], q))
     out[np.arange(w.shape[0]), w] = 1.0
     return out
@@ -60,133 +61,40 @@ def cost_from_received(y, q: int) -> np.ndarray:
     return cost
 
 
-@dataclass
-class PrimalLayout:
-    """Index bookkeeping for the primal LP's flat variable vector."""
-
-    q: int
-    num_edges: int
-    n: int
-    block_a: int     # local codewords per A vertex
-    block_b: int
-
-    @property
-    def f_count(self) -> int:
-        return self.num_edges * self.q
-
-    @property
-    def w_start_a(self) -> int:
-        return self.f_count
-
-    @property
-    def w_start_b(self) -> int:
-        return self.f_count + self.n * self.block_a
-
-    @property
-    def num_vars(self) -> int:
-        return self.w_start_b + self.n * self.block_b
-
-    def f_index(self, e: int, alpha: int) -> int:
-        return e * self.q + alpha
-
-    def w_slice(self, side: str, v: int) -> slice:
-        if side == "a":
-            start = self.w_start_a + v * self.block_a
-            return slice(start, start + self.block_a)
-        start = self.w_start_b + v * self.block_b
-        return slice(start, start + self.block_b)
-
-    def marg_row(self, e: int, side: str, alpha: int) -> int:
-        return 2 * self.n + e * 2 * self.q + (0 if side == "a" else self.q) + alpha
-
-
-def build_primal(code: ExpanderCode, y) -> tuple[LpProblem, PrimalLayout]:
-    """Assemble the decoding LP for the received word y."""
-    q = code.field.q
-    graph = code.graph
-    n, num_edges = graph.n, graph.num_edges
-    w = np.asarray(y, dtype=np.int64)
-    if w.shape != (num_edges,):
-        raise ValueError(f"received word must have length {num_edges}")
-    if w.min() < 0 or w.max() >= q:
-        raise ValueError(f"symbols must be element indices in [0, {q})")
-
-    cw_a = code.code_a.codewords()
-    cw_b = code.code_b.codewords()
-    layout = PrimalLayout(q=q, num_edges=num_edges, n=n,
-                          block_a=cw_a.shape[0], block_b=cw_b.shape[0])
-    rows = 2 * n + 2 * q * num_edges
-    A = np.zeros((rows, layout.num_vars))
-    b = np.zeros(rows)
-    b[: 2 * n] = 1.0
-
-    for v in range(n):
-        A[v, layout.w_slice("a", v)] = 1.0
-        A[n + v, layout.w_slice("b", v)] = 1.0
-
-    # f coefficients: +1 in the marginalization row of both endpoints
-    e_ids = np.repeat(np.arange(num_edges), 2 * q)
-    alphas = np.tile(np.concatenate([np.arange(q), np.arange(q)]), num_edges)
-    A[2 * n + np.arange(2 * q * num_edges), e_ids * q + alphas] = 1.0
-
-    # w coefficients: -1 wherever a local codeword pins this edge to alpha
-    for v in range(n):
-        sl = layout.w_slice("a", v)
-        cols = np.arange(sl.start, sl.stop)
-        for t in range(graph.delta):
-            e = int(graph.a_edges[v, t])
-            A[2 * n + e * 2 * q + cw_a[:, t], cols] = -1.0
-    for v in range(n):
-        sl = layout.w_slice("b", v)
-        cols = np.arange(sl.start, sl.stop)
-        for t in range(graph.delta):
-            e = int(graph.b_edges[v, t])
-            A[2 * n + e * 2 * q + q + cw_b[:, t], cols] = -1.0
-
-    objective = np.zeros(layout.num_vars)
-    objective[: layout.f_count] = (-cost_from_received(w, q)).ravel()
-    return LpProblem(objective=objective, eq_coeffs=A, eq_rhs=b), layout
-
-
-def build_reduced(code: ExpanderCode, y) -> tuple[LpProblem, PrimalLayout]:
-    """The equivalent w-only system that decode() actually hands the solver.
+def build_reduced(code: ExpanderCode, y) -> tuple[LpProblem, int]:
+    """The decoding LP in w-only form, as decode() hands it to the solver.
 
     The marginalization rows pin every f[e, alpha] to the w mass at either
-    endpoint, so f can be eliminated: keep one convexity row per vertex and,
+    endpoint, so f is eliminated: there is one convexity row per vertex and,
     per edge, the q-1 constraints that the two endpoints' marginals agree
     (the last symbol's agreement is implied by the convexity rows).  The
-    objective moves onto the A-side w blocks.  Cuts the row count roughly
-    fourfold and the variable count by q per edge, which the dense simplex
-    repays directly; the f part of any solution is recovered as the A-side
-    marginals.
+    objective sits on the A-side w blocks.  Compared with the edge-variable
+    form this cuts the row count roughly fourfold and the variable count by
+    q per edge; the f part of any solution is the A-side marginals.
+
+    With K_a and K_b local codewords per vertex, A-side vertex v's block
+    starts at column v*K_a and B-side vertex v's at n*K_a + v*K_b.  Returns
+    the problem and its first B-side column, n*K_a.
     """
     q = code.field.q
     graph = code.graph
     n, num_edges = graph.n, graph.num_edges
-    w = np.asarray(y, dtype=np.int64)
-    if w.shape != (num_edges,):
-        raise ValueError(f"received word must have length {num_edges}")
-    if w.min() < 0 or w.max() >= q:
-        raise ValueError(f"symbols must be element indices in [0, {q})")
+    w = check_word(y, q, num_edges)
 
     cw_a = code.code_a.codewords()
     cw_b = code.code_b.codewords()
-    layout = PrimalLayout(q=q, num_edges=num_edges, n=n,
-                          block_a=cw_a.shape[0], block_b=cw_b.shape[0])
-    num_w = layout.num_vars - layout.f_count
+    k_a, k_b = cw_a.shape[0], cw_b.shape[0]
+    first_b = n * k_a
+    num_w = first_b + n * k_b
     rows = 2 * n + (q - 1) * num_edges
     A = np.zeros((rows, num_w))
     b = np.zeros(rows)
     b[: 2 * n] = 1.0
 
-    def w_cols(side: str, v: int) -> np.ndarray:
-        sl = layout.w_slice(side, v)
-        return np.arange(sl.start - layout.f_count, sl.stop - layout.f_count)
-
     objective = np.zeros(num_w)
     negc = -cost_from_received(w, q)
     for v in range(n):
-        cols = w_cols("a", v)
+        cols = np.arange(v * k_a, (v + 1) * k_a)
         A[v, cols] = 1.0
         objective[cols] = negc[graph.a_edges[v][:, None], cw_a.T].sum(axis=0)
         for t in range(graph.delta):
@@ -194,14 +102,14 @@ def build_reduced(code: ExpanderCode, y) -> tuple[LpProblem, PrimalLayout]:
             keep = cw_a[:, t] < q - 1
             A[2 * n + e * (q - 1) + cw_a[keep, t], cols[keep]] = 1.0
     for v in range(n):
-        cols = w_cols("b", v)
+        cols = np.arange(first_b + v * k_b, first_b + (v + 1) * k_b)
         A[n + v, cols] = 1.0
         for t in range(graph.delta):
             e = int(graph.b_edges[v, t])
             keep = cw_b[:, t] < q - 1
             A[2 * n + e * (q - 1) + cw_b[keep, t], cols[keep]] = -1.0
 
-    return LpProblem(objective=objective, eq_coeffs=A, eq_rhs=b), layout
+    return LpProblem(objective=objective, eq_coeffs=A, eq_rhs=b), first_b
 
 
 @dataclass
@@ -238,15 +146,14 @@ def decode(code: ExpanderCode, y,
     build_reduced; f is lifted back as the A-side marginals, which the
     retained constraints force to agree with the B-side ones.
     """
-    problem, layout = build_reduced(code, y)
+    problem, first_b = build_reduced(code, y)
     sol: LpSolution = lp_core.solve(problem, feas_tol=feas_tol, opt_tol=opt_tol)
     if sol.status != "optimal":
         raise InternalInvariantError(
             f"decoding LP reported {sol.status}; it is feasible and bounded by design")
-    n, q = layout.n, layout.q
-    split = n * layout.block_a
-    w_a = sol.values[:split].reshape(n, layout.block_a)
-    w_b = sol.values[split:].reshape(n, layout.block_b)
+    n, q, num_edges = code.graph.n, code.field.q, code.num_edges
+    w_a = sol.values[:first_b].reshape(n, -1)
+    w_b = sol.values[first_b:].reshape(n, -1)
     raw_w: dict[tuple[str, int], np.ndarray] = {}
     for v in range(n):
         raw_w[("a", v)] = w_a[v].copy()
@@ -258,7 +165,7 @@ def decode(code: ExpanderCode, y,
     index = code.graph.a_edges[:, :, None] * q + cw_a.T[None]
     weights = np.broadcast_to(w_a[:, None, :], index.shape)
     f = np.bincount(index.ravel(), weights=weights.ravel(),
-                    minlength=layout.num_edges * q).reshape(layout.num_edges, q)
+                    minlength=num_edges * q).reshape(num_edges, q)
 
     near_one = np.abs(f - 1.0) <= int_tol
     near_zero = np.abs(f) <= int_tol

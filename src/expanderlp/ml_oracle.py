@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EnumerationCapError
-from .expander_code import ExpanderCode
+from .expander_code import ExpanderCode, check_word
 from .lp_decoder import DEFAULT_INT_TOL, decode
 from .lp_core import DEFAULT_FEAS_TOL, DEFAULT_OPT_TOL
 
@@ -41,7 +41,7 @@ def ml_decode(code: ExpanderCode, y, cap: int | None = None) -> OracleResult:
     Returns the first minimizer in enumeration order; `tie` reports whether
     any other codeword achieves the same distance.
     """
-    yw = np.asarray(y, dtype=np.int64)
+    yw = check_word(y, code.field.q, code.num_edges)
     words = (code.enumerate_codewords() if cap is None
              else code.enumerate_codewords(cap))
     distances = np.count_nonzero(words != yw[None, :], axis=1)

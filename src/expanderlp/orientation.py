@@ -113,6 +113,10 @@ def orient(graph: TannerGraph, edges, cap_a, cap_b):
             raise ValueError(f"edge id {e} out of range")
     n = graph.n
     head_side = {e: "b" for e in edge_list}
+    # flipped in place below; on success this is the result
+    oriented = OrientedEdgeSet(graph=graph, edges=tuple(edge_list),
+                               head_side=head_side, cap_a=cap_a, cap_b=cap_b)
+    head_of, tail_of, cap_of = oriented.head, oriented.tail, oriented.cap_of
 
     # incident error edges per global vertex, ascending
     incident: dict[int, list[int]] = {}
@@ -120,18 +124,9 @@ def orient(graph: TannerGraph, edges, cap_a, cap_b):
         incident.setdefault(int(graph.a_of[e]), []).append(e)
         incident.setdefault(n + int(graph.b_of[e]), []).append(e)
 
-    def head_of(e: int) -> int:
-        return int(graph.a_of[e]) if head_side[e] == "a" else n + int(graph.b_of[e])
-
-    def tail_of(e: int) -> int:
-        return n + int(graph.b_of[e]) if head_side[e] == "a" else int(graph.a_of[e])
-
     indeg: dict[int, int] = {v: 0 for v in incident}
     for e in edge_list:
         indeg[head_of(e)] += 1
-
-    def cap_of(v: int) -> int:
-        return cap_a if v < n else cap_b
 
     def fix_one(v: int) -> frozenset[int] | None:
         """Shift one unit of excess off v; None on success, else the trapped set."""
@@ -179,8 +174,7 @@ def orient(graph: TannerGraph, edges, cap_a, cap_b):
                                       induced_edges=induced,
                                       capacity=capacity)
 
-    return OrientedEdgeSet(graph=graph, edges=tuple(edge_list),
-                           head_side=head_side, cap_a=cap_a, cap_b=cap_b)
+    return oriented
 
 
 def verify_orientation(oriented: OrientedEdgeSet) -> list[tuple[int, int, int]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +18,9 @@ import numpy as np
 from expanderlp import gflinalg
 from expanderlp.certificate import WitnessCheck
 from expanderlp.errors import NumericError
-from expanderlp.expander_code import hamming_distance
-from expanderlp.lp_core import _PIVOT_TOL
+from expanderlp.expander_code import check_word, hamming_distance
+from expanderlp.lp_core import _PIVOT_TOL, LpProblem
+from expanderlp.lp_decoder import cost_from_received
 
 
 def lp_optimum_by_enumeration(objective, eq_coeffs, eq_rhs, tol=1e-9):
@@ -97,6 +99,94 @@ def nearest_codeword_scan(code, y):
         elif d == best:
             count += 1
     return best, count
+
+
+# -- the decoding LP with edge variables ----------------------------------------
+# The full primal of Feldman, Wainwright & Karger: f[e, alpha] per edge and
+# symbol plus w[v, j] per vertex and local codeword.  build_reduced, which
+# decode() solves, is checked against it.
+
+@dataclass
+class PrimalLayout:
+    """Index bookkeeping for the full primal LP's flat variable vector."""
+
+    q: int
+    num_edges: int
+    n: int
+    block_a: int     # local codewords per A vertex
+    block_b: int
+
+    @property
+    def f_count(self) -> int:
+        return self.num_edges * self.q
+
+    @property
+    def w_start_a(self) -> int:
+        return self.f_count
+
+    @property
+    def w_start_b(self) -> int:
+        return self.f_count + self.n * self.block_a
+
+    @property
+    def num_vars(self) -> int:
+        return self.w_start_b + self.n * self.block_b
+
+    def w_slice(self, side: str, v: int) -> slice:
+        if side == "a":
+            start = self.w_start_a + v * self.block_a
+            return slice(start, start + self.block_a)
+        start = self.w_start_b + v * self.block_b
+        return slice(start, start + self.block_b)
+
+
+def build_primal(code, y):
+    """The full decoding LP for the received word y, and its layout.
+
+    Rows: one convexity row per vertex, then per edge e the 2q
+    marginalization rows f[e, alpha] = (w mass at e's A endpoint with alpha
+    at e), and the same for the B endpoint.
+    """
+    q = code.field.q
+    graph = code.graph
+    n, num_edges = graph.n, graph.num_edges
+    w = check_word(y, q, num_edges)
+
+    cw_a = code.code_a.codewords()
+    cw_b = code.code_b.codewords()
+    layout = PrimalLayout(q=q, num_edges=num_edges, n=n,
+                          block_a=cw_a.shape[0], block_b=cw_b.shape[0])
+    rows = 2 * n + 2 * q * num_edges
+    A = np.zeros((rows, layout.num_vars))
+    b = np.zeros(rows)
+    b[: 2 * n] = 1.0
+
+    for v in range(n):
+        A[v, layout.w_slice("a", v)] = 1.0
+        A[n + v, layout.w_slice("b", v)] = 1.0
+
+    # f coefficients: +1 in the marginalization row of both endpoints
+    e_ids = np.repeat(np.arange(num_edges), 2 * q)
+    alphas = np.tile(np.concatenate([np.arange(q), np.arange(q)]), num_edges)
+    A[2 * n + np.arange(2 * q * num_edges), e_ids * q + alphas] = 1.0
+
+    # w coefficients: -1 wherever a local codeword pins this edge to alpha
+    for v in range(n):
+        sl = layout.w_slice("a", v)
+        cols = np.arange(sl.start, sl.stop)
+        for t in range(graph.delta):
+            e = int(graph.a_edges[v, t])
+            A[2 * n + e * 2 * q + cw_a[:, t], cols] = -1.0
+    for v in range(n):
+        sl = layout.w_slice("b", v)
+        cols = np.arange(sl.start, sl.stop)
+        for t in range(graph.delta):
+            e = int(graph.b_edges[v, t])
+            A[2 * n + e * 2 * q + q + cw_b[:, t], cols] = -1.0
+
+    objective = np.zeros(layout.num_vars)
+    objective[: layout.f_count] = (-cost_from_received(w, q)).ravel()
+    return LpProblem(objective=objective, eq_coeffs=A, eq_rhs=b), layout
 
 
 # -- simplex pivot rules, the plain way ---------------------------------------

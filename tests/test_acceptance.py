@@ -23,7 +23,7 @@ from expanderlp import (
     correctable_fraction_orientation,
     cycle_graph,
     decode,
-    distance_bound_eq1_exact,
+    distance_bound_eq1,
     exhaustive_agreement_scan,
     find_error_core,
     find_witness,
@@ -245,9 +245,9 @@ def test_criterion_08_distance_bound_vs_brute_force():
     details = []
     for code in instances:
         # all four graphs have an exactly-zero second eigenvalue
-        bound = distance_bound_eq1_exact(code.code_a.relative_distance,
-                                         code.code_b.relative_distance,
-                                         Fraction(0))
+        bound = distance_bound_eq1(code.code_a.relative_distance,
+                                   code.code_b.relative_distance,
+                                   Fraction(0)).value
         actual = Fraction(code.brute_force_min_distance(), code.num_edges)
         checked += 1
         if bound > 0:

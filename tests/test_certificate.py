@@ -455,3 +455,30 @@ def test_checker_dtype_boundary(k66_grs):
         w.tau_b[7][int(y[7])] += Fraction(1, m)
         assert _same_verdict(code, c, y, w).violation.startswith(
             "strict edge constraint at edge 7")
+
+
+# -- the received word is validated like the transmitted one -------------------------
+
+
+def _bad_received_words():
+    out_of_field = np.zeros(36, dtype=np.int64)
+    out_of_field[0] = 5
+    return {"symbol-5": out_of_field, "length-1": np.zeros(1, dtype=np.int64),
+            "length-37": np.zeros(37, dtype=np.int64)}
+
+
+@pytest.mark.parametrize("name", sorted(_bad_received_words()))
+@pytest.mark.parametrize("entry", ["peel", "find_witness_peel", "find_witness_orient",
+                                   "check_witness"])
+def test_invalid_received_word_rejected(k66_rep2, entry, name):
+    c = np.zeros(36, dtype=np.int64)
+    y = _bad_received_words()[name]
+    witness = build_witness_from_peeling(k66_rep2, c, c, peel(k66_rep2, c, c))
+    calls = {
+        "peel": lambda: peel(k66_rep2, c, y),
+        "find_witness_peel": lambda: find_witness(k66_rep2, c, y, mode="peel"),
+        "find_witness_orient": lambda: find_witness(k66_rep2, c, y, mode="orient"),
+        "check_witness": lambda: check_witness(k66_rep2, c, y, witness),
+    }
+    with pytest.raises(ValueError):
+        calls[entry]()

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON payloads, file handling."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -213,3 +214,36 @@ def test_sweep_seed_changes_samples(tmp_path, capsys):
     _, out_a, _ = run_cli(capsys, "--seed", "1", *args)
     _, out_b, _ = run_cli(capsys, "--seed", "2", *args)
     assert out_a != out_b
+
+
+def test_tables_bad_step_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "tables", "--step", "1.5")
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert "step" in err
+
+
+# -- the README examples against their recorded outputs ---------------------------
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "readme_cli.json").read_text())
+
+
+def _without_runtimes(summary):
+    for row in summary["per_weight"].values():
+        row.pop("mean_runtime_ms")
+    return summary
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["cases"]))
+def test_readme_example_matches_golden(name, tmp_path, monkeypatch, capsys):
+    case = GOLDEN["cases"][name]
+    monkeypatch.chdir(tmp_path)
+    for filename, text in GOLDEN["files"].items():
+        (tmp_path / filename).write_text(text)
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert code == case["exit"]
+    if "summary" in case:
+        assert _without_runtimes(json.loads(out)) == case["summary"]
+        assert (tmp_path / "runs.csv").read_text() == case["csv"]
+    else:
+        assert out == case["stdout"]

@@ -14,15 +14,13 @@ from expanderlp import (
     NoValidThetaError,
     binary_entropy,
     binary_entropy_inverse,
+    check_word,
     complete_bipartite,
     compute_theta,
     correctable_fraction_core,
-    correctable_fraction_core_exact,
     correctable_fraction_orientation,
-    correctable_fraction_orientation_exact,
     cycle_graph,
     distance_bound_eq1,
-    distance_bound_eq1_exact,
     format_word,
     generalized_reed_solomon,
     hamming_distance,
@@ -38,6 +36,15 @@ from oracles import is_codeword_by_vertex
 
 
 # -- word helpers ------------------------------------------------------------------
+
+
+def test_check_word_validates_shape_and_symbols():
+    word = check_word([0, 2, 1], 3, 3)
+    assert word.dtype == np.int64 and word.tolist() == [0, 2, 1]
+    assert check_word([], 3).shape == (0,)
+    for bad, length in (([0, 3], None), ([-1, 0], 2), ([0, 1], 3), ([[0, 1]], None)):
+        with pytest.raises(ValueError):
+            check_word(bad, 3, length)
 
 
 def test_parse_format_round_trip():
@@ -213,14 +220,16 @@ def test_distance_bound_hand_values():
 
 
 def test_distance_bound_exact_rational():
-    got = distance_bound_eq1_exact(Fraction(2, 3), Fraction(2, 3), Fraction(1, 3))
-    assert got == Fraction(1, 3)
-    assert distance_bound_eq1_exact(Fraction(1), Fraction(1), Fraction(0)) == 1
+    got = distance_bound_eq1(Fraction(2, 3), Fraction(2, 3), Fraction(1, 3))
+    assert isinstance(got.value, Fraction)
+    assert got.value == Fraction(1, 3)
+    assert got.positive
+    assert distance_bound_eq1(Fraction(1), Fraction(1), Fraction(0)).value == 1
 
 
 def test_distance_bound_matches_exact():
     approx = distance_bound_eq1(2 / 3, 2 / 3, 1 / 3).value
-    exact = distance_bound_eq1_exact(Fraction(2, 3), Fraction(2, 3), Fraction(1, 3))
+    exact = distance_bound_eq1(Fraction(2, 3), Fraction(2, 3), Fraction(1, 3)).value
     assert approx == pytest.approx(float(exact))
 
 
@@ -254,11 +263,12 @@ def test_core_fraction_hand_values():
 
 
 def test_core_fraction_exact():
-    got = correctable_fraction_core_exact(Fraction(1), Fraction(1), Fraction(1, 8))
+    got = correctable_fraction_core(Fraction(1), Fraction(1), Fraction(1, 8))
     # (1/16 - 1/8 * 1/4) / (7/8) = (1/32) * (8/7) = 1/28
+    assert isinstance(got, Fraction)
     assert got == Fraction(1, 28)
     with pytest.raises(DomainError):
-        correctable_fraction_core_exact(Fraction(1), Fraction(1), Fraction(1, 2))
+        correctable_fraction_core(Fraction(1), Fraction(1), Fraction(1, 2))
 
 
 def test_orientation_fraction_hand_values():
@@ -269,10 +279,45 @@ def test_orientation_fraction_hand_values():
 
 
 def test_orientation_fraction_exact():
-    got = correctable_fraction_orientation_exact(
+    got = correctable_fraction_orientation(
         Fraction(2, 3), Fraction(2, 3), Fraction(1, 6))
     # (4/9 - 2/6 * 2/3) / (4 * 5/6) = (2/9) / (10/3) = 1/15
+    assert isinstance(got, Fraction)
     assert got == Fraction(1, 15)
+
+
+BOUND_FORMULAS = {
+    "distance": lambda *args: distance_bound_eq1(*args).value,
+    "core": correctable_fraction_core,
+    "orientation": correctable_fraction_orientation,
+}
+
+
+@pytest.mark.parametrize("formula", sorted(BOUND_FORMULAS))
+@pytest.mark.parametrize("args", [
+    (Fraction(2, 3), Fraction(2, 3), Fraction(0)),
+    (Fraction(2, 3), Fraction(2, 3), Fraction(1, 6)),
+    (Fraction(1), Fraction(1), Fraction(1, 8)),
+    (Fraction(1), Fraction(4, 9), Fraction(1, 7)),
+    (Fraction(1, 2), Fraction(1, 2), Fraction(1, 10)),
+])
+def test_bound_formulas_agree_on_float_and_fraction(formula, args):
+    fn = BOUND_FORMULAS[formula]
+    exact = fn(*args)
+    approx = fn(*(float(a) for a in args))
+    assert isinstance(exact, Fraction)
+    assert isinstance(approx, float)
+    assert approx == pytest.approx(float(exact), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("formula", sorted(BOUND_FORMULAS))
+def test_bound_formulas_check_fraction_ranges(formula):
+    fn = BOUND_FORMULAS[formula]
+    for bad in ((Fraction(0), Fraction(1), Fraction(0)),
+                (Fraction(1), Fraction(5, 4), Fraction(0)),
+                (Fraction(1), Fraction(1), Fraction(-1, 8))):
+        with pytest.raises(DomainError):
+            fn(*bad)
 
 
 def test_theta_quantization():

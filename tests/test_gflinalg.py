@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expanderlp import GF, mat_mul, mat_vec, null_space, rank, rref
+from expanderlp.gflinalg import min_weight, span
 
 
 def test_rref_identity_passthrough():
@@ -115,3 +116,23 @@ def test_rref_is_idempotent(q, seed):
     assert np.array_equal(reduced, again)
     assert pivots == pivots2
     assert rank(m, f) == len(pivots)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_span_order_puts_first_row_fastest(q):
+    # ml_decode returns the first nearest codeword, so the order is part of
+    # the contract: coefficients (l0, l1) sit at index l0 + q*l1
+    f = GF(q)
+    rows = np.array([[1, 0, 2], [0, 1, 1]])
+    words = span(rows, f)
+    assert words.shape == (q * q, 3)
+    for index, word in enumerate(words):
+        l0, l1 = index % q, index // q
+        expected = f.add_table[f.mul_table[l0, rows[0]], f.mul_table[l1, rows[1]]]
+        assert word.tolist() == expected.tolist()
+
+
+def test_min_weight_skips_the_zero_word():
+    assert min_weight(np.array([[0, 0, 0], [1, 2, 0], [0, 0, 3]])) == 1
+    with pytest.raises(ValueError):
+        min_weight(np.zeros((2, 3), dtype=np.int64))

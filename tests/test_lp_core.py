@@ -236,3 +236,16 @@ def test_solve_takes_the_reference_pivots(monkeypatch, graph, local, weight):
     assert fast.iterations == ref.iterations
     assert fast.objective_value == ref.objective_value
     assert np.array_equal(fast.values, ref.values)
+
+
+@pytest.mark.parametrize("rows", [0, 1], ids=["no-rows", "one-zero-row"])
+def test_every_row_dropped(rows):
+    # a single all-zero row is redundant and dropped in phase 1, leaving the
+    # same empty basis as a problem with no rows at all
+    A, b = np.zeros((rows, 1)), np.zeros(rows)
+    up = solve(LpProblem(objective=[1.0], eq_coeffs=A, eq_rhs=b))
+    assert up.status == "unbounded"
+    down = solve(LpProblem(objective=[-1.0], eq_coeffs=A, eq_rhs=b))
+    assert down.status == "optimal"
+    assert down.values.tolist() == [0.0]
+    assert down.objective_value == 0.0

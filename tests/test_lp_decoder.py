@@ -7,7 +7,6 @@ import pytest
 
 from expanderlp import (
     NotIntegralError,
-    build_primal,
     build_reduced,
     cost_from_received,
     decode,
@@ -17,7 +16,7 @@ from expanderlp import (
     unembed,
 )
 
-from oracles import lift_f_by_edge, nearest_codeword_scan
+from oracles import build_primal, lift_f_by_edge, nearest_codeword_scan
 
 
 def test_embed_is_one_hot():
@@ -57,11 +56,11 @@ def test_full_problem_shape(four_cycle_rep3):
 
 
 def test_reduced_problem_shape(four_cycle_rep3):
-    problem, layout = build_reduced(four_cycle_rep3, [0, 0, 0, 1])
+    problem, first_b = build_reduced(four_cycle_rep3, [0, 0, 0, 1])
     # w variables only; 4 convexity rows + (q-1)*|E| = 8 agreement rows
     assert problem.objective.shape == (12,)
     assert problem.eq_coeffs.shape == (12, 12)
-    assert layout.num_vars == 24  # layout still describes the full variable order
+    assert first_b == 6  # 2 A vertices x 3 local codewords come first
 
 
 def codeword_as_full_point(code, layout, z):

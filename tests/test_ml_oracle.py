@@ -89,3 +89,10 @@ def test_scalar_relabeling_preserves_distances(four_cycle_rep3, rng):
         scaled = f.mul_table[2, y]
         assert ml_decode(four_cycle_rep3, y).distance == \
             ml_decode(four_cycle_rep3, scaled).distance
+
+
+@pytest.mark.parametrize("y", [[0, 0, 0, 3], [0, 0, -1, 0], [0], [0] * 5],
+                         ids=["symbol-out-of-field", "negative", "short", "long"])
+def test_ml_decode_rejects_invalid_received_word(four_cycle_rep3, y):
+    with pytest.raises(ValueError):
+        ml_decode(four_cycle_rep3, y)
