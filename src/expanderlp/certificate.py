@@ -22,7 +22,11 @@ dictates its tau values.  Peeling that stagnates instead yields an error
 core, an error subset whose every involved vertex keeps a constant fraction
 of error edges.  The orientation route directs the error edges so that
 every vertex has small in-degree, and in-edges take the role of the peeled
-edges.  Everything here is exact rational arithmetic; nothing floats.
+edges.  Either way the witness comes down to which endpoint released each
+error edge, and one writer turns that into tau and sigma.  The two sides
+share one code path: a side index (0 for A, 1 for B) selects the local
+code, the incident-edge array and the edges' endpoints.
+Everything here is exact rational arithmetic; nothing floats.
 Witnesses hold Fraction values, and check_witness compares them exactly as
 integers: every value is scaled by one common denominator, so each
 constraint becomes an integer comparison done on whole numpy arrays.
@@ -31,14 +35,15 @@ constraint becomes an integer comparison done on whole numpy arrays.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import InternalInvariantError, WitnessUnavailableError
-from .expander_code import ExpanderCode, check_word, hamming_distance
-from .orientation import OrientedEdgeSet
+from .errors import InternalInvariantError, NoValidThetaError, WitnessUnavailableError
+from .expander_code import ExpanderCode, check_word, compute_theta
+from .orientation import OrientationFailure, OrientedEdgeSet, orient
 from .tanner_graph import TannerGraph
 
 EPSILON_START = Fraction(1, 10 ** 6)
@@ -93,10 +98,6 @@ class DualWitness:
     sigma: list[Fraction]
     epsilon: Fraction
 
-    def tau_float(self) -> tuple[np.ndarray, np.ndarray]:
-        return (np.array([[float(x) for x in row] for row in self.tau_a]),
-                np.array([[float(x) for x in row] for row in self.tau_b]))
-
 
 @dataclass
 class WitnessCheck:
@@ -116,57 +117,68 @@ class CertifyResult:
     reason: str | None = None
 
 
+# -- the two sides ----------------------------------------------------------------
+#
+# Side 0 is A and side 1 is B.  Vertex sets hold global ids: A vertex v is v
+# and B vertex v is n + v.
+
+def _endpoints(graph: TannerGraph) -> tuple[list[int], list[int]]:
+    """Each edge's endpoint on side A, and on side B, as a global vertex id."""
+    return graph.a_of.tolist(), (graph.n + graph.b_of).tolist()
+
+
+def _vertex_name(v: int, n: int) -> str:
+    side, local = divmod(v, n)
+    return f"{'ab'[side]}{local}"
+
+
+def _sides(code: ExpanderCode):
+    """Per side: its local code, its (n, Delta) incident-edge array, and each
+    edge's endpoint on that side as a global vertex id."""
+    graph = code.graph
+    return tuple(zip((code.code_a, code.code_b), (graph.a_edges, graph.b_edges),
+                     _endpoints(graph)))
+
+
+def _local_distances(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray) -> list[np.ndarray]:
+    """dist(y|_v, c|_v) for every vertex v, one array per side."""
+    return [np.count_nonzero(yw[inc] != cw[inc], axis=1) for _, inc, _ in _sides(code)]
+
+
 # -- peeling --------------------------------------------------------------------
-
-def _side_of_round(i: int) -> str:
-    return "a" if i % 2 == 0 else "b"
-
 
 def peel(code: ExpanderCode, c, y) -> PeelingTrace:
     """Iteratively discard vertices holding fewer than delta*Delta/4 error edges.
 
-    Round i keeps a vertex of the round's side only if it still touches at
-    least delta_side*Delta/4 surviving error edges (exact comparison).  The
-    run ends when the surviving set is empty, or stagnates at a fixed point.
+    Round i keeps a vertex of the round's side (A for even i, B for odd)
+    only if it still touches at least delta_side*Delta/4 surviving error
+    edges (exact comparison).  The run ends when the surviving set is empty,
+    or stagnates at a fixed point.
     """
-    graph = code.graph
-    n = graph.n
     cw = np.asarray(c, dtype=np.int64)
     yw = check_word(y, code.field.q, code.num_edges)
     if not code.is_codeword(cw):
         raise ValueError("c must be a codeword")
-    d_a = code.code_a.min_distance()[0]
-    d_b = code.code_b.min_distance()[0]
-
+    sides = _sides(code)
     e1 = frozenset(int(e) for e in np.nonzero(cw != yw)[0])
-    v0 = frozenset(int(graph.a_of[e]) for e in e1)
-    v1 = frozenset(n + int(graph.b_of[e]) for e in e1)
-    vsets = [v0, v1]
+    vsets = [frozenset(ends[e] for e in e1) for _, _, ends in sides]
     esets = [e1]
     if not e1:
         return PeelingTrace(error_edges=e1, vertex_sets=vsets, edge_sets=esets,
                             terminated_empty=True, final_index=1)
 
-    def degree_in(vglobal: int, eset: frozenset[int]) -> int:
-        if vglobal < n:
-            return sum(1 for e in graph.a_edges[vglobal] if int(e) in eset)
-        return sum(1 for e in graph.b_edges[vglobal - n] if int(e) in eset)
-
     i = 2
     unchanged_streak = 0
     while True:
-        side = _side_of_round(i)
-        d_side = d_a if side == "a" else d_b
+        local, _, ends = sides[i % 2]
+        other_ends = sides[1 - i % 2][2]
         prev_vs = vsets[i - 2]
         cur_edges = esets[-1]
+        held = Counter(ends[e] for e in cur_edges)
         # survive if 4 * (edges still held) >= d_side, i.e. degree >= delta*Delta/4
-        vi = frozenset(v for v in prev_vs if 4 * degree_in(v, cur_edges) >= d_side)
-        if side == "a":
-            ei = frozenset(e for e in cur_edges
-                           if int(graph.a_of[e]) in vi and (n + int(graph.b_of[e])) in vsets[i - 1])
-        else:
-            ei = frozenset(e for e in cur_edges
-                           if (n + int(graph.b_of[e])) in vi and int(graph.a_of[e]) in vsets[i - 1])
+        d_side = local.min_distance()[0]
+        vi = frozenset(v for v in prev_vs if 4 * held[v] >= d_side)
+        ei = frozenset(e for e in cur_edges if ends[e] in vi and other_ends[e] in vsets[i - 1])
         changed = (vi != prev_vs) or (ei != cur_edges)
         vsets.append(vi)
         esets.append(ei)
@@ -192,67 +204,54 @@ def find_error_core(graph: TannerGraph, trace: PeelingTrace,
     if trace.terminated_empty:
         return None
     edges = trace.edge_sets[-1]
-    n = graph.n
-    va = frozenset(int(graph.a_of[e]) for e in edges)
-    vb = frozenset(n + int(graph.b_of[e]) for e in edges)
-    need_a = zeta_a * graph.delta
-    need_b = zeta_b * graph.delta
-    for v in va:
-        deg = sum(1 for e in graph.a_edges[v] if int(e) in edges)
-        if deg < need_a:
-            raise InternalInvariantError(
-                f"stagnated peel left vertex a{v} with {deg} < {need_a} core edges")
-    for v in vb:
-        deg = sum(1 for e in graph.b_edges[v - n] if int(e) in edges)
-        if deg < need_b:
-            raise InternalInvariantError(
-                f"stagnated peel left vertex b{v - n} with {deg} < {need_b} core edges")
-    return ErrorCore(edges=edges, vertices_a=va, vertices_b=vb,
+    vertices = []
+    for ends, zeta in zip(_endpoints(graph), (zeta_a, zeta_b)):
+        held = Counter(ends[e] for e in edges)
+        need = zeta * graph.delta
+        vertices.append(frozenset(ends[e] for e in edges))
+        for v in vertices[-1]:
+            if held[v] < need:
+                raise InternalInvariantError(
+                    f"stagnated peel left vertex {_vertex_name(v, graph.n)} with "
+                    f"{held[v]} < {need} core edges")
+    return ErrorCore(edges=edges, vertices_a=vertices[0], vertices_b=vertices[1],
                      zeta_a=zeta_a, zeta_b=zeta_b)
 
 
 # -- witness construction ---------------------------------------------------------
 
-def _base_witness(code: ExpanderCode, c, y, epsilon: Fraction) -> DualWitness:
-    """Witness skeleton: correct-edge taus everywhere, sigma from distances."""
-    graph = code.graph
+def _write_witness(code: ExpanderCode, c, y, released: dict[int, int],
+                   epsilon: Fraction, source: str) -> DualWitness:
+    """The witness in which side released[e] let go of error edge e.
+
+    On both sides a correct edge takes -1/2 at the codeword symbol and
+    1/2-eps elsewhere, and an error edge +1/2 at the codeword symbol.  At
+    the other symbols of an error edge, the endpoint that released it takes
+    -5/2-eps and the other endpoint +3/2.  Every tau row is a list of its
+    own.  sigma[v] = Delta/2 - dist(y|_v, c|_v) over global vertex ids.
+    """
     q = code.field.q
     cw = np.asarray(c, dtype=np.int64)
-    yw = np.asarray(y, dtype=np.int64)
-    off_correct = Fraction(1, 2) - epsilon
-    tau_a = []
-    tau_b = []
-    for e in range(graph.num_edges):
-        row = [off_correct] * q
-        row[int(cw[e])] = _CORRECT_MATCH
-        tau_a.append(list(row))
-        tau_b.append(list(row))
-    half_delta = Fraction(graph.delta, 2)
-    sigma = []
-    for v in range(graph.n):
-        dist = hamming_distance(code.restriction(yw, "a", v), code.restriction(cw, "a", v))
-        sigma.append(half_delta - dist)
-    for v in range(graph.n):
-        dist = hamming_distance(code.restriction(yw, "b", v), code.restriction(cw, "b", v))
-        sigma.append(half_delta - dist)
+    yw = check_word(y, q, code.num_edges)
+    if released.keys() != set(np.flatnonzero(cw != yw).tolist()):
+        raise ValueError(f"{source} must cover exactly the error edges")
+    # templates[kind][symbol]: kind 0 a correct edge, 1 the releasing
+    # endpoint of an error edge, 2 its other endpoint
+    templates = []
+    for off, match in ((Fraction(1, 2) - epsilon, _CORRECT_MATCH),
+                       (_PEELED - epsilon, _ERROR_MATCH), (_SURVIVOR, _ERROR_MATCH)):
+        templates.append([[match if alpha == symbol else off for alpha in range(q)]
+                          for symbol in range(q)])
+    kinds = [[0] * code.num_edges, [0] * code.num_edges]
+    for e, side in released.items():
+        kinds[side][e] = 1
+        kinds[1 - side][e] = 2
+    symbols = cw.tolist()
+    tau_a, tau_b = ([list(templates[k][c_e]) for k, c_e in zip(side_kinds, symbols)]
+                    for side_kinds in kinds)
+    half_delta = Fraction(code.graph.delta, 2)
+    sigma = [half_delta - d for dist in _local_distances(code, cw, yw) for d in dist.tolist()]
     return DualWitness(tau_a=tau_a, tau_b=tau_b, sigma=sigma, epsilon=epsilon)
-
-
-def _set_error_edge(witness: DualWitness, c_e: int, e: int, q: int,
-                    peeled_side: str, epsilon: Fraction) -> None:
-    """Error-edge taus: both endpoints get +1/2 at the codeword symbol; at
-    other symbols the endpoint that released the edge gets -5/2-eps and the
-    surviving endpoint gets +3/2."""
-    peeled_row = [_PEELED - epsilon] * q
-    survivor_row = [_SURVIVOR] * q
-    peeled_row[c_e] = _ERROR_MATCH
-    survivor_row[c_e] = _ERROR_MATCH
-    if peeled_side == "a":
-        witness.tau_a[e] = peeled_row
-        witness.tau_b[e] = survivor_row
-    else:
-        witness.tau_b[e] = peeled_row
-        witness.tau_a[e] = survivor_row
 
 
 def build_witness_from_peeling(code: ExpanderCode, c, y, trace: PeelingTrace,
@@ -266,20 +265,10 @@ def build_witness_from_peeling(code: ExpanderCode, c, y, trace: PeelingTrace,
     """
     if not trace.terminated_empty:
         raise WitnessUnavailableError("peeling stagnated; no witness from this trace")
-    cw = np.asarray(c, dtype=np.int64)
-    witness = _base_witness(code, cw, y, epsilon)
-    q = code.field.q
-    # edge_sets[idx] is E_{idx+1}; find each error edge's last surviving round
-    last_round: dict[int, int] = {}
-    for idx, eset in enumerate(trace.edge_sets):
-        for e in eset:
-            last_round[e] = idx + 1
-    for e in trace.error_edges:
-        i_star = last_round[e]
-        # the endpoint on the side of round i_star - 1 failed to advance
-        peeled_side = _side_of_round(i_star - 1)
-        _set_error_edge(witness, int(cw[e]), e, q, peeled_side, epsilon)
-    return witness
+    # edge_sets[idx] is E_{idx+1}, so an edge whose last set is E_{i*} was
+    # released by the side of round i*-1 = idx
+    released = {e: idx % 2 for idx, eset in enumerate(trace.edge_sets) for e in eset}
+    return _write_witness(code, c, y, released, epsilon, "peeling trace")
 
 
 def build_witness_from_orientation(code: ExpanderCode, c, y,
@@ -291,28 +280,15 @@ def build_witness_from_orientation(code: ExpanderCode, c, y,
     vertex constraints need every in-degree to stay strictly below
     delta*Delta/4 on its side; that is checked here as a precondition.
     """
-    graph = code.graph
-    cw = np.asarray(c, dtype=np.int64)
-    yw = np.asarray(y, dtype=np.int64)
-    errors = {int(e) for e in np.nonzero(cw != yw)[0]}
-    if set(orientation.edges) != errors:
-        raise ValueError("orientation must cover exactly the error edges")
-    d_a = code.code_a.min_distance()[0]
-    d_b = code.code_b.min_distance()[0]
-    indeg = orientation.indegrees()
-    n = graph.n
-    for v, deg in indeg.items():
-        limit = d_a if v < n else d_b
+    n = code.graph.n
+    distances = [local.min_distance()[0] for local, _, _ in _sides(code)]
+    for v, deg in orientation.indegrees().items():
+        limit = distances[v // n]
         if 4 * deg >= limit:   # need deg < delta*Delta/4 strictly
-            name = f"a{v}" if v < n else f"b{v - n}"
-            raise ValueError(
-                f"in-degree {deg} at {name} is not below delta*Delta/4 = {limit}/4")
-    witness = _base_witness(code, cw, yw, epsilon)
-    q = code.field.q
-    for e in orientation.edges:
-        head = orientation.head_side[e]
-        _set_error_edge(witness, int(cw[e]), int(e), q, head, epsilon)
-    return witness
+            raise ValueError(f"in-degree {deg} at {_vertex_name(v, n)} is not below "
+                             f"delta*Delta/4 = {limit}/4")
+    released = {e: "ab".index(orientation.head_side[e]) for e in orientation.edges}
+    return _write_witness(code, c, y, released, epsilon, "orientation")
 
 
 # -- feasibility check ---------------------------------------------------------------
@@ -388,11 +364,10 @@ def check_witness(code: ExpanderCode, c, y, witness: DualWitness) -> WitnessChec
 
     half_delta = Fraction(delta, 2)
     n = graph.n
-    for s, (side, local, inc, taus) in enumerate(
-            (("a", code.code_a, graph.a_edges, witness.tau_a),
-             ("b", code.code_b, graph.b_edges, witness.tau_b))):
+    distances = _local_distances(code, cw, yw)
+    for s, (local, inc, _) in enumerate(_sides(code)):
+        side, taus, dist = "ab"[s], (witness.tau_a, witness.tau_b)[s], distances[s]
         codewords = local.codewords()
-        dist = np.count_nonzero(yw[inc] != cw[inc], axis=1)
         # totals[v, k]: the sum over v's edges of tau at local codeword k's symbol
         totals = np.zeros((n, len(codewords)), dtype=tau.dtype)
         for t in range(delta):
@@ -440,10 +415,6 @@ def find_witness(code: ExpanderCode, c, y, mode: str = "peel",
     until the exact check passes or the floor is reached.  An epsilon_start
     below epsilon_floor, or a nonpositive floor, is a ValueError.
     """
-    from . import orientation as orientation_mod
-    from .expander_code import compute_theta
-    from .errors import NoValidThetaError
-
     if not 0 < epsilon_floor <= epsilon_start:
         raise ValueError(f"epsilon_start {epsilon_start} must be at least "
                          f"epsilon_floor {epsilon_floor}, and both positive")
@@ -459,16 +430,15 @@ def find_witness(code: ExpanderCode, c, y, mode: str = "peel",
                                  reason="peeling stagnated on an error core")
         builder = lambda eps: build_witness_from_peeling(code, cw, yw, trace, eps)
     elif mode == "orient":
+        delta = code.graph.delta
         try:
-            theta_a = compute_theta(code.code_a.relative_distance, code.graph.delta)
-            theta_b = compute_theta(code.code_b.relative_distance, code.graph.delta)
+            caps = [int(compute_theta(local.relative_distance, delta) * delta / 4)
+                    for local in (code.code_a, code.code_b)]
         except NoValidThetaError as exc:
             return CertifyResult(witness_found=False, mode=mode, reason=str(exc))
-        cap_a = theta_a * code.graph.delta / 4
-        cap_b = theta_b * code.graph.delta / 4
         errors = [int(e) for e in np.nonzero(cw != yw)[0]]
-        oriented = orientation_mod.orient(code.graph, errors, int(cap_a), int(cap_b))
-        if isinstance(oriented, orientation_mod.OrientationFailure):
+        oriented = orient(code.graph, errors, *caps)
+        if isinstance(oriented, OrientationFailure):
             return CertifyResult(witness_found=False, mode=mode,
                                  reason=f"no orientation within caps "
                                         f"({oriented.violations} residual violations)")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -41,8 +42,8 @@ EXIT_INTERNAL_ERROR = 3
 
 
 def _load_word(arg: str, q: int, length: int) -> np.ndarray:
-    path = Path(arg)
-    text = path.read_text() if path.exists() else arg.replace(",", " ")
+    # isfile, unlike Path.exists, is False (not OSError) for a name too long to be a path
+    text = Path(arg).read_text() if os.path.isfile(arg) else arg.replace(",", " ")
     return parse_word(text, q, length)
 
 

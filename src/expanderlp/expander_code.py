@@ -110,19 +110,16 @@ class ExpanderCode:
     def parity_check_matrix(self) -> np.ndarray:
         """Global parity-check matrix: every local check row, scattered to edge columns."""
         if self._parity is None:
-            ha = self.code_a.parity_check
-            hb = self.code_b.parity_check
-            rows = self.graph.n * (ha.shape[0] + hb.shape[0])
-            H = np.zeros((rows, self.num_edges), dtype=np.int64)
-            r = 0
-            for v in range(self.graph.n):
-                cols = self.graph.a_edges[v]
-                H[r:r + ha.shape[0], cols] = ha
-                r += ha.shape[0]
-            for v in range(self.graph.n):
-                cols = self.graph.b_edges[v]
-                H[r:r + hb.shape[0], cols] = hb
-                r += hb.shape[0]
+            n = self.graph.n
+            checks = ((self.code_a.parity_check, self.graph.a_edges),
+                      (self.code_b.parity_check, self.graph.b_edges))
+            H = np.zeros((n * sum(len(h) for h, _ in checks), self.num_edges), dtype=np.int64)
+            first_row = 0
+            for h, inc in checks:
+                # row first_row + v*len(h) + i is check i of vertex v
+                rows = first_row + np.arange(n * len(h)).reshape(n, len(h), 1)
+                H[rows, inc[:, None, :]] = h
+                first_row += n * len(h)
             self._parity = H
         return self._parity
 

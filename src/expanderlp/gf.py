@@ -10,12 +10,16 @@ explicit polynomial.
 
 All binary operations are table lookups, so words can be manipulated as
 numpy integer arrays via ``field.add_table`` / ``field.mul_table`` fancy
-indexing; the tables are the whole arithmetic API.
+indexing; the tables are the whole arithmetic API.  They are built at once
+from the elements' digit vectors: addition adds digits mod p, and a*b sums
+b_j times x^j*a, each x^j*a one shift-and-reduce step from the last.  No
+polynomial is ever factored: a reducible reduction polynomial shows up as a
+nonzero element without exactly one inverse, and is rejected then.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,62 +53,6 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
         return p, m
     # q itself is prime
     return q, 1
-
-
-def _poly_trim(coeffs: Sequence[int]) -> tuple[int, ...]:
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(a: Sequence[int], den: Sequence[int], p: int) -> tuple[int, ...]:
-    """Remainder of a modulo den over GF(p); den must be monic."""
-    rem = list(a)
-    d = len(den) - 1
-    while len(rem) - 1 >= d and any(rem):
-        lead = rem[-1]
-        if lead:
-            shift = len(rem) - 1 - d
-            for t, coef in enumerate(den):
-                rem[shift + t] = (rem[shift + t] - lead * coef) % p
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return _poly_trim(rem)
-
-
-def _monic_polys(degree: int, p: int) -> Iterator[tuple[int, ...]]:
-    """All monic polynomials of the given degree over GF(p)."""
-    total = p ** degree
-    for idx in range(total):
-        coeffs = []
-        rest = idx
-        for _ in range(degree):
-            coeffs.append(rest % p)
-            rest //= p
-        yield tuple(coeffs) + (1,)
-
-
-def _is_irreducible(poly: Sequence[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..m//2."""
-    m = len(poly) - 1
-    for d in range(1, m // 2 + 1):
-        for g in _monic_polys(d, p):
-            if not _poly_mod(poly, g, p):
-                return False
-    return True
 
 
 class GF:
@@ -147,8 +95,6 @@ class GF:
             if len(poly) != m + 1 or poly[-1] != 1:
                 raise ValueError(
                     f"reduction polynomial must be monic of degree {m} over GF({p})")
-            if not _is_irreducible(poly, p):
-                raise ValueError(f"reduction polynomial {poly} is reducible over GF({p})")
         self.q = q
         self.p = p
         self.m = m
@@ -157,53 +103,36 @@ class GF:
 
     # -- table construction -------------------------------------------------
 
-    def _digits(self, index: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.m):
-            out.append(index % self.p)
-            index //= self.p
-        return tuple(out)
-
-    def _from_digits(self, digits: Sequence[int]) -> int:
-        idx = 0
-        for d in reversed(tuple(digits)[: self.m] + (0,) * max(0, self.m - len(digits))):
-            idx = idx * self.p + d
-        return idx
-
     def _build_tables(self) -> None:
+        """Every table from the elements' base-p digit vectors."""
         q, p, m = self.q, self.p, self.m
-        add = np.zeros((q, q), dtype=np.int64)
-        mul = np.zeros((q, q), dtype=np.int64)
-        if m == 1:
-            idx = np.arange(q)
-            add[:, :] = (idx[:, None] + idx[None, :]) % p
-            mul[:, :] = (idx[:, None] * idx[None, :]) % p
-        else:
-            digit_cache = [self._digits(i) for i in range(q)]
-            for a in range(q):
-                da = digit_cache[a]
-                for b in range(a, q):
-                    db = digit_cache[b]
-                    s = tuple((x + y) % p for x, y in zip(da, db))
-                    add[a, b] = add[b, a] = self._from_digits(s)
-                    prod = _poly_mod(_poly_mul(da, db, p), self.reduction_poly, p)
-                    mul[a, b] = mul[b, a] = self._from_digits(prod)
-        neg = np.zeros(q, dtype=np.int64)
-        for a in range(q):
-            # the unique b with a + b = 0
-            neg[a] = int(np.nonzero(add[a] == 0)[0][0])
-        sub = add[:, neg]
-        inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            hits = np.nonzero(mul[a] == 1)[0]
-            if len(hits) != 1:
-                raise ValueError(f"GF({q}) table construction failed at element {a}")
-            inv[a] = int(hits[0])
+        weights = p ** np.arange(m)
+        digits = np.arange(q)[:, None] // weights % p
+        add = (digits[:, None] + digits) % p @ weights
+        # a * b = sum over j of b_j * (x^j * a); x_j holds the digits of x^j * a
+        x_j = digits
+        product = x_j[:, None] * digits[:, 0, None]
+        for j in range(1, m):
+            # x * (x^(j-1) * a): shift the digits up one place, then cancel
+            # the lead digit with that multiple of the monic reduction polynomial
+            lead = x_j[:, -1:]
+            shifted = np.concatenate((0 * lead, x_j[:, :-1]), axis=1)
+            x_j = (shifted - lead * self.reduction_poly[:m]) % p
+            product += x_j[:, None] * digits[:, j, None]
+        mul = product % p @ weights
+        # a unit has exactly one inverse and a zero divisor none, and only a
+        # reducible polynomial leaves zero divisors; row 0 holds no 1, so
+        # inv_table[0] comes out 0
+        is_one = mul == 1
+        if np.count_nonzero(is_one) != q - 1:
+            raise ValueError(
+                f"reduction polynomial {self.reduction_poly} is reducible over GF({p})")
+        neg = np.argmax(add == 0, axis=1)
         self.add_table = add
-        self.sub_table = sub
+        self.sub_table = add[:, neg]
         self.mul_table = mul
         self.neg_table = neg
-        self.inv_table = inv
+        self.inv_table = np.argmax(is_one, axis=1)
 
     # -- identity ------------------------------------------------------------
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
@@ -69,7 +70,7 @@ def resolve_graph(spec: str) -> TannerGraph:
             raise DomainError(f"random graph spec needs n:delta:seed, got {spec!r}")
         n, delta, seed = (int(p) for p in parts)
         return random_regular_bipartite(n, delta, seed=seed)
-    if Path(spec).exists():
+    if os.path.isfile(spec):
         return TannerGraph.from_text(Path(spec).read_text())
     raise DomainError(f"unrecognized graph spec {spec!r}")
 
@@ -98,7 +99,7 @@ def resolve_code(spec: str, length: int | None = None) -> LocalCode:
             q, n = (int(p) for p in parts)
             maker = repetition if kind == "repetition" else single_parity_check
             code = maker(GF(q), n)
-    elif Path(spec).exists():
+    elif os.path.isfile(spec):
         code = LocalCode.from_text(Path(spec).read_text())
     else:
         raise DomainError(f"unrecognized code spec {spec!r}")

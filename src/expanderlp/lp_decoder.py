@@ -81,11 +81,9 @@ def build_reduced(code: ExpanderCode, y) -> tuple[LpProblem, int]:
     n, num_edges = graph.n, graph.num_edges
     w = check_word(y, q, num_edges)
 
-    cw_a = code.code_a.codewords()
-    cw_b = code.code_b.codewords()
-    k_a, k_b = cw_a.shape[0], cw_b.shape[0]
-    first_b = n * k_a
-    num_w = first_b + n * k_b
+    cw_a, cw_b = code.code_a.codewords(), code.code_b.codewords()
+    first_b = n * len(cw_a)
+    num_w = first_b + n * len(cw_b)
     rows = 2 * n + (q - 1) * num_edges
     A = np.zeros((rows, num_w))
     b = np.zeros(rows)
@@ -93,21 +91,19 @@ def build_reduced(code: ExpanderCode, y) -> tuple[LpProblem, int]:
 
     objective = np.zeros(num_w)
     negc = -cost_from_received(w, q)
-    for v in range(n):
-        cols = np.arange(v * k_a, (v + 1) * k_a)
-        A[v, cols] = 1.0
-        objective[cols] = negc[graph.a_edges[v][:, None], cw_a.T].sum(axis=0)
-        for t in range(graph.delta):
-            e = int(graph.a_edges[v, t])
-            keep = cw_a[:, t] < q - 1
-            A[2 * n + e * (q - 1) + cw_a[keep, t], cols[keep]] = 1.0
-    for v in range(n):
-        cols = np.arange(first_b + v * k_b, first_b + (v + 1) * k_b)
-        A[n + v, cols] = 1.0
-        for t in range(graph.delta):
-            e = int(graph.b_edges[v, t])
-            keep = cw_b[:, t] < q - 1
-            A[2 * n + e * (q - 1) + cw_b[keep, t], cols[keep]] = -1.0
+    # per side: its convexity rows start at row_off, its w blocks at col_off,
+    # and its marginals enter the agreement rows with this sign
+    for row_off, col_off, sign, cw, inc in ((0, 0, 1.0, cw_a, graph.a_edges),
+                                            (n, first_b, -1.0, cw_b, graph.b_edges)):
+        cols = col_off + np.arange(n * len(cw)).reshape(n, -1)
+        A[row_off + np.arange(n)[:, None], cols] = 1.0
+        # [v, j, t]: local codeword j at v puts symbol cw[j, t] on edge inc[v, t]
+        symbols = np.broadcast_to(cw[None], (n,) + cw.shape)
+        if sign > 0:
+            objective[cols] = negc[inc[:, None, :], symbols].sum(axis=2)
+        keep = symbols < q - 1
+        marginal_rows = 2 * n + inc[:, None, :] * (q - 1) + symbols
+        A[marginal_rows[keep], np.broadcast_to(cols[:, :, None], symbols.shape)[keep]] = sign
 
     return LpProblem(objective=objective, eq_coeffs=A, eq_rhs=b), first_b
 
@@ -154,10 +150,7 @@ def decode(code: ExpanderCode, y,
     n, q, num_edges = code.graph.n, code.field.q, code.num_edges
     w_a = sol.values[:first_b].reshape(n, -1)
     w_b = sol.values[first_b:].reshape(n, -1)
-    raw_w: dict[tuple[str, int], np.ndarray] = {}
-    for v in range(n):
-        raw_w[("a", v)] = w_a[v].copy()
-        raw_w[("b", v)] = w_b[v].copy()
+    raw_w = {(side, v): w[v].copy() for v in range(n) for side, w in (("a", w_a), ("b", w_b))}
     # f[e, alpha] is the w mass at e's A endpoint on local codewords with
     # alpha at e; each bucket sums its codewords in order, as a per-edge
     # bincount would

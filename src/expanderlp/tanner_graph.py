@@ -128,7 +128,11 @@ class TannerGraph:
 
     def spectral_gamma(self, tol: float | None = None, method: str = "auto",
                        max_iters: int = 100_000) -> SpectralInfo:
-        """Compute (and cache) lambda1, lambda2 and gamma = lambda2 / Delta."""
+        """Compute lambda1, lambda2 and gamma = lambda2 / Delta.
+
+        Every call computes them afresh; the latest result is also kept for
+        spectral_info().
+        """
         if method not in ("auto", "dense", "power"):
             raise ValueError(f"unknown method {method!r}")
         if method == "auto":

@@ -1,7 +1,9 @@
 """Peeling, error cores, and exact dual witnesses."""
 
 import copy
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +64,19 @@ def test_peel_stagnates_on_weak_instance(four_cycle_rep3):
     trace = peel(four_cycle_rep3, c, y)
     assert not trace.terminated_empty
     assert trace.edge_sets[-1] == frozenset([0])
+
+
+def test_peel_keeps_a_vertex_exactly_at_the_threshold():
+    # local distance 4 on K_{4,4}: one error edge gives 4*deg == d, which
+    # still survives, so the single error never peels
+    local = repetition(GF(2), 4)
+    code = ExpanderCode(complete_bipartite(4), local, local)
+    c = np.zeros(16, dtype=np.int64)
+    y = c.copy()
+    y[5] = 1
+    trace = peel(code, c, y)
+    assert not trace.terminated_empty
+    assert trace.edge_sets[-1] == frozenset([5])
 
 
 def test_peel_all_errors_keep_everything(k33_parity2):
@@ -163,17 +178,6 @@ def test_witness_found_end_to_end(k66_rep2):
     assert check_witness(k66_rep2, c, y, result.witness).ok
 
 
-def test_tau_float_mirrors_fractions(k66_rep2):
-    c = np.zeros(36, dtype=np.int64)
-    y = c.copy()
-    y[3] = 1
-    result = find_witness(k66_rep2, c, y, mode="peel")
-    ta, tb = result.witness.tau_float()
-    assert ta.shape == (36, 2)
-    assert ta[3][0] == pytest.approx(0.5)
-    assert tb[3][1] == pytest.approx(1.5)
-
-
 # -- the exact checker catches every kind of tampering --------------------------------
 
 
@@ -266,6 +270,22 @@ def test_orientation_witness_rejects_heavy_heads(k66_rep2):
         build_witness_from_orientation(k66_rep2, c, y, oriented, EPS)
 
 
+def test_witness_builders_need_exactly_the_error_edges(k66_rep2):
+    # the trace and the orientation describe the errors of y at edge 3;
+    # the received word they are paired with has its error at edge 4
+    c = np.zeros(36, dtype=np.int64)
+    y = c.copy()
+    y[3] = 1
+    other = c.copy()
+    other[4] = 1
+    oriented = OrientedEdgeSet(graph=k66_rep2.graph, edges=(3,), head_side={3: "b"},
+                               cap_a=1, cap_b=1)
+    with pytest.raises(ValueError, match="peeling trace must cover exactly"):
+        build_witness_from_peeling(k66_rep2, c, other, peel(k66_rep2, c, y), EPS)
+    with pytest.raises(ValueError, match="orientation must cover exactly"):
+        build_witness_from_orientation(k66_rep2, c, other, oriented, EPS)
+
+
 def test_orient_mode_needs_theta(four_cycle_rep3):
     # repetition distance 2 on a degree-2 graph leaves no valid theta
     result = find_witness(four_cycle_rep3, [0, 0, 0, 0], [1, 0, 0, 0], mode="orient")
@@ -349,7 +369,8 @@ def _same_verdict(code, c, y, witness):
 
 def _built_witnesses(code, rng, patterns):
     """(c, y, witness, route) from random error patterns of weight 1 to 3:
-    the base skeleton, and the peel- and orientation-built witnesses found."""
+    the error-free word's witness (route "base", which y violates), and the
+    peel- and orientation-built witnesses found."""
     q = code.field.q
     built = []
     for _ in range(patterns):
@@ -357,7 +378,8 @@ def _built_witnesses(code, rng, patterns):
         y = c.copy()
         errors = rng.choice(code.num_edges, size=int(rng.integers(1, 4)), replace=False)
         y[errors] = (y[errors] + rng.integers(1, q, size=len(errors))) % q
-        built.append((c, y, certificate._base_witness(code, c, y, EPS), "base"))
+        base = build_witness_from_peeling(code, c, c, peel(code, c, c), EPS)
+        built.append((c, y, base, "base"))
         for mode in ("peel", "orient"):
             result = find_witness(code, c, y, mode=mode)
             if result.witness_found:
@@ -469,16 +491,63 @@ def _bad_received_words():
 
 @pytest.mark.parametrize("name", sorted(_bad_received_words()))
 @pytest.mark.parametrize("entry", ["peel", "find_witness_peel", "find_witness_orient",
-                                   "check_witness"])
+                                   "check_witness", "build_witness_from_peeling",
+                                   "build_witness_from_orientation"])
 def test_invalid_received_word_rejected(k66_rep2, entry, name):
     c = np.zeros(36, dtype=np.int64)
     y = _bad_received_words()[name]
-    witness = build_witness_from_peeling(k66_rep2, c, c, peel(k66_rep2, c, c))
+    clean = peel(k66_rep2, c, c)
+    witness = build_witness_from_peeling(k66_rep2, c, c, clean)
+    # edge 0 is the one error of the symbol-5 word
+    oriented = OrientedEdgeSet(graph=k66_rep2.graph, edges=(0,), head_side={0: "b"},
+                               cap_a=1, cap_b=1)
     calls = {
         "peel": lambda: peel(k66_rep2, c, y),
         "find_witness_peel": lambda: find_witness(k66_rep2, c, y, mode="peel"),
         "find_witness_orient": lambda: find_witness(k66_rep2, c, y, mode="orient"),
         "check_witness": lambda: check_witness(k66_rep2, c, y, witness),
+        "build_witness_from_peeling": lambda: build_witness_from_peeling(k66_rep2, c, y, clean),
+        "build_witness_from_orientation":
+            lambda: build_witness_from_orientation(k66_rep2, c, y, oriented),
     }
     with pytest.raises(ValueError):
         calls[entry]()
+
+
+# -- witnesses pinned to recorded values ---------------------------------------------
+
+GOLDEN_WITNESSES = json.loads(
+    (Path(__file__).parent / "golden" / "witnesses.json").read_text())
+
+
+def _as_strings(witness):
+    return {"tau_a": [[str(x) for x in row] for row in witness.tau_a],
+            "tau_b": [[str(x) for x in row] for row in witness.tau_b],
+            "sigma": [str(x) for x in witness.sigma], "epsilon": str(witness.epsilon)}
+
+
+@pytest.mark.parametrize("fixture", ["k66_rep2", "k66_grs", "four_cycle_rep3"])
+def test_witnesses_match_golden(fixture, request):
+    code = request.getfixturevalue(fixture)
+    for case in GOLDEN_WITNESSES[fixture]:
+        c, y = np.array(case["c"]), np.array(case["y"])
+        trace = peel(code, c, y)
+        assert trace.terminated_empty == case["peel_terminated_empty"]
+        heads = {int(e): side for e, side in case["orient_edges"].items()}
+        oriented = OrientedEdgeSet(graph=code.graph, edges=tuple(heads), head_side=heads,
+                                   cap_a=1, cap_b=1)
+        built = [build_witness_from_peeling(code, c, y, trace, EPS),
+                 build_witness_from_orientation(code, c, y, oriented, EPS)]
+        assert [_as_strings(w) for w in built] == [case["peel"], case["orient"]]
+        for mode in ("peel", "orient"):
+            result = find_witness(code, c, y, mode=mode)
+            assert case[f"find_{mode}"] == {"found": result.witness_found,
+                                            "reason": result.reason,
+                                            "epsilon": str(result.epsilon)}
+        # every tau row is its own list: one edit in place shows up nowhere else
+        e = min(heads, default=0)
+        for witness in built:
+            expected = _as_strings(witness)
+            witness.tau_a[e][int(c[e])] += 1
+            expected["tau_a"][e][int(c[e])] = str(Fraction(expected["tau_a"][e][int(c[e])]) + 1)
+            assert _as_strings(witness) == expected

@@ -71,6 +71,24 @@ def test_decode_bad_graph_spec(capsys):
     assert code == EXIT_INPUT_ERROR
 
 
+def test_decode_takes_an_inline_word_longer_than_a_file_name(capsys):
+    # 240 edges: the inline word is 479 characters, past any file-name limit
+    code, out, _ = run_cli(capsys, "decode", "--graph", "random:40:6:1",
+                           "--code-a", "repetition:2:6", "--code-b", "repetition:2:6",
+                           "--received", " ".join(["0"] * 240))
+    assert code == EXIT_OK
+    assert json.loads(out)["status"] == "codeword"
+
+
+@pytest.mark.parametrize("position, kind", [(1, "graph"), (3, "code")])
+def test_long_garbage_spec_is_unrecognized(position, kind, capsys):
+    argv = list(INSTANCE)
+    argv[position] = "x" * 300      # --graph or --code-a
+    code, _, err = run_cli(capsys, "decode", *argv, "--received", "0 0 0 0")
+    assert code == EXIT_INPUT_ERROR
+    assert f"unrecognized {kind} spec" in err
+
+
 def test_decode_out_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code, out, _ = run_cli(capsys, "--out", str(target),

@@ -1,5 +1,9 @@
 """Field table construction checked against the axioms, exhaustively."""
 
+import itertools
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -133,3 +137,37 @@ def test_table_lookup_broadcasts(q, data):
     assert out.shape == (n,)
     for i in range(n):
         assert out[i] == f.add_table[xs[i], ys[i]]
+
+
+# -- tables pinned to recorded values, and the irreducibility test ---------------------
+
+GOLDEN_TABLES = json.loads((Path(__file__).parent / "golden" / "gf_tables.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_TABLES,
+                         ids=[f"GF{c['q']}-{''.join(map(str, c['poly'] or ['builtin']))}"
+                              for c in GOLDEN_TABLES])
+def test_tables_match_golden(case):
+    f = GF(case["q"], case["poly"])
+    assert list(f.reduction_poly) == case["reduction_poly"]
+    for name in ("add_table", "mul_table"):
+        table = getattr(f, name)
+        assert table.dtype == np.int64
+        assert table.tobytes() == np.array(case[name], dtype=np.int64).tobytes()
+
+
+@pytest.mark.parametrize("p, degree", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2)])
+def test_accepts_exactly_the_polynomials_without_a_root(p, degree):
+    # below degree 4 a polynomial is reducible exactly when it has a linear factor
+    accepted = 0
+    for low in itertools.product(range(p), repeat=degree):
+        poly = list(low) + [1]
+        if any(sum(c * x ** k for k, c in enumerate(poly)) % p == 0 for x in range(p)):
+            with pytest.raises(ValueError, match="is reducible over GF"):
+                GF(p ** degree, poly)
+        else:
+            f = GF(p ** degree, poly)
+            assert f.mul_table[np.arange(1, f.q), f.inv_table[1:]].tolist() == [1] * (f.q - 1)
+            accepted += 1
+    # the number of monic irreducible polynomials of degree 2 and 3 over GF(p)
+    assert accepted == {2: (p * p - p) // 2, 3: (p ** 3 - p) // 3}[degree]

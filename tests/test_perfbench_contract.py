@@ -1,8 +1,10 @@
 """The library symbols the benchmark harness in perfbench/ relies on.
 
-perfbench traces named library functions and methods and counts LP shapes
-from build_reduced's return value; a rename or deletion in the library
-breaks the benchmark, so this checks every such name here.
+perfbench traces named library functions and methods, counts LP shapes
+from build_reduced's return value, edits witnesses in place to prove its
+checks fire, and swaps the names harness.run_trial calls; a rename or
+deletion in the library breaks the benchmark, so this checks every such
+name here.
 """
 
 import importlib
@@ -12,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from expanderlp import lp_decoder
+import numpy as np
+
+from expanderlp import certificate, harness, lp_decoder
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -68,3 +72,37 @@ def test_lp_shape_counter_reads_build_reduced(four_cycle_rep3):
     assert counts == {"lp_builds": 1, "lp_rows": 12, "lp_cols": 12,
                       "lp_nnz": counts["lp_nnz"], "lp_size": 144}
     assert 0 < counts["lp_nnz"] < 144
+
+
+def test_tamper_certify_breaks_a_found_witness(k66_rep2):
+    c = np.zeros(36, dtype=np.int64)
+    y = c.copy()
+    y[[1, 14, 30]] = 1
+    result = certificate.find_witness(k66_rep2, c, y)
+    assert result.witness_found
+    tampered = workloads.tamper_certify(result)
+    assert not certificate.check_witness(k66_rep2, c, y, tampered.witness).ok
+    assert workloads.check_certify(k66_rep2, c, y, tampered)
+    assert certificate.check_witness(k66_rep2, c, y, result.witness).ok
+    assert workloads.check_certify(k66_rep2, c, y, result) == []
+
+
+def test_sweep_captures_run_trial_calls(k66_rep2):
+    # the sweep workload swaps harness.decode and harness.find_witness for
+    # recorders, so run_trial must reach both through those module names
+    assert callable(harness.decode) and callable(harness.find_witness)
+    sweep = workloads.Sweep()
+    sweep.prepare([k66_rep2], seed=1)
+    try:
+        out = sweep.call((3, 0))
+        assert [name for name, _, _ in out[1]] == ["decode", "find_witness", "find_witness"]
+        assert sweep.check((3, 0), out) == []
+    finally:
+        sweep.finish()
+    assert harness.decode is lp_decoder.decode
+    assert harness.find_witness is certificate.find_witness
+
+
+def test_bounds_report_takes_positional_arguments(k66_grs):
+    report = harness.bounds_report(k66_grs.graph, k66_grs.code_a, k66_grs.code_b)
+    assert report.delta_a == k66_grs.code_a.relative_distance
