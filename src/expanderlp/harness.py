@@ -22,7 +22,6 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 from pathlib import Path
@@ -39,7 +38,7 @@ from .expander_code import (BoundReport, ExpanderCode, compute_theta,
 from .gf import GF
 from .linear_code import (LocalCode, generalized_reed_solomon, repetition,
                           single_parity_check)
-from .lp_decoder import DEFAULT_INT_TOL, decode
+from .lp_decoder import DEFAULT_INT_TOL, decode, map_with_code
 from .ml_oracle import ml_decode
 from .tanner_graph import (TannerGraph, complete_bipartite, cycle_graph,
                            random_regular_bipartite)
@@ -282,16 +281,13 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
 
     Records come back sorted by (weight, trial) whatever the worker count,
     and each trial's randomness is derived from (seed, weight, trial) alone.
+    With workers > 1 each worker receives the code once (map_with_code), so
+    it runs the LP's phase 1 once, not once per trial.
     """
     code = resolve_instance(cfg.graph, cfg.code_a, cfg.code_b)
     cfg.validate(code)
-    jobs = [(w, t) for w in cfg.weights for t in range(cfg.trials)]
-    if cfg.workers <= 1:
-        records = [run_trial(code, w, t, cfg) for w, t in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(run_trial, code, w, t, cfg) for w, t in jobs]
-            records = [f.result() for f in futures]
+    jobs = [(w, t, cfg) for w in cfg.weights for t in range(cfg.trials)]
+    records = map_with_code(run_trial, code, jobs, cfg.workers)
     records.sort(key=lambda r: (r.weight, r.trial))
     bounds = bounds_report(code.graph, code.code_a, code.code_b)
     summary = _summarize(code, cfg, records, bounds)

@@ -19,6 +19,15 @@ and the entering rule stays Dantzig (most positive reduced cost, lowest
 index on ties).  All choices are deterministic, so identical inputs give
 identical iterates.
 
+Phase 1 reads only the constraints, so it is a step of its own: phase1()
+returns the state it leaves (tableau, basis, the phase-1 objective and its
+pivot count), and solve(problem, start=...) runs phase 2 alone on a copy of
+that state.  A caller that solves many problems with the same constraints
+and different objectives runs phase 1 once; each solve takes exactly the
+pivots, and returns exactly the values and counts, it would have without
+the start.  The feasibility verdict compares the stored phase-1 objective
+with each call's own feas_tol.
+
 Two shortcuts make each pivot cheaper without changing which pivot is taken.
 The tie-break divides the tied rows' inverse block once and skips the
 columns where every still-tied row agrees, since those cannot narrow the
@@ -79,13 +88,16 @@ class LpSolution:
 
     values and objective_value are set only for 'optimal'.  At an optimum
     every equality holds within the feasibility tolerance and no nonbasic
-    column has reduced cost above the optimality tolerance.
+    column has reduced cost above the optimality tolerance.  iterations
+    counts every pivot of both phases, phase1_iterations those of phase 1
+    (including any taken by the phase1() run a start came from).
     """
 
     status: str
     values: np.ndarray | None = None
     objective_value: float | None = None
     iterations: int = field(default=0)
+    phase1_iterations: int = field(default=0)
 
 
 class _Tableau:
@@ -176,17 +188,42 @@ class _Tableau:
             self.pivot(row, col)
 
 
-def solve(problem: LpProblem,
-          feas_tol: float = DEFAULT_FEAS_TOL,
-          opt_tol: float = DEFAULT_OPT_TOL,
-          max_iters: int | None = None) -> LpSolution:
-    """Two-phase primal simplex.  See the module docstring for the rules."""
-    A0 = problem.eq_coeffs
-    b0 = problem.eq_rhs
-    c = problem.objective
+@dataclass(frozen=True, eq=False)
+class Phase1:
+    """Where phase 1 leaves the simplex, for one (eq_coeffs, eq_rhs, opt_tol).
+
+    Phase 1 never reads the objective, so this state serves every problem
+    with the same constraints; solve(problem, start=...) runs only phase 2,
+    on a copy of tableau and basis.  infeasibility is the sum of the
+    artificials at the end of the phase-1 search, which solve compares with
+    its own feas_tol; search_iterations counts that search's pivots (what an
+    infeasible verdict reports), iterations adds the pivots that drove the
+    leftover artificials out.  tableau and basis are the state after those
+    pivots, with redundant rows dropped; the tableau is read-only.
+    """
+
+    shape: tuple[int, int]
+    opt_tol: float
+    infeasibility: float
+    search_iterations: int
+    iterations: int
+    tableau: np.ndarray
+    basis: tuple[int, ...]
+
+
+def _default_max_iters(m: int, n: int) -> int:
+    return 500 * (m + n) + 2000
+
+
+def phase1(eq_coeffs: np.ndarray, eq_rhs: np.ndarray,
+           opt_tol: float = DEFAULT_OPT_TOL,
+           max_iters: int | None = None) -> Phase1:
+    """Phase 1 of solve() for the constraints eq_coeffs @ x = eq_rhs, x >= 0."""
+    A0 = np.asarray(eq_coeffs, dtype=float)
+    b0 = np.asarray(eq_rhs, dtype=float)
     m, n = A0.shape
     if max_iters is None:
-        max_iters = 500 * (m + n) + 2000
+        max_iters = _default_max_iters(m, n)
 
     # sign-normalize so b >= 0; aux block starts as the identity
     signs = np.where(b0 < 0, -1.0, 1.0)
@@ -203,8 +240,8 @@ def solve(problem: LpProblem,
     status = tab.run()
     if status == "unbounded":
         raise NumericError("phase-1 objective reported unbounded; cannot happen")
-    if tab.z[-1] > feas_tol:
-        return LpSolution(status="infeasible", iterations=tab.iterations)
+    infeasibility = float(tab.z[-1])
+    search_iterations = tab.iterations
 
     # drive leftover artificials out of the basis, dropping redundant rows
     drop: list[int] = []
@@ -222,8 +259,43 @@ def solve(problem: LpProblem,
         keep = [r for r in range(m) if r not in dropped]
         tab.T = tab.T[keep]
         tab.basis = [tab.basis[r] for r in keep]
+    tab.T.flags.writeable = False
+    return Phase1(shape=(m, n), opt_tol=opt_tol, infeasibility=infeasibility,
+                  search_iterations=search_iterations, iterations=tab.iterations,
+                  tableau=tab.T, basis=tuple(tab.basis))
+
+
+def solve(problem: LpProblem,
+          feas_tol: float = DEFAULT_FEAS_TOL,
+          opt_tol: float = DEFAULT_OPT_TOL,
+          max_iters: int | None = None,
+          start: Phase1 | None = None) -> LpSolution:
+    """Two-phase primal simplex.  See the module docstring for the rules.
+
+    start is phase1()'s result for this problem's constraints (the caller
+    vouches that eq_coeffs and eq_rhs are the ones it was run on); without
+    it phase 1 runs here.  Either way the pivots, the outputs and the
+    iteration counts are the same.
+    """
+    A0 = problem.eq_coeffs
+    b0 = problem.eq_rhs
+    c = problem.objective
+    m, n = A0.shape
+    if max_iters is None:
+        max_iters = _default_max_iters(m, n)
+    if start is None:
+        start = phase1(A0, b0, opt_tol, max_iters)
+    elif start.shape != (m, n) or start.opt_tol != opt_tol:
+        raise ValueError(
+            f"phase-1 start is for a {start.shape} problem at opt_tol "
+            f"{start.opt_tol}, not {(m, n)} at {opt_tol}")
+    if start.infeasibility > feas_tol:
+        return LpSolution(status="infeasible", iterations=start.search_iterations,
+                          phase1_iterations=start.search_iterations)
 
     # phase 2: fresh reduced costs for the real objective
+    tab = _Tableau(start.tableau.copy(), n, list(start.basis), opt_tol, max_iters)
+    tab.iterations = start.iterations
     basis_arr = np.array(tab.basis, dtype=np.int64)
     if (basis_arr >= n).any():
         raise NumericError("artificial variable left in the basis after cleanup")
@@ -234,7 +306,8 @@ def solve(problem: LpProblem,
 
     status = tab.run()
     if status == "unbounded":
-        return LpSolution(status="unbounded", iterations=tab.iterations)
+        return LpSolution(status="unbounded", iterations=tab.iterations,
+                          phase1_iterations=start.iterations)
 
     x = np.zeros(n)
     for r, bv in enumerate(tab.basis):
@@ -245,5 +318,5 @@ def solve(problem: LpProblem,
     resid = np.abs(A0 @ x - b0).max() if m else 0.0
     if resid > feas_tol * (1.0 + np.abs(b0).max(initial=0.0)):
         raise NumericError(f"constraint residual {resid} exceeds tolerance")
-    return LpSolution(status="optimal", values=x,
-                      objective_value=float(c @ x), iterations=tab.iterations)
+    return LpSolution(status="optimal", values=x, objective_value=float(c @ x),
+                      iterations=tab.iterations, phase1_iterations=start.iterations)

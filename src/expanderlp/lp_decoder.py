@@ -17,11 +17,26 @@ codeword's embedding, so an integral LP optimum is a nearest codeword.
 
 The solver never sees this edge-variable form: build_reduced eliminates f
 and keeps only the w blocks, and decode lifts f back from the optimum.
+
+The received word enters only the objective, so the constraints, and
+simplex phase 1 on them, are the same for every decode of a code.  Both are
+cached per code (a weak-keyed table, so an entry lives as long as its code;
+one phase-1 result per opt_tol): the first decode of a code pays for
+assembly and phase 1, and every later one builds an objective and runs
+phase 2 from the cached phase-1 state.  That is the state phase 1 reaches
+on every run, so the pivots, the results and the reported iteration counts,
+which include the phase-1 pivots, are those of a decode from scratch.
+map_with_code runs jobs on a process pool that hands each worker the code
+once, so each worker's cache stays warm across its jobs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import multiprocessing
+import weakref
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,26 +76,36 @@ def cost_from_received(y, q: int) -> np.ndarray:
     return cost
 
 
-def build_reduced(code: ExpanderCode, y) -> tuple[LpProblem, int]:
-    """The decoding LP in w-only form, as decode() hands it to the solver.
+@dataclass
+class _Polytope:
+    """The y-independent part of one code's reduced LP: its constraints as
+    read-only arrays, its first B-side column, and phase 1's result at each
+    opt_tol a decode asked for."""
+
+    eq_coeffs: np.ndarray
+    eq_rhs: np.ndarray
+    first_b: int
+    starts: dict[float, lp_core.Phase1] = field(default_factory=dict)
+
+
+# one entry per live code; it goes when the code is garbage collected
+_POLYTOPES: weakref.WeakKeyDictionary[ExpanderCode, _Polytope] = weakref.WeakKeyDictionary()
+
+
+def _polytope(code: ExpanderCode) -> _Polytope:
+    """The code's cached constraints, assembled on first use.
 
     The marginalization rows pin every f[e, alpha] to the w mass at either
     endpoint, so f is eliminated: there is one convexity row per vertex and,
     per edge, the q-1 constraints that the two endpoints' marginals agree
-    (the last symbol's agreement is implied by the convexity rows).  The
-    objective sits on the A-side w blocks.  Compared with the edge-variable
-    form this cuts the row count roughly fourfold and the variable count by
-    q per edge; the f part of any solution is the A-side marginals.
-
-    With K_a and K_b local codewords per vertex, A-side vertex v's block
-    starts at column v*K_a and B-side vertex v's at n*K_a + v*K_b.  Returns
-    the problem and its first B-side column, n*K_a.
+    (the last symbol's agreement is implied by the convexity rows).
     """
+    entry = _POLYTOPES.get(code)
+    if entry is not None:
+        return entry
     q = code.field.q
     graph = code.graph
     n, num_edges = graph.n, graph.num_edges
-    w = check_word(y, q, num_edges)
-
     cw_a, cw_b = code.code_a.codewords(), code.code_b.codewords()
     first_b = n * len(cw_a)
     num_w = first_b + n * len(cw_b)
@@ -88,9 +113,6 @@ def build_reduced(code: ExpanderCode, y) -> tuple[LpProblem, int]:
     A = np.zeros((rows, num_w))
     b = np.zeros(rows)
     b[: 2 * n] = 1.0
-
-    objective = np.zeros(num_w)
-    negc = -cost_from_received(w, q)
     # per side: its convexity rows start at row_off, its w blocks at col_off,
     # and its marginals enter the agreement rows with this sign
     for row_off, col_off, sign, cw, inc in ((0, 0, 1.0, cw_a, graph.a_edges),
@@ -99,13 +121,48 @@ def build_reduced(code: ExpanderCode, y) -> tuple[LpProblem, int]:
         A[row_off + np.arange(n)[:, None], cols] = 1.0
         # [v, j, t]: local codeword j at v puts symbol cw[j, t] on edge inc[v, t]
         symbols = np.broadcast_to(cw[None], (n,) + cw.shape)
-        if sign > 0:
-            objective[cols] = negc[inc[:, None, :], symbols].sum(axis=2)
         keep = symbols < q - 1
         marginal_rows = 2 * n + inc[:, None, :] * (q - 1) + symbols
         A[marginal_rows[keep], np.broadcast_to(cols[:, :, None], symbols.shape)[keep]] = sign
+    A.flags.writeable = False
+    b.flags.writeable = False
+    entry = _POLYTOPES[code] = _Polytope(eq_coeffs=A, eq_rhs=b, first_b=first_b)
+    return entry
 
-    return LpProblem(objective=objective, eq_coeffs=A, eq_rhs=b), first_b
+
+def build_reduced(code: ExpanderCode, y) -> tuple[LpProblem, int]:
+    """The decoding LP in w-only form, as decode() hands it to the solver.
+
+    f is eliminated (see _polytope), and the objective sits on the A-side w
+    blocks.  Compared with the edge-variable form this cuts the row count
+    roughly fourfold and the variable count by q per edge; the f part of any
+    solution is the A-side marginals.  The constraints do not depend on y:
+    they are built once per code and shared, read-only, by every problem
+    returned for it; only the objective is built per call.
+
+    With K_a and K_b local codewords per vertex, A-side vertex v's block
+    starts at column v*K_a and B-side vertex v's at n*K_a + v*K_b.  Returns
+    the problem and its first B-side column, n*K_a.
+    """
+    q = code.field.q
+    w = check_word(y, q, code.num_edges)
+    poly = _polytope(code)
+    negc = -cost_from_received(w, q)
+    # [v, j, t]: local codeword j at A vertex v puts cw_a[j, t] on edge a_edges[v, t]
+    gains = negc[code.graph.a_edges[:, None, :], code.code_a.codewords()[None]]
+    objective = np.zeros(poly.eq_coeffs.shape[1])
+    objective[:poly.first_b] = gains.sum(axis=2).ravel()
+    return LpProblem(objective=objective, eq_coeffs=poly.eq_coeffs,
+                     eq_rhs=poly.eq_rhs), poly.first_b
+
+
+def _phase1_start(code: ExpanderCode, opt_tol: float) -> lp_core.Phase1:
+    """Phase 1 of the code's decoding LP at opt_tol, run on first use."""
+    poly = _polytope(code)
+    start = poly.starts.get(opt_tol)
+    if start is None:
+        start = poly.starts[opt_tol] = lp_core.phase1(poly.eq_coeffs, poly.eq_rhs, opt_tol)
+    return start
 
 
 @dataclass
@@ -139,11 +196,13 @@ def decode(code: ExpanderCode, y,
     The LP is always feasible (embed any codeword) and its objective is
     bounded by |E|, so any other solver status is an internal error.  For
     speed the solver is given the equivalent w-only system from
-    build_reduced; f is lifted back as the A-side marginals, which the
-    retained constraints force to agree with the B-side ones.
+    build_reduced and the code's cached phase-1 start; f is lifted back as
+    the A-side marginals, which the retained constraints force to agree
+    with the B-side ones.
     """
     problem, first_b = build_reduced(code, y)
-    sol: LpSolution = lp_core.solve(problem, feas_tol=feas_tol, opt_tol=opt_tol)
+    sol: LpSolution = lp_core.solve(problem, feas_tol=feas_tol, opt_tol=opt_tol,
+                                    start=_phase1_start(code, opt_tol))
     if sol.status != "optimal":
         raise InternalInvariantError(
             f"decoding LP reported {sol.status}; it is feasible and bounded by design")
@@ -172,3 +231,34 @@ def decode(code: ExpanderCode, y,
     return DecodeResult(status="fractional-failure", codeword=None, raw_f=f,
                         raw_w=raw_w, objective=sol.objective_value,
                         lp_iterations=sol.iterations)
+
+
+# the code a pool worker was started with (see map_with_code)
+_WORKER_CODE: ExpanderCode | None = None
+
+
+def _set_worker_code(code: ExpanderCode) -> None:
+    global _WORKER_CODE
+    _WORKER_CODE = code
+
+
+def _call_with_worker_code(fn, job: tuple):
+    return fn(_WORKER_CODE, *job)
+
+
+def map_with_code(fn, code: ExpanderCode, jobs: list[tuple], workers: int) -> list:
+    """[fn(code, *job) for job in jobs], in job order, on up to `workers`
+    processes.
+
+    Each worker receives the code once, when the pool starts it, and keeps
+    that one object for all its jobs, so the decoding LP and phase 1 it
+    builds on its first decode serve every later decode in that worker.
+    Workers are spawned, not forked, so fn and the jobs must pickle and fn
+    must be importable; results are those of the serial loop.
+    """
+    if workers <= 1:
+        return [fn(code, *job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("spawn"),
+                             initializer=_set_worker_code, initargs=(code,)) as pool:
+        return list(pool.map(functools.partial(_call_with_worker_code, fn), jobs))

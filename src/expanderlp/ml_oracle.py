@@ -12,14 +12,13 @@ should never be one.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EnumerationCapError
 from .expander_code import ExpanderCode, check_word
-from .lp_decoder import DEFAULT_INT_TOL, decode
+from .lp_decoder import DEFAULT_INT_TOL, decode, map_with_code
 from .lp_core import DEFAULT_FEAS_TOL, DEFAULT_OPT_TOL
 
 DEFAULT_SCAN_CAP = 2 ** 16
@@ -126,8 +125,9 @@ def exhaustive_agreement_scan(code: ExpanderCode,
     """Run decode() and ml_decode() on every possible received word.
 
     The word space has q^|E| elements and must fit under max_words.  With
-    workers > 1 the index range is split across processes; decoding is pure,
-    so the merged tallies are identical to a serial run.
+    workers > 1 the index range is split across processes (map_with_code,
+    so each worker runs phase 1 once); decoding is pure, so the merged
+    tallies are identical to a serial run.
     """
     q = code.field.q
     length = code.graph.num_edges
@@ -135,17 +135,12 @@ def exhaustive_agreement_scan(code: ExpanderCode,
     if total > max_words:
         raise EnumerationCapError(
             f"{total} received words exceed the scan cap {max_words}")
-    if workers <= 1:
-        return _scan_range(code, 0, total, int_tol, feas_tol, opt_tol)
-    bounds = np.linspace(0, total, workers + 1, dtype=int)
-    chunks = [(int(bounds[i]), int(bounds[i + 1])) for i in range(workers)
-              if bounds[i] < bounds[i + 1]]
+    parts = max(workers, 1)
+    bounds = np.linspace(0, total, parts + 1, dtype=int)
+    chunks = [(int(bounds[i]), int(bounds[i + 1]), int_tol, feas_tol, opt_tol)
+              for i in range(parts) if bounds[i] < bounds[i + 1]]
     report = ScanReport(total_words=0, integral_count=0,
                         fractional_count=0, tie_count=0)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_scan_range, code, start, stop,
-                               int_tol, feas_tol, opt_tol)
-                   for start, stop in chunks]
-        for fut in futures:
-            report = report.merge(fut.result())
+    for part in map_with_code(_scan_range, code, chunks, workers):
+        report = report.merge(part)
     return report

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expanderlp import ExpanderCode, LpProblem, NumericError, lp_core, solve
 from expanderlp.harness import resolve_code, resolve_graph, sample_error_pattern
@@ -249,3 +251,133 @@ def test_every_row_dropped(rows):
     assert down.status == "optimal"
     assert down.values.tolist() == [0.0]
     assert down.objective_value == 0.0
+
+
+# -- phase-1 starts -------------------------------------------------------------
+
+def _outcome(run):
+    """A solve's result as comparable values, or the error it raised."""
+    try:
+        sol = run()
+    except NumericError as exc:
+        return ("raised", str(exc))
+    values = None if sol.values is None else sol.values.tobytes()
+    return (sol.status, values, sol.objective_value, sol.iterations,
+            sol.phase1_iterations)
+
+
+@st.composite
+def constraint_families(draw):
+    """Small constraints with several objectives and feasibility tolerances.
+
+    b leans to zero (degenerate starts).  An extra row may repeat a scaled
+    row (redundant) or contradict one (infeasible), and a row sum(x) = s may
+    bound the region; without it the LP can be unbounded.  Returns the
+    constraints, the base rows (no repeat) and whether the repeat clashes.
+    """
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    A = np.array(draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                               min_size=m, max_size=m)), dtype=float)
+    b = np.array(draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, -1]),
+                               min_size=m, max_size=m)), dtype=float)
+    if draw(st.booleans()):
+        s = draw(st.integers(0, 3))
+        A, b = np.vstack([A, np.ones(n)]), np.append(b, float(s))
+    base_A, base_b = A, b
+    repeat = draw(st.sampled_from(["none", "redundant", "clash"]))
+    if repeat != "none":
+        i = draw(st.integers(0, len(b) - 1))
+        k = draw(st.sampled_from([1.0, 2.0, -1.0]))
+        A = np.vstack([A, k * A[i]])
+        b = np.append(b, k * b[i] + (1.0 if repeat == "clash" else 0.0))
+    objectives = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                               min_size=3, max_size=3))
+    feas_tols = draw(st.lists(st.sampled_from([1e-12, lp_core.DEFAULT_FEAS_TOL, 1e-3]),
+                              min_size=3, max_size=3))
+    return A, b, base_A, base_b, repeat == "clash", objectives, feas_tols
+
+
+@settings(max_examples=200, deadline=None)
+@given(constraint_families())
+def test_one_start_serves_every_objective(family):
+    A, b, base_A, base_b, clash, objectives, feas_tols = family
+    try:
+        start = lp_core.phase1(A, b)
+    except NumericError as exc:
+        start_error = ("raised", str(exc))
+    else:
+        start_error = None
+    for c, feas_tol in zip(objectives, feas_tols):
+        problem = LpProblem(objective=c, eq_coeffs=A, eq_rhs=b)
+        cold = _outcome(lambda: solve(problem, feas_tol=feas_tol))
+        warm = start_error or _outcome(lambda: solve(problem, feas_tol=feas_tol,
+                                                     start=start))
+        assert warm == cold
+        # the enumeration oracle needs independent rows to find every vertex
+        if (cold[0] == "raised" or feas_tol > lp_core.DEFAULT_FEAS_TOL
+                or np.linalg.matrix_rank(base_A) < base_A.shape[0]):
+            continue
+        status, best = ("infeasible", None) if clash else lp_optimum_by_enumeration(
+            c, base_A, base_b)
+        if cold[0] == "optimal":
+            assert status == "optimal"
+            assert cold[2] == pytest.approx(best, abs=1e-7)
+        else:
+            # unbounded needs a feasible region; infeasible needs none
+            assert status == ("optimal" if cold[0] == "unbounded" else "infeasible")
+
+
+def test_feasibility_is_judged_per_call():
+    # x + y = 1 and x + y = 1 + 1e-6: phase 1 ends with 1e-6 of artificial
+    A, b = np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0 + 1e-6])
+    start = lp_core.phase1(A, b)
+    assert start.infeasibility == pytest.approx(1e-6)
+    problem = LpProblem(objective=[1.0, 0.0], eq_coeffs=A, eq_rhs=b)
+    for feas_tol, status in ((1e-8, "infeasible"), (1e-4, "optimal")):
+        warm = solve(problem, feas_tol=feas_tol, start=start)
+        assert warm.status == status
+        assert _outcome(lambda: warm) == _outcome(lambda: solve(problem, feas_tol=feas_tol))
+
+
+def test_infeasible_verdict_counts_the_phase_1_search(monkeypatch):
+    # x = 2 and -y = 1: the search takes one pivot and driving the second
+    # artificial out another; the verdict reports the search alone, as a
+    # solve that stops at the verdict does
+    A, b = np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([2.0, 1.0])
+    searched = []
+    real_run = lp_core._Tableau.run
+
+    def recording_run(self):
+        status = real_run(self)
+        searched.append(self.iterations)
+        return status
+
+    monkeypatch.setattr(lp_core._Tableau, "run", recording_run)
+    start = lp_core.phase1(A, b)
+    assert searched == [1] and start.iterations == 2
+    problem = LpProblem(objective=[1.0, 1.0], eq_coeffs=A, eq_rhs=b)
+    for sol in (solve(problem, start=start), solve(problem)):
+        assert (sol.status, sol.iterations, sol.phase1_iterations) == ("infeasible", 1, 1)
+
+
+def test_start_must_match_the_problem():
+    rng = np.random.default_rng(5)
+    problem = make_bounded_problem(rng, 3, 6)
+    start = lp_core.phase1(problem.eq_coeffs, problem.eq_rhs)
+    assert start.tableau.flags.writeable is False
+    other = make_bounded_problem(rng, 3, 7)
+    with pytest.raises(ValueError, match="phase-1 start"):
+        solve(other, start=start)
+    with pytest.raises(ValueError, match="opt_tol"):
+        solve(problem, opt_tol=1e-7, start=start)
+    assert _outcome(lambda: solve(problem, start=start)) == _outcome(lambda: solve(problem))
+
+
+def test_phase_counts_split_the_total():
+    rng = np.random.default_rng(9)
+    problem = make_bounded_problem(rng, 4, 8)
+    start = lp_core.phase1(problem.eq_coeffs, problem.eq_rhs)
+    sol = solve(problem, start=start)
+    assert sol.phase1_iterations == start.iterations > 0
+    assert sol.iterations >= sol.phase1_iterations

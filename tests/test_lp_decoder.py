@@ -1,11 +1,14 @@
 """The decoding LP: embeddings, assembly, and end-to-end decodes."""
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
 from expanderlp import (
+    ExpanderCode,
     NotIntegralError,
     build_reduced,
     cost_from_received,
@@ -15,6 +18,8 @@ from expanderlp import (
     solve,
     unembed,
 )
+from expanderlp import lp_core, lp_decoder
+from expanderlp.harness import resolve_instance, sample_error_pattern
 
 from oracles import build_primal, lift_f_by_edge, nearest_codeword_scan
 
@@ -176,3 +181,103 @@ def test_decode_validates_input(four_cycle_rep3):
         decode(four_cycle_rep3, [0, 0, 0])
     with pytest.raises(ValueError):
         decode(four_cycle_rep3, [0, 0, 0, 5])
+
+
+# -- the per-code cache: constraints and phase 1 built once --------------------
+
+def _fresh(code):
+    """An equal code that shares no cache entry with `code`."""
+    return ExpanderCode(code.graph, code.code_a, code.code_b)
+
+
+def _as_bytes(result):
+    codeword = None if result.codeword is None else result.codeword.tobytes()
+    return (result.status, codeword, result.raw_f.tobytes(),
+            [(key, block.tobytes()) for key, block in result.raw_w.items()],
+            result.objective.hex(), result.lp_iterations)
+
+
+def _words(code, count, seed):
+    rng = np.random.default_rng(seed)
+    weights = np.linspace(0, code.num_edges // 3, count).astype(int)
+    return [sample_error_pattern(code, code.random_codeword(rng), int(w), rng)
+            for w in weights]
+
+
+INSTANCES = {
+    # the four LP instances of the benchmark, and a mixed-side K4,4
+    "sweep": ("random:40:6:1", "repetition:2:6", "repetition:2:6"),
+    "decode": ("random:12:6:1", "parity:2:6", "parity:2:6"),
+    "scan-k33": ("complete:3", "parity:2:3", "parity:2:3"),
+    "scan-c3": ("cycle:3", "repetition:3:2", "repetition:3:2"),
+    "k44-mixed": ("complete:4", "parity:3:4", "repetition:3:4"),
+}
+
+
+@pytest.mark.parametrize("name", ["four_cycle_rep3", "k33_parity2", "k66_rep2",
+                                  "k66_grs", "r20_rep2", *INSTANCES])
+def test_warm_decode_equals_cold(request, name):
+    code = (resolve_instance(*INSTANCES[name]) if name in INSTANCES
+            else request.getfixturevalue(name))
+    words = _words(code, 3, seed=41)
+    decode(code, words[-1])                  # the cache is warm from here on
+    for y in words:
+        assert _as_bytes(decode(code, y)) == _as_bytes(decode(_fresh(code), y))
+
+
+def test_other_opt_tol_gets_its_own_start(k33_parity2):
+    code = _fresh(k33_parity2)
+    y = [1, 0, 0, 0, 1, 0, 0, 0, 1]
+    decode(code, y)
+    warm = decode(code, y, opt_tol=1e-7)
+    assert sorted(lp_decoder._POLYTOPES[code].starts) == [1e-9, 1e-7]
+    assert _as_bytes(warm) == _as_bytes(decode(_fresh(code), y, opt_tol=1e-7))
+
+
+def test_cache_entry_goes_with_its_code(four_cycle_rep3):
+    code = _fresh(four_cycle_rep3)
+    decode(code, [0, 0, 0, 1])
+    assert code in lp_decoder._POLYTOPES
+    entries = len(lp_decoder._POLYTOPES)
+    ref = weakref.ref(code)
+    del code
+    gc.collect()
+    assert ref() is None
+    assert len(lp_decoder._POLYTOPES) == entries - 1
+
+
+def test_cached_constraints_are_read_only(four_cycle_rep3):
+    first, _ = build_reduced(four_cycle_rep3, [0, 0, 0, 1])
+    second, _ = build_reduced(four_cycle_rep3, [2, 1, 0, 1])
+    assert first.eq_coeffs is second.eq_coeffs
+    with pytest.raises(ValueError):
+        first.eq_coeffs[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        first.eq_rhs[0] = 5.0
+    assert not np.array_equal(first.objective, second.objective)
+
+
+def test_warm_decode_pivots_only_in_phase_2(monkeypatch, r20_rep2):
+    # a fresh code, so phase 1 runs under the counting pivot too
+    code = _fresh(r20_rep2)
+    pivots, solutions = [0], []
+    real_pivot, real_solve = lp_core._Tableau.pivot, lp_core.solve
+
+    def counting_pivot(self, row, col):
+        pivots[0] += 1
+        real_pivot(self, row, col)
+
+    def recording_solve(*args, **kwargs):
+        solutions.append(real_solve(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(lp_core._Tableau, "pivot", counting_pivot)
+    monkeypatch.setattr(lp_core, "solve", recording_solve)
+    for k, y in enumerate(_words(code, 3, seed=5)):
+        pivots[0] = 0
+        result = decode(code, y)
+        sol = solutions[-1]
+        assert result.lp_iterations == sol.iterations
+        assert 0 < sol.phase1_iterations <= sol.iterations
+        assert pivots[0] == (sol.iterations if k == 0
+                             else sol.iterations - sol.phase1_iterations)

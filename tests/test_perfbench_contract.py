@@ -16,7 +16,7 @@ import pytest
 
 import numpy as np
 
-from expanderlp import certificate, harness, lp_decoder
+from expanderlp import ExpanderCode, certificate, harness, lp_core, lp_decoder
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -106,3 +106,23 @@ def test_sweep_captures_run_trial_calls(k66_rep2):
 def test_bounds_report_takes_positional_arguments(k66_grs):
     report = harness.bounds_report(k66_grs.graph, k66_grs.code_a, k66_grs.code_b)
     assert report.delta_a == k66_grs.code_a.relative_distance
+
+
+def test_decode_builds_and_solves_once_per_call(monkeypatch, k33_parity2):
+    # perfbench reads LP shapes from build_reduced and pivots from solve, one
+    # call each per decode, at these module attributes; the cached phase 1
+    # must not add or hide a call, on the first decode of a code or later
+    code = ExpanderCode(k33_parity2.graph, k33_parity2.code_a, k33_parity2.code_b)
+    calls = []
+    for module, attr in ((lp_decoder, "build_reduced"), (lp_core, "solve")):
+        real = getattr(module, attr)
+
+        def counted(*args, _real=real, _attr=attr, **kwargs):
+            calls.append(_attr)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+    for y in ([0] * 9, [1, 0, 0, 0, 0, 0, 0, 0, 1], [1, 1, 0, 0, 0, 0, 0, 0, 0]):
+        calls.clear()
+        lp_decoder.decode(code, y)
+        assert calls == ["build_reduced", "solve"]
