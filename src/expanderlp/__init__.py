@@ -11,7 +11,7 @@ CLI wrapper.
 from .errors import (DomainError, EnumerationCapError, ExpanderLPError,
                      GraphConstructionError, InternalInvariantError,
                      NotIntegralError, NoValidThetaError, NumericError,
-                     StateError, WitnessUnavailableError)
+                     WitnessUnavailableError)
 from .gf import GF
 from .gflinalg import mat_mul, mat_vec, null_space, rank, rref
 from .linear_code import (LocalCode, generalized_reed_solomon, repetition,

@@ -119,13 +119,8 @@ class CertifyResult:
 
 # -- the two sides ----------------------------------------------------------------
 #
-# Side 0 is A and side 1 is B.  Vertex sets hold global ids: A vertex v is v
-# and B vertex v is n + v.
-
-def _endpoints(graph: TannerGraph) -> tuple[list[int], list[int]]:
-    """Each edge's endpoint on side A, and on side B, as a global vertex id."""
-    return graph.a_of.tolist(), (graph.n + graph.b_of).tolist()
-
+# Side 0 is A and side 1 is B.  Vertex sets hold global ids, as in
+# TannerGraph.ends: A vertex v is v and B vertex v is n + v.
 
 def _vertex_name(v: int, n: int) -> str:
     side, local = divmod(v, n)
@@ -137,7 +132,7 @@ def _sides(code: ExpanderCode):
     edge's endpoint on that side as a global vertex id."""
     graph = code.graph
     return tuple(zip((code.code_a, code.code_b), (graph.a_edges, graph.b_edges),
-                     _endpoints(graph)))
+                     graph.ends.tolist()))
 
 
 def _local_distances(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray) -> list[np.ndarray]:
@@ -205,7 +200,7 @@ def find_error_core(graph: TannerGraph, trace: PeelingTrace,
         return None
     edges = trace.edge_sets[-1]
     vertices = []
-    for ends, zeta in zip(_endpoints(graph), (zeta_a, zeta_b)):
+    for ends, zeta in zip(graph.ends.tolist(), (zeta_a, zeta_b)):
         held = Counter(ends[e] for e in edges)
         need = zeta * graph.delta
         vertices.append(frozenset(ends[e] for e in edges))

@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -173,35 +174,14 @@ def _cmd_scan(args) -> int:
                                        int_tol=args.int_tol,
                                        feas_tol=args.feas_tol,
                                        opt_tol=args.opt_tol)
-    payload = {
-        "total_words": report.total_words,
-        "integral_count": report.integral_count,
-        "fractional_count": report.fractional_count,
-        "tie_count": report.tie_count,
-        "mismatches": report.mismatches,
-        "all_integral_agree": report.all_integral_agree,
-    }
-    _emit(payload, args.out)
+    _emit(asdict(report) | {"all_integral_agree": report.all_integral_agree}, args.out)
     return EXIT_OK
 
 
 def _cmd_bounds(args) -> int:
     code = _instance(args)
     report = bounds_report(code.graph, code.code_a, code.code_b)
-    payload = {
-        "gamma": report.gamma,
-        "delta_a": _jsonable(report.delta_a),
-        "delta_b": _jsonable(report.delta_b),
-        "rate_lower_bound": _jsonable(report.rate_lower_bound),
-        "distance_lower_bound": report.distance_lower_bound,
-        "distance_bound_positive": report.distance_bound_positive,
-        "core_fraction": report.core_fraction,
-        "orientation_fraction": report.orientation_fraction,
-        "theta_a": _jsonable(report.theta_a),
-        "theta_b": _jsonable(report.theta_b),
-        "notes": report.notes,
-    }
-    _emit(payload, args.out)
+    _emit(_jsonable(asdict(report)), args.out)
     return EXIT_OK
 
 

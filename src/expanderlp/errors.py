@@ -13,10 +13,6 @@ class GraphConstructionError(ExpanderLPError):
     """A graph sampler ran out of attempts or was asked for an impossible graph."""
 
 
-class StateError(ExpanderLPError):
-    """An operation needs a derived quantity that has not been computed yet."""
-
-
 class DomainError(ExpanderLPError):
     """A bound formula was evaluated outside its hypotheses."""
 

@@ -106,17 +106,17 @@ class _Tableau:
     T has shape (rows, n + m + 1): the n real columns, then the m columns
     that started as the identity (artificials, later the basis inverse),
     then the right-hand side.  basis[r] is the column index basic in row r;
-    an index >= n means row r still carries its artificial.
+    an index >= n means row r still carries its artificial.  The pivot count
+    is capped at 500*(m+n) + 2000.
     """
 
-    def __init__(self, T: np.ndarray, n_real: int, basis: list[int],
-                 opt_tol: float, max_iters: int):
+    def __init__(self, T: np.ndarray, n_real: int, basis: list[int], opt_tol: float):
         self.T = T
         self.n = n_real
         self.basis = basis
         self.z = np.zeros(T.shape[1])  # reduced costs; last slot = -objective
         self.opt_tol = opt_tol
-        self.max_iters = max_iters
+        self.max_iters = 500 * (T.shape[1] - 1) + 2000
         self.iterations = 0
 
     def pivot(self, row: int, col: int) -> None:
@@ -211,19 +211,12 @@ class Phase1:
     basis: tuple[int, ...]
 
 
-def _default_max_iters(m: int, n: int) -> int:
-    return 500 * (m + n) + 2000
-
-
 def phase1(eq_coeffs: np.ndarray, eq_rhs: np.ndarray,
-           opt_tol: float = DEFAULT_OPT_TOL,
-           max_iters: int | None = None) -> Phase1:
+           opt_tol: float = DEFAULT_OPT_TOL) -> Phase1:
     """Phase 1 of solve() for the constraints eq_coeffs @ x = eq_rhs, x >= 0."""
     A0 = np.asarray(eq_coeffs, dtype=float)
     b0 = np.asarray(eq_rhs, dtype=float)
     m, n = A0.shape
-    if max_iters is None:
-        max_iters = _default_max_iters(m, n)
 
     # sign-normalize so b >= 0; aux block starts as the identity
     signs = np.where(b0 < 0, -1.0, 1.0)
@@ -232,7 +225,7 @@ def phase1(eq_coeffs: np.ndarray, eq_rhs: np.ndarray,
     T[:, n:n + m] = np.eye(m)
     T[:, -1] = b0 * signs
     basis = list(range(n, n + m))
-    tab = _Tableau(T, n, basis, opt_tol, max_iters)
+    tab = _Tableau(T, n, basis, opt_tol)
     # phase-1 reduced costs for maximizing -(sum of artificials)
     tab.z[:n] = T[:, :n].sum(axis=0)
     tab.z[-1] = T[:, -1].sum()             # negative of the phase-1 objective
@@ -268,7 +261,6 @@ def phase1(eq_coeffs: np.ndarray, eq_rhs: np.ndarray,
 def solve(problem: LpProblem,
           feas_tol: float = DEFAULT_FEAS_TOL,
           opt_tol: float = DEFAULT_OPT_TOL,
-          max_iters: int | None = None,
           start: Phase1 | None = None) -> LpSolution:
     """Two-phase primal simplex.  See the module docstring for the rules.
 
@@ -281,10 +273,8 @@ def solve(problem: LpProblem,
     b0 = problem.eq_rhs
     c = problem.objective
     m, n = A0.shape
-    if max_iters is None:
-        max_iters = _default_max_iters(m, n)
     if start is None:
-        start = phase1(A0, b0, opt_tol, max_iters)
+        start = phase1(A0, b0, opt_tol)
     elif start.shape != (m, n) or start.opt_tol != opt_tol:
         raise ValueError(
             f"phase-1 start is for a {start.shape} problem at opt_tol "
@@ -294,7 +284,7 @@ def solve(problem: LpProblem,
                           phase1_iterations=start.search_iterations)
 
     # phase 2: fresh reduced costs for the real objective
-    tab = _Tableau(start.tableau.copy(), n, list(start.basis), opt_tol, max_iters)
+    tab = _Tableau(start.tableau.copy(), n, list(start.basis), opt_tol)
     tab.iterations = start.iterations
     basis_arr = np.array(tab.basis, dtype=np.int64)
     if (basis_arr >= n).any():

@@ -32,7 +32,8 @@ class OrientedEdgeSet:
     """A direction for each edge of a subset, with per-side in-degree caps.
 
     head_side[e] is "a" or "b": the endpoint the edge points at.  Vertices
-    are global ids (A-side vertex v is v, B-side vertex v is n + v).
+    are global ids, as in TannerGraph.ends (A-side vertex v is v, B-side
+    vertex v is n + v).
     """
 
     graph: TannerGraph
@@ -50,14 +51,10 @@ class OrientedEdgeSet:
                 raise ValueError(f"bad head side {side!r} for edge {e}")
 
     def head(self, e: int) -> int:
-        if self.head_side[e] == "a":
-            return int(self.graph.a_of[e])
-        return self.graph.n + int(self.graph.b_of[e])
+        return int(self.graph.ends["ab".index(self.head_side[e]), e])
 
     def tail(self, e: int) -> int:
-        if self.head_side[e] == "a":
-            return self.graph.n + int(self.graph.b_of[e])
-        return int(self.graph.a_of[e])
+        return int(self.graph.ends["ba".index(self.head_side[e]), e])
 
     def indegrees(self) -> dict[int, int]:
         """In-edge counts by global vertex id; only vertices that appear."""
@@ -111,7 +108,6 @@ def orient(graph: TannerGraph, edges, cap_a, cap_b):
     for e in edge_list:
         if not 0 <= e < graph.num_edges:
             raise ValueError(f"edge id {e} out of range")
-    n = graph.n
     head_side = {e: "b" for e in edge_list}
     # flipped in place below; on success this is the result
     oriented = OrientedEdgeSet(graph=graph, edges=tuple(edge_list),
@@ -120,9 +116,9 @@ def orient(graph: TannerGraph, edges, cap_a, cap_b):
 
     # incident error edges per global vertex, ascending
     incident: dict[int, list[int]] = {}
-    for e in edge_list:
-        incident.setdefault(int(graph.a_of[e]), []).append(e)
-        incident.setdefault(n + int(graph.b_of[e]), []).append(e)
+    for e, ends in zip(edge_list, graph.ends[:, edge_list].T.tolist()):
+        for v in ends:
+            incident.setdefault(v, []).append(e)
 
     indeg: dict[int, int] = {v: 0 for v in incident}
     for e in edge_list:
@@ -156,12 +152,13 @@ def orient(graph: TannerGraph, edges, cap_a, cap_b):
                 queue.append(t)
         return frozenset(parent_edge)
 
-    while True:
-        heavy = sorted(v for v, d in indeg.items() if d > cap_of(v))
-        if not heavy:
-            break
-        trapped = fix_one(heavy[0])
-        if trapped is not None:
+    # a repair moves one unit to a vertex below its cap, so no vertex turns
+    # heavy and the heavy vertices can be repaired in one ascending pass
+    for heavy in sorted(v for v, d in indeg.items() if d > cap_of(v)):
+        while indeg[heavy] > cap_of(heavy):
+            trapped = fix_one(heavy)
+            if trapped is None:
+                continue
             induced = sum(1 for e in edge_list
                           if head_of(e) in trapped and tail_of(e) in trapped)
             capacity = sum(cap_of(v) for v in trapped)

@@ -5,10 +5,15 @@ order defines symbol positions in words), lexicographic by (a, b) for the
 built-in constructors, file order when loaded from text.  Every graph is
 validated to be simple, regular and connected.
 
+Where one id space covers both sides, A vertex v is v and B vertex v is
+n + v; `ends` holds every edge's two endpoints in that numbering, and the
+rest of the package reads it from there.
+
 The expansion quantity gamma is the second largest adjacency eigenvalue of
-the (2n)-vertex graph, by signed value, divided by Delta.  Small graphs use
-a dense symmetric eigensolve; large ones use power iteration on the shifted
-adjacency operator with the known top eigenvector deflated away.
+the (2n)-vertex graph, by signed value, divided by Delta.  It is computed on
+the first call of spectral_gamma() and kept.  Graphs of up to 600 vertices
+use a dense symmetric eigensolve; larger ones use power iteration on the
+shifted adjacency operator with the known top eigenvector deflated away.
 """
 
 from __future__ import annotations
@@ -19,11 +24,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import GraphConstructionError, NumericError, StateError
+from .errors import GraphConstructionError, NumericError
 
 _DENSE_LIMIT = 600          # use a dense eigensolve up to this many total vertices
-_DENSE_TOL = 1e-9
+_TOP_TOL = 1e-7             # the dense top eigenvalue must be Delta within this times Delta
 _POWER_TOL = 1e-6
+_POWER_STEPS = 100_000
+_MATCHING_ATTEMPTS = 100_000
+_GRAPH_ATTEMPTS = 200
 
 
 @dataclass(frozen=True)
@@ -46,8 +54,8 @@ class TannerGraph:
     """A Delta-regular bipartite graph on n + n vertices with ordered edges.
 
     A-side vertices are 0..n-1 and B-side vertices are also 0..n-1 in their
-    own namespace; where a single id space is needed (peeling, witnesses) the
-    B side is offset by n.
+    own namespace.  ends[0, e] and ends[1, e] are edge e's A and B endpoints
+    as global ids, the B side offset by n.
     """
 
     def __init__(self, n: int, delta: int, edges: Sequence[tuple[int, int]]):
@@ -70,17 +78,10 @@ class TannerGraph:
         counts_b = np.bincount(self.b_of, minlength=n)
         if (counts_a != delta).any() or (counts_b != delta).any():
             raise ValueError("graph is not delta-regular on both sides")
+        self.ends = np.stack((self.a_of, n + self.b_of))
         # incidence: edge ids at each vertex, ascending
-        self.a_edges = np.zeros((n, delta), dtype=np.int64)
-        self.b_edges = np.zeros((n, delta), dtype=np.int64)
-        fill_a = np.zeros(n, dtype=np.int64)
-        fill_b = np.zeros(n, dtype=np.int64)
-        for eid in range(len(edge_list)):
-            a, b = edge_list[eid]
-            self.a_edges[a, fill_a[a]] = eid
-            fill_a[a] += 1
-            self.b_edges[b, fill_b[b]] = eid
-            fill_b[b] += 1
+        self.a_edges = np.argsort(self.a_of, kind="stable").reshape(n, delta)
+        self.b_edges = np.argsort(self.b_of, kind="stable").reshape(n, delta)
         if not self._connected():
             raise ValueError("graph is not connected")
         self._spectral: SpectralInfo | None = None
@@ -95,62 +96,47 @@ class TannerGraph:
         return list(zip(self.a_of.tolist(), self.b_of.tolist()))
 
     def _connected(self) -> bool:
-        n = self.n
-        seen_a = np.zeros(n, dtype=bool)
-        seen_b = np.zeros(n, dtype=bool)
-        stack = [("a", 0)]
-        seen_a[0] = True
-        while stack:
-            side, v = stack.pop()
-            if side == "a":
-                for eid in self.a_edges[v]:
-                    u = int(self.b_of[eid])
-                    if not seen_b[u]:
-                        seen_b[u] = True
-                        stack.append(("b", u))
-            else:
-                for eid in self.b_edges[v]:
-                    u = int(self.a_of[eid])
-                    if not seen_a[u]:
-                        seen_a[u] = True
-                        stack.append(("a", u))
-        return bool(seen_a.all() and seen_b.all())
+        """Grow the reached set from vertex 0 across whole edge layers, A to
+        B then B to A, until it stops growing; connected if it holds all 2n."""
+        a, b = self.ends
+        reached = np.zeros(2 * self.n, dtype=bool)
+        reached[0] = True
+        count = 1
+        while True:
+            reached[b[reached[a]]] = True
+            reached[a[reached[b]]] = True
+            grown = np.count_nonzero(reached)
+            if grown == count:
+                return count == 2 * self.n
+            count = grown
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense (2n, 2n) 0/1 adjacency; A side first, B side offset by n."""
         size = 2 * self.n
         adj = np.zeros((size, size))
-        adj[self.a_of, self.b_of + self.n] = 1.0
-        adj[self.b_of + self.n, self.a_of] = 1.0
+        a, b = self.ends
+        adj[a, b] = 1.0
+        adj[b, a] = 1.0
         return adj
 
     # -- spectra ----------------------------------------------------------------
 
-    def spectral_gamma(self, tol: float | None = None, method: str = "auto",
-                       max_iters: int = 100_000) -> SpectralInfo:
-        """Compute lambda1, lambda2 and gamma = lambda2 / Delta.
+    def spectral_gamma(self) -> SpectralInfo:
+        """lambda1, lambda2 and gamma = lambda2 / Delta, computed on the first call."""
+        if self._spectral is None:
+            if 2 * self.n <= _DENSE_LIMIT:
+                evs = np.linalg.eigvalsh(self.adjacency_matrix())
+                lambda1, lambda2 = float(evs[-1]), float(evs[-2])
+                if abs(lambda1 - self.delta) > _TOP_TOL * self.delta:
+                    raise NumericError(
+                        f"top eigenvalue {lambda1} is not Delta={self.delta}")
+            else:
+                lambda1, lambda2 = float(self.delta), self._power_lambda2()
+            self._spectral = SpectralInfo(lambda1=lambda1, lambda2=lambda2,
+                                          gamma=lambda2 / self.delta)
+        return self._spectral
 
-        Every call computes them afresh; the latest result is also kept for
-        spectral_info().
-        """
-        if method not in ("auto", "dense", "power"):
-            raise ValueError(f"unknown method {method!r}")
-        if method == "auto":
-            method = "dense" if 2 * self.n <= _DENSE_LIMIT else "power"
-        if method == "dense":
-            evs = np.linalg.eigvalsh(self.adjacency_matrix())
-            lambda1, lambda2 = float(evs[-1]), float(evs[-2])
-            if abs(lambda1 - self.delta) > max(tol or _DENSE_TOL, 1e-7) * max(1, self.delta):
-                raise NumericError(
-                    f"top eigenvalue {lambda1} is not Delta={self.delta}")
-        else:
-            lambda1 = float(self.delta)
-            lambda2 = self._power_lambda2(tol or _POWER_TOL, max_iters)
-        info = SpectralInfo(lambda1=lambda1, lambda2=lambda2, gamma=lambda2 / self.delta)
-        self._spectral = info
-        return info
-
-    def _power_lambda2(self, tol: float, max_iters: int) -> float:
+    def _power_lambda2(self) -> float:
         """Power iteration for the second eigenvalue, by signed value.
 
         Works on C = A + Delta*I with the eigenvector of lambda1 = Delta
@@ -161,12 +147,12 @@ class TannerGraph:
         size = 2 * self.n
         delta = float(self.delta)
         u1 = np.full(size, 1.0 / math.sqrt(size))
-        bi = self.b_of + self.n
+        a, b = self.ends
 
         def op(v: np.ndarray) -> np.ndarray:
             out = delta * v
-            np.add.at(out, self.a_of, v[bi])
-            np.add.at(out, bi, v[self.a_of])
+            np.add.at(out, a, v[b])
+            np.add.at(out, b, v[a])
             out -= (2.0 * delta) * (u1 @ v) * u1
             return out
 
@@ -175,7 +161,7 @@ class TannerGraph:
         v -= (u1 @ v) * u1
         v /= np.linalg.norm(v)
         prev = math.inf
-        for _ in range(max_iters):
+        for _ in range(_POWER_STEPS):
             w = op(v)
             lam = float(v @ w)
             nrm = np.linalg.norm(w)
@@ -185,26 +171,23 @@ class TannerGraph:
             v = w / nrm
             v -= (u1 @ v) * u1
             v /= np.linalg.norm(v)
-            if abs(lam - prev) <= tol * max(1.0, delta):
+            if abs(lam - prev) <= _POWER_TOL * max(1.0, delta):
                 resid = np.linalg.norm(op(v) - lam * v)
-                if resid <= 10 * tol * max(1.0, delta):
+                if resid <= 10 * _POWER_TOL * max(1.0, delta):
                     return lam - delta
             prev = lam
-        raise NumericError(f"power iteration did not converge in {max_iters} steps")
-
-    @property
-    def spectral_info(self) -> SpectralInfo:
-        if self._spectral is None:
-            raise StateError("spectral info not computed; call spectral_gamma() first")
-        return self._spectral
+        raise NumericError(f"power iteration did not converge in {_POWER_STEPS} steps")
 
     # -- induced subgraph counting ------------------------------------------------
 
     def count_induced_edges(self, a_subset, b_subset) -> int:
         in_a = np.zeros(self.n, dtype=bool)
         in_b = np.zeros(self.n, dtype=bool)
-        in_a[list(a_subset)] = True
-        in_b[list(b_subset)] = True
+        for inside, subset in ((in_a, a_subset), (in_b, b_subset)):
+            ids = list(subset)
+            if not all(0 <= v < self.n for v in ids):
+                raise ValueError(f"vertex ids must lie in [0, {self.n}), got {ids}")
+            inside[ids] = True
         return int(np.count_nonzero(in_a[self.a_of] & in_b[self.b_of]))
 
     def induced_edge_count_bound(self, alpha: float, beta: float) -> EdgeCountBounds:
@@ -215,11 +198,10 @@ class TannerGraph:
         2(alpha*beta + gamma*sqrt(alpha(1-alpha)beta(1-beta)))*Delta*n,
         which itself is at most the looser
         2((1-gamma)*alpha*beta + gamma*sqrt(alpha*beta))*Delta*n.
-        Requires spectral info to have been computed.
         """
         if not (0 <= alpha <= 1 and 0 <= beta <= 1):
             raise ValueError("alpha and beta must lie in [0, 1]")
-        gamma = self.spectral_info.gamma
+        gamma = self.spectral_gamma().gamma
         dn = self.delta * self.n
         tight = 2 * (alpha * beta + gamma * math.sqrt(alpha * (1 - alpha) * beta * (1 - beta))) * dn
         loose = 2 * ((1 - gamma) * alpha * beta + gamma * math.sqrt(alpha * beta)) * dn
@@ -270,9 +252,7 @@ def cycle_graph(n: int) -> TannerGraph:
     return TannerGraph(n, 2, edges)
 
 
-def random_regular_bipartite(n: int, delta: int, seed: int,
-                             max_matching_attempts: int = 100_000,
-                             max_graph_attempts: int = 200) -> TannerGraph:
+def random_regular_bipartite(n: int, delta: int, seed: int) -> TannerGraph:
     """A uniform-ish random simple Delta-regular bipartite graph.
 
     Built as a union of Delta random perfect matchings; each matching is
@@ -282,12 +262,12 @@ def random_regular_bipartite(n: int, delta: int, seed: int,
     if not 1 <= delta <= n:
         raise GraphConstructionError(f"need 1 <= delta <= n, got delta={delta}, n={n}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_graph_attempts):
+    for _ in range(_GRAPH_ATTEMPTS):
         used: set[tuple[int, int]] = set()
         perms: list[np.ndarray] = []
         failed = False
         for _ in range(delta):
-            for _ in range(max_matching_attempts):
+            for _ in range(_MATCHING_ATTEMPTS):
                 perm = rng.permutation(n)
                 candidate = {(a, int(perm[a])) for a in range(n)}
                 if used.isdisjoint(candidate):
@@ -300,11 +280,11 @@ def random_regular_bipartite(n: int, delta: int, seed: int,
         if failed:
             raise GraphConstructionError(
                 f"could not find {delta} disjoint matchings on n={n} "
-                f"within {max_matching_attempts} attempts")
+                f"within {_MATCHING_ATTEMPTS} attempts")
         edges = sorted(used)
         try:
             return TannerGraph(n, delta, edges)
         except ValueError:
             continue   # disconnected sample; try again
     raise GraphConstructionError(
-        f"no connected sample in {max_graph_attempts} attempts (n={n}, delta={delta})")
+        f"no connected sample in {_GRAPH_ATTEMPTS} attempts (n={n}, delta={delta})")

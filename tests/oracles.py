@@ -86,6 +86,23 @@ def cycle_gamma(n):
     return abs(2.0 * math.cos(math.pi / n)) / 2.0
 
 
+def connected_by_search(n, edges):
+    """Depth-first search over the edge list: is every vertex of both
+    sides reachable from A vertex 0?"""
+    neighbours = {}
+    for a, b in edges:
+        neighbours.setdefault(("a", a), []).append(("b", b))
+        neighbours.setdefault(("b", b), []).append(("a", a))
+    seen = {("a", 0)}
+    stack = [("a", 0)]
+    while stack:
+        for u in neighbours.get(stack.pop(), []):
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == 2 * n
+
+
 def nearest_codeword_scan(code, y):
     """Distance to the nearest codeword, counting how many attain it."""
     y = np.asarray(y, dtype=np.int64)

@@ -169,7 +169,7 @@ def tie_heavy_tableau(rng, m, n):
         T[r] = rng.integers(1, 4) * T[rng.integers(0, m // 2)]
         if rng.random() < 0.8:
             T[r, n + rng.integers(0, m)] += 1.0
-    return lp_core._Tableau(T, n, list(range(n, n + m)), 1e-9, 1000)
+    return lp_core._Tableau(T, n, list(range(n, n + m)), 1e-9)
 
 
 def test_leaving_matches_column_by_column_on_ties():
@@ -202,8 +202,8 @@ def test_sparse_and_dense_pivots_give_equal_tableaux(seed):
     m, n = 40, 30
     T = rng.normal(size=(m, n + m + 1)) * (rng.random((m, n + m + 1)) < 0.3)
     T[:, n:-1] = np.eye(m)
-    fast = lp_core._Tableau(T.copy(), n, list(range(n, n + m)), 1e-9, 1000)
-    ref = lp_core._Tableau(T.copy(), n, list(range(n, n + m)), 1e-9, 1000)
+    fast = lp_core._Tableau(T.copy(), n, list(range(n, n + m)), 1e-9)
+    ref = lp_core._Tableau(T.copy(), n, list(range(n, n + m)), 1e-9)
     fast.z[:] = ref.z[:] = rng.normal(size=n + m + 1)
     for k in (1, 2, 10, 11, 25, m) * 3:
         col = int(rng.integers(0, n))

@@ -1,7 +1,9 @@
 """Bounded-in-degree orientation by path reversal, vs brute force."""
 
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from expanderlp import (
     complete_bipartite,
     cycle_graph,
     orient,
+    random_regular_bipartite,
     verify_orientation,
 )
 
@@ -164,3 +167,23 @@ def test_empty_edge_set():
     result = orient(g, [], 0, 0)
     assert isinstance(result, OrientedEdgeSet)
     assert result.edges == ()
+
+
+# -- orientations pinned to recorded values ------------------------------------------
+
+GOLDEN_ORIENTATIONS = json.loads(
+    (Path(__file__).parent / "golden" / "orientations.json").read_text())
+
+
+def test_orientations_match_golden():
+    # the repairs run in a fixed order (lowest heavy vertex first), so which
+    # edges end up flipped, or which set blocks, is part of the output
+    g = random_regular_bipartite(20, 6, seed=1)
+    for case in GOLDEN_ORIENTATIONS:
+        got = orient(g, case["edges"], *case["caps"])
+        if "heads" in case:
+            assert "".join(got.head_side[e] for e in got.edges) == case["heads"]
+        else:
+            assert (got.violations, sorted(got.blocking_set), got.induced_edges,
+                    got.capacity) == (case["violations"], case["blocking_set"],
+                                      case["induced_edges"], case["capacity"])

@@ -1,20 +1,22 @@
 """Bipartite double-cover graphs: construction, spectra, mixing bounds."""
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from expanderlp import (
     GraphConstructionError,
-    StateError,
     TannerGraph,
     complete_bipartite,
     cycle_graph,
     random_regular_bipartite,
+    resolve_graph,
 )
 
-from oracles import complete_bipartite_gamma, cycle_gamma
+from oracles import complete_bipartite_gamma, connected_by_search, cycle_gamma
 
 
 def test_complete_bipartite_shape():
@@ -41,6 +43,7 @@ def test_edge_index_arrays_consistent():
     for e, (a, b) in enumerate(g.edges()):
         assert g.a_of[e] == a
         assert g.b_of[e] == b
+        assert g.ends[:, e].tolist() == [a, 3 + b]
         assert e in list(g.a_edges[a])
         assert e in list(g.b_edges[b])
 
@@ -67,17 +70,29 @@ def test_six_cycle_gamma_is_half():
 
 def test_spectral_methods_agree():
     g = random_regular_bipartite(12, 4, seed=3)
-    dense = g.spectral_gamma(method="dense").gamma
-    power = g.spectral_gamma(method="power").gamma
+    dense = g.spectral_gamma().gamma
+    power = g._power_lambda2() / g.delta
     assert power == pytest.approx(dense, abs=1e-7)
 
 
-def test_spectral_info_requires_compute():
-    g = complete_bipartite(2)
-    with pytest.raises(StateError):
-        g.spectral_info
-    g.spectral_gamma()
-    assert g.spectral_info.gamma == pytest.approx(0.0, abs=1e-9)
+@pytest.mark.parametrize("n, power", [(300, False), (301, True)])
+def test_graphs_over_600_vertices_take_power_iteration(n, power, monkeypatch):
+    g = random_regular_bipartite(n, 3, seed=1)
+    calls = []
+    real = TannerGraph._power_lambda2
+    monkeypatch.setattr(TannerGraph, "_power_lambda2",
+                        lambda self: calls.append(n) or real(self))
+    gamma = g.spectral_gamma().gamma
+    assert calls == ([n] if power else [])
+    dense = np.linalg.eigvalsh(g.adjacency_matrix())[-2] / g.delta
+    assert gamma == pytest.approx(dense, abs=1e-6)
+
+
+def test_spectral_gamma_is_computed_once(monkeypatch):
+    g = cycle_graph(5)
+    first = g.spectral_gamma()
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    assert g.spectral_gamma() is first
 
 
 def test_random_graph_is_regular_and_deterministic():
@@ -109,9 +124,33 @@ def test_construction_rejects_irregular():
 
 
 def test_construction_rejects_disconnected():
-    # two disjoint 2-cycles would need... simplest: two disjoint perfect matchings
-    with pytest.raises(ValueError):
-        TannerGraph(2, 1, [(0, 0), (1, 1)])
+    two_edges = [(0, 0), (1, 1)]
+    two_six_cycles = [(s + i, s + j) for s in (0, 3) for i in range(3) for j in (i, (i + 1) % 3)]
+    for n, delta, edges in ((2, 1, two_edges), (6, 2, two_six_cycles)):
+        with pytest.raises(ValueError, match="not connected"):
+            TannerGraph(n, delta, edges)
+
+
+def test_connectivity_matches_search():
+    # unions of random perfect matchings: simple ones are regular, and many
+    # are disconnected at these sizes
+    rng = np.random.default_rng(11)
+    verdicts = set()
+    for _ in range(400):
+        n = int(rng.integers(1, 10))
+        delta = int(rng.integers(1, min(n, 3) + 1))
+        edges = {(a, int(perm[a])) for perm in (rng.permutation(n) for _ in range(delta))
+                 for a in range(n)}
+        if len(edges) < n * delta:
+            continue
+        expected = connected_by_search(n, edges)
+        verdicts.add(expected)
+        if expected:
+            TannerGraph(n, delta, sorted(edges))
+        else:
+            with pytest.raises(ValueError, match="not connected"):
+                TannerGraph(n, delta, sorted(edges))
+    assert verdicts == {True, False}
 
 
 def test_adjacency_matrix_symmetric_bipartite():
@@ -135,6 +174,15 @@ def test_count_induced_edges_brute_force():
         assert g.count_induced_edges(a_sub, b_sub) == expected
 
 
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("vertex", [-1, 3])
+def test_count_induced_edges_rejects_out_of_range_ids(side, vertex):
+    subsets = [[0], [0]]
+    subsets[side] = [vertex]
+    with pytest.raises(ValueError):
+        complete_bipartite(3).count_induced_edges(*subsets)
+
+
 def test_mixing_bound_holds_exhaustively():
     # the tight bound dominates every actual induced edge count, and the
     # loose bound dominates the tight one
@@ -149,6 +197,12 @@ def test_mixing_bound_holds_exhaustively():
                 for b_sub in itertools.combinations(range(4), kb):
                     degree_sum = 2 * g.count_induced_edges(a_sub, b_sub)
                     assert degree_sum <= bounds.tight + 1e-9
+
+
+def test_mixing_bound_computes_gamma_itself():
+    fresh, primed = cycle_graph(5), cycle_graph(5)
+    primed.spectral_gamma()
+    assert fresh.induced_edge_count_bound(0.4, 0.6) == primed.induced_edge_count_bound(0.4, 0.6)
 
 
 def test_mixing_bound_rejects_out_of_range():
@@ -181,3 +235,17 @@ def test_random_graph_gamma_reasonable():
     g = random_regular_bipartite(20, 6, seed=7)
     gamma = g.spectral_gamma().gamma
     assert 0.0 < gamma < 0.9
+
+
+# -- graphs pinned to recorded values ---------------------------------------------
+
+GOLDEN_GRAPHS = json.loads((Path(__file__).parent / "golden" / "graphs.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_GRAPHS, ids=[c["spec"] for c in GOLDEN_GRAPHS])
+def test_graphs_match_golden(case):
+    g = resolve_graph(case["spec"])
+    assert g.to_text() == case["text"]
+    assert g.a_edges.tolist() == case["a_edges"]
+    assert g.b_edges.tolist() == case["b_edges"]
+    assert repr(g.spectral_gamma()) == case["spectral"]
