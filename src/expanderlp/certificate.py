@@ -29,7 +29,9 @@ code, the incident-edge array and the edges' endpoints.
 Everything here is exact rational arithmetic; nothing floats.
 Witnesses hold Fraction values, and check_witness compares them exactly as
 integers: every value is scaled by one common denominator, so each
-constraint becomes an integer comparison done on whole numpy arrays.
+constraint becomes an integer comparison done on whole numpy arrays.  The
+writer shares a few value objects among all rows, and the check reads each
+distinct object once.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -230,22 +233,24 @@ def _write_witness(code: ExpanderCode, c, y, released: dict[int, int],
     yw = check_word(y, q, code.num_edges)
     if released.keys() != set(np.flatnonzero(cw != yw).tolist()):
         raise ValueError(f"{source} must cover exactly the error edges")
-    # templates[kind][symbol]: kind 0 a correct edge, 1 the releasing
+    # templates[kind * q + symbol]: kind 0 a correct edge, 1 the releasing
     # endpoint of an error edge, 2 its other endpoint
-    templates = []
-    for off, match in ((Fraction(1, 2) - epsilon, _CORRECT_MATCH),
-                       (_PEELED - epsilon, _ERROR_MATCH), (_SURVIVOR, _ERROR_MATCH)):
-        templates.append([[match if alpha == symbol else off for alpha in range(q)]
-                          for symbol in range(q)])
-    kinds = [[0] * code.num_edges, [0] * code.num_edges]
-    for e, side in released.items():
-        kinds[side][e] = 1
-        kinds[1 - side][e] = 2
-    symbols = cw.tolist()
-    tau_a, tau_b = ([list(templates[k][c_e]) for k, c_e in zip(side_kinds, symbols)]
-                    for side_kinds in kinds)
+    templates = [[match if alpha == symbol else off for alpha in range(q)]
+                 for off, match in ((Fraction(1, 2) - epsilon, _CORRECT_MATCH),
+                                    (_PEELED - epsilon, _ERROR_MATCH),
+                                    (_SURVIVOR, _ERROR_MATCH))
+                 for symbol in range(q)]
+    kinds = np.zeros((2, code.num_edges), dtype=np.int64)
+    edges = np.fromiter(released, dtype=np.int64, count=len(released))
+    sides = np.fromiter(released.values(), dtype=np.int64, count=len(released))
+    kinds[sides, edges] = 1
+    kinds[1 - sides, edges] = 2
+    tau_a, tau_b = (list(map(list, map(templates.__getitem__, index)))
+                    for index in (kinds * q + cw).tolist())
     half_delta = Fraction(code.graph.delta, 2)
-    sigma = [half_delta - d for dist in _local_distances(code, cw, yw) for d in dist.tolist()]
+    sigma_of = [half_delta - d for d in range(code.graph.delta + 1)]
+    sigma = list(map(sigma_of.__getitem__,
+                     np.concatenate(_local_distances(code, cw, yw)).tolist()))
     return DualWitness(tau_a=tau_a, tau_b=tau_b, sigma=sigma, epsilon=epsilon)
 
 
@@ -291,6 +296,30 @@ def build_witness_from_orientation(code: ExpanderCode, c, y,
 _INT64_SAFE = 2 ** 62
 
 
+def _check_shape(witness: DualWitness, num_edges: int, q: int, num_vertices: int) -> None:
+    """E rows of q values per side and one sigma per vertex, or ValueError."""
+    for name in ("tau_a", "tau_b"):
+        rows = getattr(witness, name)
+        if len(rows) != num_edges or set(map(len, rows)) != {q}:
+            raise ValueError(f"witness {name} must be {num_edges} rows of {q} values")
+    if len(witness.sigma) != num_vertices:
+        raise ValueError(f"witness sigma must hold {num_vertices} values, "
+                         f"not {len(witness.sigma)}")
+
+
+def _distinct_ratios(values: list) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """as_integer_ratio of each distinct object in values, and each entry's
+    index into that list.
+
+    Witnesses repeat a few value objects many times, so entries are keyed by
+    object identity and each object is read once.  The ids are unique: the
+    list holds every object while they are taken.
+    """
+    ids = np.fromiter(map(id, values), dtype=np.uintp, count=len(values))
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    return [values[i].as_integer_ratio() for i in first.tolist()], inverse
+
+
 def _scaled_taus(witness: DualWitness, shape: tuple[int, int],
                  delta: int) -> tuple[np.ndarray, int, int]:
     """The witness's tau values times one common denominator, as integers.
@@ -303,17 +332,26 @@ def _scaled_taus(witness: DualWitness, shape: tuple[int, int],
     the array is int64, above it holds Python ints (dtype object).  Both
     are exact.
     """
-    ratios = [x.as_integer_ratio()
-              for taus in (witness.tau_a, witness.tau_b) for row in taus for x in row]
+    ratios, inverse = _distinct_ratios(
+        list(chain.from_iterable(chain(witness.tau_a, witness.tau_b))))
     eps_num, eps_den = witness.epsilon.as_integer_ratio()
-    denominators = {d for _, d in ratios}
-    den = math.lcm(2, eps_den, *denominators)
-    factor = {d: den // d for d in denominators}
-    scaled = [num * factor[d] for num, d in ratios]
+    den = math.lcm(2, eps_den, *(d for _, d in ratios))
+    scaled = [num * (den // d) for num, d in ratios]
     eps_scaled = eps_num * (den // eps_den)
     largest = max(max(scaled), -min(scaled), den + eps_scaled)
     dtype = np.int64 if largest * (delta + 2) < _INT64_SAFE else object
-    return np.array(scaled, dtype=dtype).reshape((2,) + shape), den, eps_scaled
+    return np.array(scaled, dtype=dtype)[inverse].reshape((2,) + shape), den, eps_scaled
+
+
+def _sigma_distances(witness: DualWitness, delta: int) -> np.ndarray:
+    """Per vertex, the local distance its sigma stands for (sigma = Delta/2 -
+    dist), or -1 where it stands for no integer in 0..Delta."""
+    ratios, inverse = _distinct_ratios(witness.sigma)
+    implied = []
+    for num, d in ratios:
+        dist, rest = divmod(delta * d - 2 * num, 2 * d)
+        implied.append(dist if rest == 0 and 0 <= dist <= delta else -1)
+    return np.array(implied, dtype=np.int64)[inverse]
 
 
 def check_witness(code: ExpanderCode, c, y, witness: DualWitness) -> WitnessCheck:
@@ -323,6 +361,8 @@ def check_witness(code: ExpanderCode, c, y, witness: DualWitness) -> WitnessChec
     of the witness's values.  The order is every edge by (e, alpha), then
     side a before side b, vertex by vertex, the sigma check before that
     vertex's local codewords; the message quotes the witness's own values.
+    A witness without E rows of q values per side and 2n sigma values is a
+    ValueError.
     """
     graph = code.graph
     q = code.field.q
@@ -330,11 +370,13 @@ def check_witness(code: ExpanderCode, c, y, witness: DualWitness) -> WitnessChec
     yw = check_word(y, q, graph.num_edges)
     if not code.is_codeword(cw):
         raise ValueError("c must be a codeword")
+    num_edges = graph.num_edges
+    delta = graph.delta
+    n = graph.n
+    _check_shape(witness, num_edges, q, 2 * n)
     eps = witness.epsilon
     if eps <= 0:
         return WitnessCheck(ok=False, violation="epsilon must be positive")
-    num_edges = graph.num_edges
-    delta = graph.delta
     tau, den, eps_scaled = _scaled_taus(witness, (num_edges, q), delta)
 
     # cost*den, less eps*den except at the codeword symbol (the weak constraint)
@@ -358,8 +400,8 @@ def check_witness(code: ExpanderCode, c, y, witness: DualWitness) -> WitnessChec
                       f"{total} > {cost} - eps")
 
     half_delta = Fraction(delta, 2)
-    n = graph.n
     distances = _local_distances(code, cw, yw)
+    sigma_off = (_sigma_distances(witness, delta) != np.concatenate(distances)).reshape(2, n)
     for s, (local, inc, _) in enumerate(_sides(code)):
         side, taus, dist = "ab"[s], (witness.tau_a, witness.tau_b)[s], distances[s]
         codewords = local.codewords()
@@ -371,14 +413,14 @@ def check_witness(code: ExpanderCode, c, y, witness: DualWitness) -> WitnessChec
         bad = np.flatnonzero(totals < rhs[:, None])
         first = int(bad[0]) // len(codewords) if bad.size else n
         dist = dist.tolist()
-        for v in range(min(first + 1, n)):
-            sigma = witness.sigma[s * n + v]
-            num, d = sigma.as_integer_ratio()
-            if 2 * num != (delta - 2 * dist[v]) * d:
-                return WitnessCheck(
-                    ok=False,
-                    violation=f"sigma mismatch at {side}{v}: "
-                              f"{sigma} != {half_delta - dist[v]}")
+        # the sigma check of a vertex comes before its codewords
+        off = np.flatnonzero(sigma_off[s, :first + 1])
+        if off.size:
+            v = int(off[0])
+            return WitnessCheck(
+                ok=False,
+                violation=f"sigma mismatch at {side}{v}: "
+                          f"{witness.sigma[s * n + v]} != {half_delta - dist[v]}")
         if bad.size:
             b = codewords[int(bad[0]) % len(codewords)]
             total = sum(taus[int(e)][int(sym)] for e, sym in zip(inc[first], b))

@@ -118,6 +118,7 @@ class _Tableau:
         self.opt_tol = opt_tol
         self.max_iters = 500 * (T.shape[1] - 1) + 2000
         self.iterations = 0
+        self._outer = np.empty_like(T)   # the dense update's outer product
 
     def pivot(self, row: int, col: int) -> None:
         T = self.T
@@ -131,7 +132,7 @@ class _Tableau:
             cols = np.flatnonzero(piv_row)
             T[np.ix_(rows, cols)] -= np.outer(body_col[rows], piv_row[cols])
         else:
-            T -= np.outer(body_col, piv_row)
+            T -= np.einsum("i,j->ij", body_col, piv_row, out=self._outer)
         T[row] = piv_row
         T[:, col] = 0.0
         T[row, col] = 1.0

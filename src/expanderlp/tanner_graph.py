@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -262,26 +263,20 @@ def random_regular_bipartite(n: int, delta: int, seed: int) -> TannerGraph:
     if not 1 <= delta <= n:
         raise GraphConstructionError(f"need 1 <= delta <= n, got delta={delta}, n={n}")
     rng = np.random.default_rng(seed)
+    row_start = range(0, n * n, n)      # edge (a, b) is the number a*n + b
     for _ in range(_GRAPH_ATTEMPTS):
-        used: set[tuple[int, int]] = set()
-        perms: list[np.ndarray] = []
-        failed = False
+        used: set[int] = set()
         for _ in range(delta):
             for _ in range(_MATCHING_ATTEMPTS):
-                perm = rng.permutation(n)
-                candidate = {(a, int(perm[a])) for a in range(n)}
-                if used.isdisjoint(candidate):
-                    used |= candidate
-                    perms.append(perm)
+                perm = rng.permutation(n).tolist()
+                if used.isdisjoint(map(add, row_start, perm)):
+                    used.update(map(add, row_start, perm))
                     break
             else:
-                failed = True
-                break
-        if failed:
-            raise GraphConstructionError(
-                f"could not find {delta} disjoint matchings on n={n} "
-                f"within {_MATCHING_ATTEMPTS} attempts")
-        edges = sorted(used)
+                raise GraphConstructionError(
+                    f"could not find {delta} disjoint matchings on n={n} "
+                    f"within {_MATCHING_ATTEMPTS} attempts")
+        edges = [divmod(e, n) for e in sorted(used)]
         try:
             return TannerGraph(n, delta, edges)
         except ValueError:

@@ -479,6 +479,110 @@ def test_checker_dtype_boundary(k66_grs):
             "strict edge constraint at edge 7")
 
 
+# -- values are read once per distinct object ----------------------------------------
+
+
+def test_checker_reads_rows_that_alias_one_list(k66_rep2):
+    # y == c == 0: every edge is correct with symbol 0, so one row serves all
+    c = np.zeros(36, dtype=np.int64)
+    w = build_witness_from_peeling(k66_rep2, c, c, peel(k66_rep2, c, c), EPS)
+    row = w.tau_a[0]
+    w.tau_a = [row] * 36
+    assert _same_verdict(k66_rep2, c, c, w).ok
+    row[1] = Fraction(2)      # the off-symbol slot of every edge at once
+    assert _same_verdict(k66_rep2, c, c, w).violation.startswith(
+        "strict edge constraint at edge 0")
+    w.tau_b = [row] * 36
+    row[1] = Fraction(1, 2) - EPS
+    row[0] = Fraction(-10)    # both endpoints of every edge at once
+    assert _same_verdict(k66_rep2, c, c, w).violation.startswith("vertex constraint at a0")
+
+
+def test_checker_sees_one_shared_value_replaced(k66_rep2):
+    # the writer shares each value object across rows; a new object in one
+    # slot, equal or not, is read on its own
+    c, y, w = valid_single_error_witness(k66_rep2)
+    assert w.tau_a[0][1] is w.tau_a[1][1]
+    for e, value in ((0, Fraction(1, 2) - EPS), (1, Fraction(1, 2)), (35, Fraction(3, 4))):
+        bad = copy.deepcopy(w)
+        bad.tau_a[e][1] = value
+        _same_verdict(k66_rep2, c, y, bad)
+    bad = copy.deepcopy(w)
+    bad.sigma[7] = Fraction(bad.sigma[7]) + Fraction(1, 2)
+    assert "sigma mismatch at b1" in _same_verdict(k66_rep2, c, y, bad).violation
+
+
+def test_checker_reads_equal_but_distinct_values(k66_grs):
+    c = k66_grs.random_codeword(np.random.default_rng(3))
+    y = c.copy()
+    y[[2, 20]] = (y[[2, 20]] + 3) % 7
+    w = find_witness(k66_grs, c, y, mode="peel").witness
+    fresh = DualWitness(
+        tau_a=[[Fraction(x.numerator, x.denominator) for x in row] for row in w.tau_a],
+        tau_b=[[Fraction(x.numerator, x.denominator) for x in row] for row in w.tau_b],
+        sigma=[Fraction(x.numerator, x.denominator) for x in w.sigma], epsilon=w.epsilon)
+    assert fresh.tau_a[0][0] is not fresh.tau_a[1][0]
+    assert _same_verdict(k66_grs, c, y, fresh).ok
+    fresh.tau_b[20][int(y[20])] += EPS
+    assert _same_verdict(k66_grs, c, y, fresh).violation.startswith(
+        "strict edge constraint at edge 20")
+
+
+def test_checker_reads_int_and_float_values(k66_rep2):
+    # eps = 1/4 makes every witness value dyadic, so floats hold them exactly
+    c = np.zeros(36, dtype=np.int64)
+    y = c.copy()
+    y[5] = 1
+    w = build_witness_from_peeling(k66_rep2, c, y, peel(k66_rep2, c, y), Fraction(1, 4))
+    mixed = DualWitness(tau_a=[[float(x) for x in row] for row in w.tau_a],
+                        tau_b=[list(row) for row in w.tau_b],
+                        sigma=[int(x) for x in w.sigma], epsilon=w.epsilon)
+    assert _same_verdict(k66_rep2, c, y, mixed).ok
+    mixed.tau_a[0][1] = 1            # int: 1 + 1/4 > 1 - eps
+    assert _same_verdict(k66_rep2, c, y, mixed).violation.startswith(
+        "strict edge constraint at edge 0")
+    mixed.tau_a[0][1] = 0.25
+    mixed.sigma[3] = 2.5
+    assert "sigma mismatch at a3" in _same_verdict(k66_rep2, c, y, mixed).violation
+
+
+def test_checker_reads_rows_given_as_tuples(k66_rep2):
+    c, y, w = valid_single_error_witness(k66_rep2)
+    rows = DualWitness(tau_a=[tuple(row) for row in w.tau_a],
+                       tau_b=[tuple(row) for row in w.tau_b],
+                       sigma=tuple(w.sigma), epsilon=w.epsilon)
+    assert _same_verdict(k66_rep2, c, y, rows).ok
+    rows.tau_b[9] = (Fraction(0), Fraction(0))
+    assert _same_verdict(k66_rep2, c, y, rows).violation.startswith(
+        "weak edge constraint at edge 9")
+
+
+def _ragged_rows(w):
+    # same number of values, but edge 0 is one short and edge 1 one long
+    w.tau_a[1].insert(0, w.tau_a[0].pop())
+
+
+def _extra_sigma(w):
+    w.sigma.append(Fraction(3))
+
+
+def _short_sigma(w):
+    w.sigma.pop()
+
+
+@pytest.mark.parametrize("malform, message", [
+    pytest.param(_ragged_rows, "tau_a must be 36 rows of 2 values", id="ragged-rows"),
+    pytest.param(_extra_sigma, "sigma must hold 12 values, not 13", id="extra-sigma"),
+    pytest.param(_short_sigma, "sigma must hold 12 values, not 11", id="short-sigma"),
+])
+def test_checker_rejects_malformed_witness(k66_rep2, malform, message):
+    c, y, w = valid_single_error_witness(k66_rep2)
+    w = copy.deepcopy(w)
+    malform(w)
+    with pytest.raises(ValueError, match=message):
+        check_witness(k66_rep2, c, y, w)
+
+
 # -- the received word is validated like the transmitted one -------------------------
 
 
