@@ -32,6 +32,16 @@ integers: every value is scaled by one common denominator, so each
 constraint becomes an integer comparison done on whole numpy arrays.  The
 writer shares a few value objects among all rows, and the check reads each
 distinct object once.
+
+One eps is enough.  A built witness's values are the half-integers -1/2,
+1/2, -5/2 and 3/2, some less eps, and its edge constraints hold for every
+eps > 0.  A vertex constraint compares a sum H - k*eps, with H a multiple
+of 1/2 and 0 <= k <= Delta, with a bound that is a multiple of 1/2.  For
+0 < eps <= 1/(2*Delta), k*eps is at most 1/2, so the constraint holds
+exactly when H exceeds the bound, or equals it with k = 0: the verdict is
+the same at every such eps, and find_witness builds and checks one witness
+(the dual-certificate argument of Feldman, Wainwright and Karger, IEEE T-IT
+2005).
 """
 
 from __future__ import annotations
@@ -50,7 +60,6 @@ from .orientation import OrientationFailure, OrientedEdgeSet, orient
 from .tanner_graph import TannerGraph
 
 EPSILON_START = Fraction(1, 10 ** 6)
-EPSILON_FLOOR = Fraction(1, 10 ** 12)
 
 _CORRECT_MATCH = Fraction(-1, 2)        # value at the codeword symbol, correct edge
 _ERROR_MATCH = Fraction(1, 2)           # value at the codeword symbol, error edge
@@ -433,28 +442,23 @@ def check_witness(code: ExpanderCode, c, y, witness: DualWitness) -> WitnessChec
 
 # -- the search wrapper ----------------------------------------------------------------
 
-def _epsilon_schedule(start: Fraction, floor: Fraction):
-    eps = start
-    while eps >= floor:
-        yield eps
-        eps /= 2
-
-
 def find_witness(code: ExpanderCode, c, y, mode: str = "peel",
-                 epsilon_start: Fraction = EPSILON_START,
-                 epsilon_floor: Fraction = EPSILON_FLOOR) -> CertifyResult:
+                 epsilon: Fraction = EPSILON_START) -> CertifyResult:
     """Try to certify that decode() must return c on input y.
 
     mode 'peel' runs the peeling process and, if it empties, builds the
     witness from the trace; a stagnated peel reports the error core instead.
     mode 'orient' computes the theta caps, orients the error edges, and
-    builds the witness from the orientation.  Both retry with halved eps
-    until the exact check passes or the floor is reached.  An epsilon_start
-    below epsilon_floor, or a nonpositive floor, is a ValueError.
+    builds the witness from the orientation.  Either way one witness is
+    built at epsilon and checked once.  The witness's values are
+    half-integers less 0 or eps, and eps enters a vertex constraint at most
+    Delta times, so for 0 < epsilon <= 1/(2*Delta) the verdict is the same
+    at every epsilon (see the module docstring); any other epsilon is a
+    ValueError.
     """
-    if not 0 < epsilon_floor <= epsilon_start:
-        raise ValueError(f"epsilon_start {epsilon_start} must be at least "
-                         f"epsilon_floor {epsilon_floor}, and both positive")
+    bound = Fraction(1, 2 * code.graph.delta)
+    if not 0 < epsilon <= bound:
+        raise ValueError(f"epsilon {epsilon} must lie in (0, 1/(2*Delta)] = (0, {bound}]")
     cw = np.asarray(c, dtype=np.int64)
     yw = check_word(y, code.field.q, code.num_edges)
     if mode == "peel":
@@ -465,7 +469,7 @@ def find_witness(code: ExpanderCode, c, y, mode: str = "peel",
                                    code.code_b.relative_distance / 4)
             return CertifyResult(witness_found=False, mode=mode, core=core,
                                  reason="peeling stagnated on an error core")
-        builder = lambda eps: build_witness_from_peeling(code, cw, yw, trace, eps)
+        witness = build_witness_from_peeling(code, cw, yw, trace, epsilon)
     elif mode == "orient":
         delta = code.graph.delta
         try:
@@ -479,18 +483,12 @@ def find_witness(code: ExpanderCode, c, y, mode: str = "peel",
             return CertifyResult(witness_found=False, mode=mode,
                                  reason=f"no orientation within caps "
                                         f"({oriented.violations} residual violations)")
-        builder = lambda eps: build_witness_from_orientation(code, cw, yw, oriented, eps)
+        witness = build_witness_from_orientation(code, cw, yw, oriented, epsilon)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    last_violation = None
-    for eps in _epsilon_schedule(epsilon_start, epsilon_floor):
-        witness = builder(eps)
-        result = check_witness(code, cw, yw, witness)
-        if result.ok:
-            return CertifyResult(witness_found=True, mode=mode, epsilon=eps,
-                                 witness=witness)
-        last_violation = result.violation
-    return CertifyResult(witness_found=False, mode=mode,
-                         reason=f"no feasible epsilon above the floor "
-                                f"(last violation: {last_violation})")
+    result = check_witness(code, cw, yw, witness)
+    if not result.ok:
+        return CertifyResult(witness_found=False, mode=mode,
+                             reason=f"witness fails the exact check: {result.violation}")
+    return CertifyResult(witness_found=True, mode=mode, epsilon=epsilon, witness=witness)

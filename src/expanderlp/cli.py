@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lp_core
-from .certificate import find_error_core, find_witness, peel
+from .certificate import EPSILON_START, find_error_core, find_witness, peel
 from .errors import ExpanderLPError, InternalInvariantError
 from .expander_code import ExpanderCode, parse_word
 from .harness import (ExperimentConfig, bounds_report, format_tables,
@@ -112,9 +112,7 @@ def _cmd_certify(args) -> int:
     code = _instance(args)
     c = _load_word(args.sent, code.field.q, code.graph.num_edges)
     y = _load_word(args.received, code.field.q, code.graph.num_edges)
-    eps = Fraction(args.epsilon) if args.epsilon else None
-    kwargs = {} if eps is None else {"epsilon_start": eps}
-    result = find_witness(code, c, y, mode=args.mode, **kwargs)
+    result = find_witness(code, c, y, mode=args.mode, epsilon=Fraction(args.epsilon))
     payload = {
         "witness_found": result.witness_found,
         "mode": result.mode,
@@ -228,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--feas-tol", type=float, default=lp_core.DEFAULT_FEAS_TOL)
     parser.add_argument("--opt-tol", type=float, default=lp_core.DEFAULT_OPT_TOL)
     parser.add_argument("--int-tol", type=float, default=DEFAULT_INT_TOL)
-    parser.add_argument("--epsilon", default=None,
-                        help="starting witness slack, a rational like 1/1000000")
+    parser.add_argument("--epsilon", default=str(EPSILON_START),
+                        help="witness slack, a rational in (0, 1/(2*Delta)]")
     parser.add_argument("--out", default=None, help="write output here, not stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -135,14 +135,8 @@ class ExpanderCode:
 
     def random_codeword(self, rng: np.random.Generator) -> np.ndarray:
         basis = self.codeword_basis()
-        word = np.zeros(self.num_edges, dtype=np.int64)
-        if basis.shape[0] == 0:
-            return word
         coeffs = rng.integers(0, self.field.q, size=basis.shape[0])
-        for coeff, row in zip(coeffs, basis):
-            if coeff:
-                word = self.field.add_table[word, self.field.mul_table[int(coeff), row]]
-        return word
+        return gflinalg.mat_mul(coeffs[None], basis, self.field)[0]
 
     def enumerate_codewords(self, cap: int = DEFAULT_GLOBAL_ENUMERATION_CAP) -> np.ndarray:
         basis = self.codeword_basis()

@@ -68,11 +68,8 @@ def null_space(mat, gf: GF) -> np.ndarray:
     R, pivots = rref(M, gf)
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    neg = gf.neg_table
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for row_idx, pc in enumerate(pivots):
-            basis[i, pc] = neg[R[row_idx, f]]
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = gf.neg_table[R[:, free]].T
     return basis
 
 

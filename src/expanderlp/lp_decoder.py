@@ -171,13 +171,15 @@ class DecodeResult:
 
     status 'codeword' means the LP optimum was integral; the decoded word is
     then a certified nearest codeword.  status 'fractional-failure' keeps
-    the raw optimizer state for inspection.
+    the raw optimizer state for inspection.  raw_w holds the (n, K) A-side
+    and B-side blocks of the LP solution, views into it: row v is vertex
+    v's weight on each of its local codewords.
     """
 
     status: str
     codeword: np.ndarray | None
     raw_f: np.ndarray
-    raw_w: dict[tuple[str, int], np.ndarray]
+    raw_w: tuple[np.ndarray, np.ndarray]
     objective: float
     lp_iterations: int = 0
 
@@ -209,7 +211,6 @@ def decode(code: ExpanderCode, y,
     n, q, num_edges = code.graph.n, code.field.q, code.num_edges
     w_a = sol.values[:first_b].reshape(n, -1)
     w_b = sol.values[first_b:].reshape(n, -1)
-    raw_w = {(side, v): w[v].copy() for v in range(n) for side, w in (("a", w_a), ("b", w_b))}
     # f[e, alpha] is the w mass at e's A endpoint on local codewords with
     # alpha at e; each bucket sums its codewords in order, as a per-edge
     # bincount would
@@ -221,16 +222,14 @@ def decode(code: ExpanderCode, y,
 
     near_one = np.abs(f - 1.0) <= int_tol
     near_zero = np.abs(f) <= int_tol
+    status, word = "fractional-failure", None
     if np.all(near_one | near_zero) and np.all(near_one.sum(axis=1) == 1):
-        word = unembed(np.where(near_one, 1.0, 0.0))
+        status, word = "codeword", near_one.argmax(axis=1)
         if not code.is_codeword(word):
             raise InternalInvariantError(
                 "integral LP optimum is not a codeword; the polytope is broken")
-        return DecodeResult(status="codeword", codeword=word, raw_f=f, raw_w=raw_w,
-                            objective=sol.objective_value, lp_iterations=sol.iterations)
-    return DecodeResult(status="fractional-failure", codeword=None, raw_f=f,
-                        raw_w=raw_w, objective=sol.objective_value,
-                        lp_iterations=sol.iterations)
+    return DecodeResult(status=status, codeword=word, raw_f=f, raw_w=(w_a, w_b),
+                        objective=sol.objective_value, lp_iterations=sol.iterations)
 
 
 # the code a pool worker was started with (see map_with_code)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,19 +50,11 @@ class OrientedEdgeSet:
             if side not in ("a", "b"):
                 raise ValueError(f"bad head side {side!r} for edge {e}")
 
-    def head(self, e: int) -> int:
-        return int(self.graph.ends["ab".index(self.head_side[e]), e])
-
-    def tail(self, e: int) -> int:
-        return int(self.graph.ends["ba".index(self.head_side[e]), e])
-
-    def indegrees(self) -> dict[int, int]:
-        """In-edge counts by global vertex id; only vertices that appear."""
-        counts: dict[int, int] = {}
-        for e in self.edges:
-            h = self.head(e)
-            counts[h] = counts.get(h, 0) + 1
-        return counts
+    def indegrees(self) -> Counter[int]:
+        """In-edge counts by global vertex id, in order of first appearance;
+        only vertices that appear."""
+        sides = ["ab".index(self.head_side[e]) for e in self.edges]
+        return Counter(self.graph.ends[sides, list(self.edges)].tolist())
 
     def cap_of(self, vglobal: int) -> int:
         return self.cap_a if vglobal < self.graph.n else self.cap_b
@@ -108,21 +100,21 @@ def orient(graph: TannerGraph, edges, cap_a, cap_b):
     for e in edge_list:
         if not 0 <= e < graph.num_edges:
             raise ValueError(f"edge id {e} out of range")
-    head_side = {e: "b" for e in edge_list}
-    # flipped in place below; on success this is the result
-    oriented = OrientedEdgeSet(graph=graph, edges=tuple(edge_list),
-                               head_side=head_side, cap_a=cap_a, cap_b=cap_b)
-    head_of, tail_of, cap_of = oriented.head, oriented.tail, oriented.cap_of
+    # each error edge's [A end, B end], gathered once; head[i] indexes the
+    # end edge_list[i] points at, and a flip is head[i] ^= 1
+    ends = graph.ends[:, edge_list].T.tolist()
+    head = [1] * len(edge_list)
 
-    # incident error edges per global vertex, ascending
+    # positions in edge_list of the error edges at each global vertex, ascending
     incident: dict[int, list[int]] = {}
-    for e, ends in zip(edge_list, graph.ends[:, edge_list].T.tolist()):
-        for v in ends:
-            incident.setdefault(v, []).append(e)
+    for i, pair in enumerate(ends):
+        for v in pair:
+            incident.setdefault(v, []).append(i)
+    cap = {v: cap_a if v < graph.n else cap_b for v in incident}
 
     indeg: dict[int, int] = {v: 0 for v in incident}
-    for e in edge_list:
-        indeg[head_of(e)] += 1
+    for _, b_end in ends:
+        indeg[b_end] += 1
 
     def fix_one(v: int) -> frozenset[int] | None:
         """Shift one unit of excess off v; None on success, else the trapped set."""
@@ -130,22 +122,22 @@ def orient(graph: TannerGraph, edges, cap_a, cap_b):
         queue = deque([v])
         while queue:
             u = queue.popleft()
-            for e in incident[u]:
-                if head_of(e) != u:
+            for i in incident[u]:
+                pair, h = ends[i], head[i]
+                if pair[h] != u:
                     continue
-                t = tail_of(e)
+                t = pair[1 - h]
                 if t in parent_edge:
                     continue
-                parent_edge[t] = e
-                if indeg[t] < cap_of(t):
+                parent_edge[t] = i
+                if indeg[t] < cap[t]:
                     # flip the path t -> ... -> v; step to the old head first,
                     # since flipping makes the current node the new head
                     node = t
                     while node != v:
                         edge = parent_edge[node]
-                        nxt = head_of(edge)
-                        head_side[edge] = "a" if head_side[edge] == "b" else "b"
-                        node = nxt
+                        node = ends[edge][head[edge]]
+                        head[edge] ^= 1
                     indeg[v] -= 1
                     indeg[t] += 1
                     return None
@@ -154,15 +146,15 @@ def orient(graph: TannerGraph, edges, cap_a, cap_b):
 
     # a repair moves one unit to a vertex below its cap, so no vertex turns
     # heavy and the heavy vertices can be repaired in one ascending pass
-    for heavy in sorted(v for v, d in indeg.items() if d > cap_of(v)):
-        while indeg[heavy] > cap_of(heavy):
+    for heavy in sorted(v for v, d in indeg.items() if d > cap[v]):
+        while indeg[heavy] > cap[heavy]:
             trapped = fix_one(heavy)
             if trapped is None:
                 continue
-            induced = sum(1 for e in edge_list
-                          if head_of(e) in trapped and tail_of(e) in trapped)
-            capacity = sum(cap_of(v) for v in trapped)
-            violations = sum(max(0, indeg[v] - cap_of(v)) for v in indeg)
+            induced = sum(1 for a_end, b_end in ends
+                          if a_end in trapped and b_end in trapped)
+            capacity = sum(cap[v] for v in trapped)
+            violations = sum(max(0, indeg[v] - cap[v]) for v in indeg)
             if induced <= capacity:
                 raise InternalInvariantError(
                     "trapped vertex set does not actually exceed its capacity")
@@ -171,7 +163,9 @@ def orient(graph: TannerGraph, edges, cap_a, cap_b):
                                       induced_edges=induced,
                                       capacity=capacity)
 
-    return oriented
+    return OrientedEdgeSet(graph=graph, edges=tuple(edge_list),
+                           head_side={e: "ab"[h] for e, h in zip(edge_list, head)},
+                           cap_a=cap_a, cap_b=cap_b)
 
 
 def verify_orientation(oriented: OrientedEdgeSet) -> list[tuple[int, int, int]]:

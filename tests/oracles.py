@@ -16,11 +16,15 @@ from fractions import Fraction
 import numpy as np
 
 from expanderlp import gflinalg
-from expanderlp.certificate import WitnessCheck
-from expanderlp.errors import NumericError
-from expanderlp.expander_code import check_word, hamming_distance
+from expanderlp.certificate import (CertifyResult, WitnessCheck,
+                                    build_witness_from_orientation,
+                                    build_witness_from_peeling, check_witness,
+                                    find_error_core, peel)
+from expanderlp.errors import NoValidThetaError, NumericError
+from expanderlp.expander_code import check_word, compute_theta, hamming_distance
 from expanderlp.lp_core import _PIVOT_TOL, LpProblem
 from expanderlp.lp_decoder import cost_from_received
+from expanderlp.orientation import OrientationFailure, orient
 
 
 def lp_optimum_by_enumeration(objective, eq_coeffs, eq_rhs, tol=1e-9):
@@ -254,10 +258,60 @@ def lift_f_by_edge(code, raw_w):
     cw_a = code.code_a.codewords()
     f = np.zeros((graph.num_edges, q))
     for v in range(graph.n):
-        wa = raw_w[("a", v)]
+        wa = raw_w[0][v]
         for t in range(graph.delta):
             f[int(graph.a_edges[v, t])] = np.bincount(cw_a[:, t], weights=wa, minlength=q)
     return f
+
+
+# -- the witness search over a halving eps schedule ---------------------------
+
+def find_witness_by_halving(code, c, y, mode="peel", epsilon_start=Fraction(1, 10**6),
+                            epsilon_floor=Fraction(1, 10**12)):
+    """find_witness as a search: rebuild and recheck the witness at
+    epsilon_start, epsilon_start/2, ... down to epsilon_floor, and report the
+    first eps whose witness passes the exact check."""
+    cw = np.asarray(c, dtype=np.int64)
+    yw = check_word(y, code.field.q, code.num_edges)
+    if mode == "peel":
+        trace = peel(code, cw, yw)
+        if not trace.terminated_empty:
+            core = find_error_core(code.graph, trace,
+                                   code.code_a.relative_distance / 4,
+                                   code.code_b.relative_distance / 4)
+            return CertifyResult(witness_found=False, mode=mode, core=core,
+                                 reason="peeling stagnated on an error core")
+
+        def builder(eps):
+            return build_witness_from_peeling(code, cw, yw, trace, eps)
+    else:
+        delta = code.graph.delta
+        try:
+            caps = [int(compute_theta(local.relative_distance, delta) * delta / 4)
+                    for local in (code.code_a, code.code_b)]
+        except NoValidThetaError as exc:
+            return CertifyResult(witness_found=False, mode=mode, reason=str(exc))
+        oriented = orient(code.graph, np.flatnonzero(cw != yw).tolist(), *caps)
+        if isinstance(oriented, OrientationFailure):
+            return CertifyResult(witness_found=False, mode=mode,
+                                 reason=f"no orientation within caps "
+                                        f"({oriented.violations} residual violations)")
+
+        def builder(eps):
+            return build_witness_from_orientation(code, cw, yw, oriented, eps)
+
+    eps, last_violation = epsilon_start, None
+    while eps >= epsilon_floor:
+        witness = builder(eps)
+        result = check_witness(code, cw, yw, witness)
+        if result.ok:
+            return CertifyResult(witness_found=True, mode=mode, epsilon=eps,
+                                 witness=witness)
+        last_violation = result.violation
+        eps /= 2
+    return CertifyResult(witness_found=False, mode=mode,
+                         reason=f"no feasible epsilon above the floor "
+                                f"(last violation: {last_violation})")
 
 
 # -- exact witness check and codeword test, one constraint at a time -----------

@@ -25,7 +25,7 @@ from expanderlp import (
     repetition,
 )
 
-from oracles import check_witness_by_fraction
+from oracles import check_witness_by_fraction, find_witness_by_halving
 
 EPS = Fraction(1, 10**6)
 
@@ -299,21 +299,19 @@ def test_unknown_mode_rejected(k66_rep2):
         find_witness(k66_rep2, c, c, mode="guess")
 
 
-# -- epsilon schedule ----------------------------------------------------------------
+# -- one epsilon -----------------------------------------------------------------------
 
 
-def test_epsilon_schedule_exhaustion(k66_rep2):
-    # the error edge's A endpoint sums to -6*eps >= -2 only for eps <= 1/3,
-    # so both eps = 1 and eps = 1/2 fail the check
+@pytest.mark.parametrize("epsilon", [Fraction(0), Fraction(-1, 2), Fraction(1),
+                                     Fraction(1, 2), Fraction(1, 11)],
+                         ids=["zero", "negative", "one", "half", "just-above-1-12"])
+def test_epsilon_outside_the_proven_range_rejected(k66_rep2, epsilon):
+    # 1/(2*Delta) = 1/12 on K_{6,6}; y == c would certify at once, so an
+    # epsilon outside (0, 1/12] must be refused, not turned into a verdict
     c = np.zeros(36, dtype=np.int64)
-    y = c.copy()
-    y[0] = 1
-    result = find_witness(k66_rep2, c, y, mode="peel",
-                          epsilon_start=Fraction(1),
-                          epsilon_floor=Fraction(1, 2))
-    assert not result.witness_found
-    assert "no feasible epsilon" in result.reason
-    assert "last violation: vertex constraint at a0" in result.reason
+    with pytest.raises(ValueError) as err:
+        find_witness(k66_rep2, c, c, mode="peel", epsilon=epsilon)
+    assert f"epsilon {epsilon} " in str(err.value) and "1/12" in str(err.value)
 
 
 @pytest.mark.parametrize("start, floor", [
@@ -323,13 +321,108 @@ def test_epsilon_schedule_exhaustion(k66_rep2):
     (Fraction(1, 10**6), Fraction(0)),
 ])
 def test_epsilon_outside_the_schedule_rejected(k66_rep2, start, floor):
-    # y == c would certify at once; a start below the floor must not turn
-    # into a silent "no feasible epsilon"
+    # the ends of the old halving schedules, each tried as the one epsilon: an
+    # end outside (0, 1/12] is refused with a ValueError naming it, an end
+    # inside certifies y == c at exactly that epsilon
     c = np.zeros(36, dtype=np.int64)
-    with pytest.raises(ValueError) as err:
-        find_witness(k66_rep2, c, c, mode="peel",
-                     epsilon_start=start, epsilon_floor=floor)
-    assert str(start) in str(err.value) and str(floor) in str(err.value)
+    for eps in (start, floor):
+        if 0 < eps <= Fraction(1, 12):
+            result = find_witness(k66_rep2, c, c, mode="peel", epsilon=eps)
+            assert result.witness_found and result.epsilon == eps
+        else:
+            with pytest.raises(ValueError) as err:
+                find_witness(k66_rep2, c, c, mode="peel", epsilon=eps)
+            assert f"epsilon {eps} " in str(err.value) and "1/12" in str(err.value)
+
+
+def test_any_epsilon_up_to_the_bound_accepted(k66_rep2):
+    # the error edge's A endpoint sums to -6*eps, against a bound of -2: the
+    # witness fails at eps = 1/2 (vertex constraint at a0) but holds for every
+    # eps up to 1/(2*Delta) = 1/12, however small
+    c = np.zeros(36, dtype=np.int64)
+    y = c.copy()
+    y[0] = 1
+    for eps in (Fraction(1, 12), Fraction(1, 10**15)):
+        result = find_witness(k66_rep2, c, y, mode="peel", epsilon=eps)
+        assert result.witness_found and result.epsilon == eps
+    witness = build_witness_from_peeling(k66_rep2, c, y, peel(k66_rep2, c, y), Fraction(1, 2))
+    assert check_witness(k66_rep2, c, y, witness).violation.startswith("vertex constraint at a0")
+
+
+def test_failed_check_is_reported_not_found(k66_rep2, monkeypatch):
+    c = np.zeros(36, dtype=np.int64)
+    y = c.copy()
+    y[0] = 1
+    real = certificate.build_witness_from_peeling
+
+    def broken(*args):
+        witness = real(*args)
+        witness.tau_a[0][0] += 3
+        return witness
+
+    monkeypatch.setattr(certificate, "build_witness_from_peeling", broken)
+    expected = check_witness(k66_rep2, c, y, broken(k66_rep2, c, y, peel(k66_rep2, c, y), EPS))
+    result = find_witness(k66_rep2, c, y, mode="peel")
+    assert (result.witness_found, result.epsilon, result.witness) == (False, None, None)
+    assert result.reason == f"witness fails the exact check: {expected.violation}"
+
+
+def _location(verdict):
+    """A check's verdict without the totals it quotes, which carry eps."""
+    return verdict.ok, None if verdict.ok else verdict.violation.split(":")[0]
+
+
+@pytest.mark.parametrize("fixture", ["k66_rep2", "k66_grs", "four_cycle_rep3"])
+def test_verdict_is_the_same_at_every_epsilon_up_to_the_bound(fixture, request):
+    # on the recorded patterns: the peel- and orientation-built witnesses,
+    # and the error-free word's witness checked against a word with an error
+    # at edge 0, which it violates
+    code = request.getfixturevalue(fixture)
+    epsilons = (Fraction(1, 2 * code.graph.delta), Fraction(1, 10**6), Fraction(1, 10**12))
+    seen = set()
+    for case in GOLDEN_WITNESSES[fixture]:
+        c, y = np.array(case["c"]), np.array(case["y"])
+        trace = peel(code, c, y)
+        heads = {int(e): side for e, side in case["orient_edges"].items()}
+        oriented = OrientedEdgeSet(graph=code.graph, edges=tuple(heads), head_side=heads,
+                                   cap_a=1, cap_b=1)
+        wrong = y.copy()
+        wrong[0] = (c[0] + 1) % code.field.q
+        checks = [(y, lambda eps: build_witness_from_orientation(code, c, y, oriented, eps)),
+                  (wrong, lambda eps: build_witness_from_peeling(code, c, c, peel(code, c, c),
+                                                                 eps))]
+        if trace.terminated_empty:
+            checks.append((y, lambda eps: build_witness_from_peeling(code, c, y, trace, eps)))
+        for received, build in checks:
+            verdicts = {_location(check_witness(code, c, received, build(eps)))
+                        for eps in epsilons}
+            assert len(verdicts) == 1
+            seen |= verdicts
+    assert {ok for ok, _ in seen} == {True, False}
+
+
+@pytest.mark.parametrize("fixture", ["four_cycle_rep3", "k33_parity2", "k66_rep2",
+                                     "k66_rep3", "k66_grs", "r20_rep2"])
+def test_one_epsilon_matches_the_halving_search(fixture, request):
+    code = request.getfixturevalue(fixture)
+    q = code.field.q
+    rng = np.random.default_rng(515)
+    found = set()
+    for weight in (0, 1, 2, 3, code.num_edges // 4, code.num_edges // 2):
+        for _ in range(3):
+            c = code.random_codeword(rng)
+            y = c.copy()
+            errors = rng.choice(code.num_edges, size=weight, replace=False)
+            y[errors] = (y[errors] + rng.integers(1, q, size=weight)) % q
+            for mode in ("peel", "orient"):
+                fast = find_witness(code, c, y, mode=mode)
+                slow = find_witness_by_halving(code, c, y, mode=mode)
+                assert ((fast.witness_found, fast.epsilon, fast.reason, fast.core)
+                        == (slow.witness_found, slow.epsilon, slow.reason, slow.core))
+                if fast.witness_found:
+                    assert _as_strings(fast.witness) == _as_strings(slow.witness)
+                found.add(fast.witness_found)
+    assert found == {True, False}
 
 
 def test_witness_certifies_decode_agreement(k66_rep2, rng):

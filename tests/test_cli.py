@@ -126,14 +126,15 @@ def test_certify_epsilon_flag(capsys):
     assert json.loads(out)["epsilon"] == "1/2048"
 
 
-def test_certify_epsilon_below_floor_is_input_error(capsys):
-    # 1e-13 is below the 1e-12 floor: an input error, not "no witness"
-    code, out, err = run_cli(capsys, "--epsilon", "1e-13", "certify", *K66,
+@pytest.mark.parametrize("epsilon", ["0", "1/2"], ids=["zero", "above-the-bound"])
+def test_certify_epsilon_outside_the_proven_range_is_input_error(capsys, epsilon):
+    # 1/(2*Delta) = 1/12 on K_{6,6}: an input error, not "no witness"
+    code, out, err = run_cli(capsys, "--epsilon", epsilon, "certify", *K66,
                              "--sent", " ".join(["0"] * 36),
                              "--received", " ".join(["0"] * 36))
     assert code == EXIT_INPUT_ERROR
     assert out == ""
-    assert "1/10000000000000" in err and "1/1000000000000" in err
+    assert f"epsilon {epsilon} " in err and "1/12" in err
 
 
 def test_certify_rejects_non_codeword_sent(capsys):

@@ -1,6 +1,8 @@
 """Global codes on bipartite graphs, plus the analytic bound formulas."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from expanderlp import (
     sqrt_fraction,
     table_fraction,
 )
+from expanderlp.harness import resolve_instance
 from expanderlp.linear_code import LocalCode
 
 from oracles import is_codeword_by_vertex
@@ -177,6 +180,26 @@ def test_random_codeword_deterministic(k66_grs):
     a = k66_grs.random_codeword(np.random.default_rng(5))
     b = k66_grs.random_codeword(np.random.default_rng(5))
     assert np.array_equal(a, b)
+
+
+GOLDEN_CODEWORDS = json.loads(
+    (Path(__file__).parent / "golden" / "codewords.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_CODEWORDS,
+                         ids=[case["instance"].replace(" ", "+") for case in GOLDEN_CODEWORDS])
+def test_codewords_match_golden(case, request):
+    # every conftest fixture and the benchmark instances (given by their
+    # specs): the basis and four codewords drawn from default_rng(31), as
+    # recorded from the element-by-element basis fill and codeword sum
+    name = case["instance"]
+    code = resolve_instance(*name.split()) if " " in name else request.getfixturevalue(name)
+    basis = code.codeword_basis()
+    rng = np.random.default_rng(31)
+    words = [code.random_codeword(rng) for _ in case["words"]]
+    assert basis.dtype == np.int64 and {w.dtype for w in words} == {np.dtype(np.int64)}
+    assert basis.tolist() == case["basis"]
+    assert [w.tolist() for w in words] == case["words"]
 
 
 def test_mixed_fields_rejected():

@@ -104,6 +104,12 @@ def test_rank_plus_nullity(q, rows, cols, seed):
     assert r + ns.shape[0] == cols
     for row in ns:
         assert not mat_vec(m, row, f).any()
+    # row i is 1 at the i-th free column and 0 at the others, which with the
+    # products above fixes every entry
+    _, pivots = rref(m, f)
+    free = [c for c in range(cols) if c not in pivots]
+    assert ns.dtype == np.int64
+    assert np.array_equal(ns[:, free], np.eye(len(free), dtype=np.int64))
 
 
 @settings(max_examples=60)

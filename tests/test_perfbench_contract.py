@@ -16,7 +16,7 @@ import pytest
 
 import numpy as np
 
-from expanderlp import ExpanderCode, certificate, harness, lp_core, lp_decoder
+from expanderlp import ExpanderCode, certificate, harness, lp_core, lp_decoder, orientation
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -126,3 +126,25 @@ def test_decode_builds_and_solves_once_per_call(monkeypatch, k33_parity2):
         calls.clear()
         lp_decoder.decode(code, y)
         assert calls == ["build_reduced", "solve"]
+
+
+def test_witness_counters_read_epsilon_and_head_side(k66_rep2):
+    # eps_halvings counts doublings from a found result's epsilon back up to
+    # certificate.EPSILON_START, and orient_fails asks for head_side
+    c = np.zeros(36, dtype=np.int64)
+    y = c.copy()
+    y[[1, 14, 30]] = 1
+    for mode in ("peel", "orient"):
+        result = certificate.find_witness(k66_rep2, c, y, mode=mode)
+        assert result.witness_found and result.epsilon == certificate.EPSILON_START
+        assert workloads.COUNTERS["certificate.find_witness"](result) == {
+            "searches": 1, "found": 1, "halvings": 0}
+    graph = k66_rep2.graph
+    oriented = orientation.orient(graph, [1, 14, 30], 1, 1)
+    assert isinstance(oriented, orientation.OrientedEdgeSet)
+    failed = orientation.orient(graph, range(12), 0, 1)
+    assert isinstance(failed, orientation.OrientationFailure)
+    assert not hasattr(failed, "head_side")
+    count = workloads.COUNTERS["orientation.orient"]
+    assert [count(oriented), count(failed)] == [{"orients": 1, "orient_fails": 0},
+                                                {"orients": 1, "orient_fails": 1}]
