@@ -8,13 +8,16 @@ irreducible polynomial of degree m.  Fields of order 4, 8, 9 and 16 carry
 built-in reduction polynomials; any other extension order up to 256 needs an
 explicit polynomial.
 
-All binary operations are table lookups, so words can be manipulated as
+Every binary operation has a lookup table, so words can be manipulated as
 numpy integer arrays via ``field.add_table`` / ``field.mul_table`` fancy
-indexing; the tables are the whole arithmetic API.  They are built at once
-from the elements' digit vectors: addition adds digits mod p, and a*b sums
-b_j times x^j*a, each x^j*a one shift-and-reduce step from the last.  No
-polynomial is ever factored: a reducible reduction polynomial shows up as a
-nonzero element without exactly one inverse, and is rejected then.
+indexing.  The encoding also makes two shortcuts agree with the tables:
+integer arithmetic mod p on a prime field, and addition as XOR of the
+indices in characteristic 2 (``gflinalg`` uses both).  The tables are
+built at once from the elements' digit vectors: addition adds digits mod p,
+and a*b sums b_j times x^j*a, each x^j*a one shift-and-reduce step from the
+last.  No polynomial is ever factored: a reducible reduction polynomial
+shows up as a nonzero element without exactly one inverse, and is rejected
+then.
 """
 
 from __future__ import annotations

@@ -1,7 +1,11 @@
 """Dense linear algebra over GF(q) on integer index matrices.
 
-Matrices are numpy int64 arrays of element indices; all row operations go
-through the field's lookup tables, so elimination stays vectorized.
+Matrices are numpy int64 arrays of element indices.  The field picks the
+arithmetic once per call: prime fields work on the residues with integer
+products taken mod p, GF(2^m) with m > 1 adds by XOR and multiplies through
+the table, and odd extension fields use the add and multiply tables.
+Elimination updates only the rows that are nonzero in the pivot column, and
+in them only the pivot row's nonzero columns.
 """
 
 from __future__ import annotations
@@ -20,6 +24,18 @@ def _as_matrix(mat, gf: GF) -> np.ndarray:
     return M.copy()
 
 
+def _add_multiple(gf: GF):
+    """f(block, factor, row) = block + factor[:, None] * row over GF(q)."""
+    mul = gf.mul_table
+    if gf.m == 1:
+        p = gf.p
+        return lambda block, factor, row: (block + factor[:, None] * row) % p
+    if gf.p == 2:
+        return lambda block, factor, row: block ^ mul[factor[:, None], row]
+    add = gf.add_table
+    return lambda block, factor, row: add[block, mul[factor[:, None], row]]
+
+
 def rref(mat, gf: GF) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form.
 
@@ -28,25 +44,37 @@ def rref(mat, gf: GF) -> tuple[np.ndarray, list[int]]:
     """
     R = _as_matrix(mat, gf)
     rows, cols = R.shape
-    add, mul = gf.add_table, gf.mul_table
-    inv, neg = gf.inv_table, gf.neg_table
+    add_multiple = _add_multiple(gf)
+    mul, inv, neg = gf.mul_table, gf.inv_table, gf.neg_table
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        hits = np.nonzero(R[r:, c])[0]
-        if len(hits) == 0:
+        hits = R[:, c].nonzero()[0]
+        k = hits.searchsorted(r)
+        if k == len(hits):
             continue
-        piv = r + int(hits[0])
+        piv = hits[k]
         if piv != r:
-            R[[r, piv]] = R[[piv, r]]
-        R[r] = mul[int(inv[R[r, c]]), R[r]]
-        others = np.nonzero(R[:, c])[0]
-        others = others[others != r]
-        if len(others):
-            factors = neg[R[others, c]]
-            R[others] = add[R[others], mul[factors[:, None], R[r][None, :]]]
+            # row piv takes the old row r, which is zero at c (piv is the first
+            # hit from r on), so hits stays the sorted rows nonzero at c
+            row = R[r].copy()
+            R[r] = R[piv]
+            R[piv] = row
+            hits[k] = r
+        # rows r.. are zero left of c, so the pivot row's support starts at c
+        support = c + R[r, c:].nonzero()[0]
+        prow = R[r, support]
+        if prow[0] != 1:
+            prow = mul[inv[prow[0]], prow]
+            R[r, support] = prow
+        if len(hits) > 1:
+            # the pivot row is cleared with the others, then written back
+            block = hits[:, None], support
+            values = R[block]
+            R[block] = add_multiple(values, neg[values[:, 0]], prow)
+            R[r, support] = prow
         pivots.append(c)
         r += 1
     return R[:r], pivots
@@ -66,7 +94,9 @@ def null_space(mat, gf: GF) -> np.ndarray:
     M = np.asarray(mat, dtype=np.int64)
     cols = M.shape[1]
     R, pivots = rref(M, gf)
-    free = [c for c in range(cols) if c not in pivots]
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
     basis = np.zeros((len(free), cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = gf.neg_table[R[:, free]].T
@@ -79,12 +109,7 @@ def mat_vec(mat, vec, gf: GF) -> np.ndarray:
     v = np.asarray(vec, dtype=np.int64)
     if M.shape[1] != v.shape[0]:
         raise ValueError(f"shape mismatch: {M.shape} @ {v.shape}")
-    acc = np.zeros(M.shape[0], dtype=np.int64)
-    add, mul = gf.add_table, gf.mul_table
-    for j in range(M.shape[1]):
-        if v[j]:
-            acc = add[acc, mul[M[:, j], int(v[j])]]
-    return acc
+    return mat_mul(M, v[:, None], gf)[:, 0]
 
 
 def mat_mul(a, b, gf: GF) -> np.ndarray:
@@ -93,14 +118,17 @@ def mat_mul(a, b, gf: GF) -> np.ndarray:
     B = np.asarray(b, dtype=np.int64)
     if A.shape[1] != B.shape[0]:
         raise ValueError(f"shape mismatch: {A.shape} @ {B.shape}")
-    add, mul = gf.add_table, gf.mul_table
+    if gf.m == 1:
+        # entries are below p < 256, so no int64 sum of products overflows
+        return A @ B % gf.p
+    add_multiple = _add_multiple(gf)
     out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
     for k in range(A.shape[1]):
         col = A[:, k]
         row = B[k]
         if not col.any() or not row.any():
             continue
-        out = add[out, mul[col[:, None], row[None, :]]]
+        out = add_multiple(out, col, row)
     return out
 
 

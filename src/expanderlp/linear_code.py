@@ -33,14 +33,15 @@ class LocalCode:
             raise ValueError(f"dimension {k} exceeds length {length}")
         if G.min() < 0 or G.max() >= field.q:
             raise ValueError(f"generator entries must be element indices in [0, {field.q})")
-        if gflinalg.rank(G, field) != k:
+        H = gflinalg.null_space(G, field)
+        if length - len(H) != k:
             raise ValueError("generator rows are linearly dependent")
         self.field = field
         self.generator = G
         self.length = length
         self.dimension = k
         self.enumeration_cap = enumeration_cap
-        self.parity_check = gflinalg.null_space(G, field)
+        self.parity_check = H
         self._codewords: np.ndarray | None = None
         self._min_distance: int | None = None
 

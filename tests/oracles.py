@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from expanderlp import gflinalg
 from expanderlp.certificate import (CertifyResult, WitnessCheck,
                                     build_witness_from_orientation,
                                     build_witness_from_peeling, check_witness,
@@ -372,7 +371,6 @@ def check_witness_by_fraction(code, c, y, witness):
     return WitnessCheck(ok=True)
 
 
-
 def is_codeword_by_vertex(code, word):
     """ExpanderCode.is_codeword as one local syndrome per vertex."""
     w = np.asarray(word, dtype=np.int64)
@@ -381,6 +379,69 @@ def is_codeword_by_vertex(code, word):
         if H.shape[0] == 0:
             continue
         for v in range(code.graph.n):
-            if gflinalg.mat_vec(H, w[inc[v]], code.field).any():
+            if mat_vec_by_tables(H, w[inc[v]], code.field).any():
                 return False
     return True
+
+
+def rref_by_tables(mat, gf):
+    """gflinalg.rref with every row operation a full-row table lookup."""
+    R = np.array(mat, dtype=np.int64)
+    rows, cols = R.shape
+    add, mul = gf.add_table, gf.mul_table
+    inv, neg = gf.inv_table, gf.neg_table
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        hits = np.nonzero(R[r:, c])[0]
+        if len(hits) == 0:
+            continue
+        piv = r + int(hits[0])
+        if piv != r:
+            R[[r, piv]] = R[[piv, r]]
+        R[r] = mul[int(inv[R[r, c]]), R[r]]
+        others = np.nonzero(R[:, c])[0]
+        others = others[others != r]
+        if len(others):
+            factors = neg[R[others, c]]
+            R[others] = add[R[others], mul[factors[:, None], R[r][None, :]]]
+        pivots.append(c)
+        r += 1
+    return R[:r], pivots
+
+
+def null_space_by_tables(mat, gf):
+    """gflinalg.null_space on rref_by_tables, free columns by membership test."""
+    M = np.asarray(mat, dtype=np.int64)
+    cols = M.shape[1]
+    R, pivots = rref_by_tables(M, gf)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = gf.neg_table[R[:, free]].T
+    return basis
+
+
+def mat_vec_by_tables(mat, vec, gf):
+    """mat @ vec over GF(q), one table-driven column at a time."""
+    M = np.asarray(mat, dtype=np.int64)
+    v = np.asarray(vec, dtype=np.int64)
+    acc = np.zeros(M.shape[0], dtype=np.int64)
+    add, mul = gf.add_table, gf.mul_table
+    for j in range(M.shape[1]):
+        if v[j]:
+            acc = add[acc, mul[M[:, j], int(v[j])]]
+    return acc
+
+
+def mat_mul_by_tables(a, b, gf):
+    """a @ b over GF(q), one table-driven outer product per inner index."""
+    A = np.asarray(a, dtype=np.int64)
+    B = np.asarray(b, dtype=np.int64)
+    add, mul = gf.add_table, gf.mul_table
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for k in range(A.shape[1]):
+        out = add[out, mul[A[:, k][:, None], B[k][None, :]]]
+    return out

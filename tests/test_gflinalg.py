@@ -2,11 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expanderlp import GF, mat_mul, mat_vec, null_space, rank, rref
 from expanderlp.gflinalg import min_weight, span
+from expanderlp.harness import resolve_instance
+from oracles import (mat_mul_by_tables, mat_vec_by_tables, null_space_by_tables,
+                     rref_by_tables)
+
+# prime fields (integer arithmetic), characteristic 2 (XOR) and odd extension
+# fields (tables); GF(256) and GF(27) with an explicit reduction polynomial
+FIELDS = [GF(2), GF(3), GF(7), GF(251), GF(4), GF(8), GF(16), GF(9),
+          GF(256, (1, 1, 0, 1, 1, 0, 0, 0, 1)), GF(27, (1, 2, 0, 1))]
 
 
 def test_rref_identity_passthrough():
@@ -142,3 +150,63 @@ def test_min_weight_skips_the_zero_word():
     assert min_weight(np.array([[0, 0, 0], [1, 2, 0], [0, 0, 3]])) == 1
     with pytest.raises(ValueError):
         min_weight(np.zeros((2, 3), dtype=np.int64))
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_reduction_matches_tables(m, f):
+    reduced, pivots = rref(m, f)
+    want_reduced, want_pivots = rref_by_tables(m, f)
+    assert_same_array(reduced, want_reduced)
+    assert pivots == want_pivots
+    assert_same_array(null_space(m, f), null_space_by_tables(m, f))
+
+
+@st.composite
+def field_matrices(draw):
+    """A field and a matrix over it: possibly empty, all-zero, tall or wide,
+    and sometimes with a duplicated row."""
+    f = draw(st.sampled_from(FIELDS))
+    rows = draw(st.integers(min_value=0, max_value=9))
+    cols = draw(st.integers(min_value=0, max_value=9))
+    density = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**30)))
+    m = rng.integers(1, f.q, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+    if rows > 1 and draw(st.booleans()):
+        m[rng.integers(rows)] = m[rng.integers(rows)]
+    return f, m, rng
+
+
+@settings(max_examples=300)
+@given(field_matrices())
+@example((GF(7), np.zeros((0, 4), dtype=np.int64), None))
+@example((GF(4), np.zeros((3, 0), dtype=np.int64), None))
+@example((GF(9), np.zeros((4, 6), dtype=np.int64), None))
+@example((GF(3), np.array([[1, 2, 0, 1], [0, 1, 1, 2], [1, 2, 0, 1]]), None))
+def test_reduction_matches_the_table_reference(case):
+    f, m, _ = case
+    assert_reduction_matches_tables(m, f)
+
+
+@settings(max_examples=300)
+@given(field_matrices(), st.integers(min_value=0, max_value=4))
+def test_products_match_the_table_reference(case, width):
+    f, m, rng = case
+    b = rng.integers(0, f.q, size=(m.shape[1], width))
+    v = rng.integers(0, f.q, size=m.shape[1])
+    assert_same_array(mat_mul(m, b, f), mat_mul_by_tables(m, b, f))
+    assert_same_array(mat_vec(m, v, f), mat_vec_by_tables(m, v, f))
+
+
+@pytest.mark.parametrize("spec", [
+    ("random:40:6:1", "repetition:2:6", "repetition:2:6"),
+    ("random:12:6:1", "parity:2:6", "parity:2:6"),
+    ("random:8:4:3", "grs:4:4:2", "grs:4:4:2"),
+])
+def test_instance_parity_checks_match_the_table_reference(spec):
+    code = resolve_instance(*spec)
+    assert_reduction_matches_tables(code.parity_check_matrix(), code.field)
