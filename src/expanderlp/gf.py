@@ -10,14 +10,12 @@ explicit polynomial.
 
 Every binary operation has a lookup table, so words can be manipulated as
 numpy integer arrays via ``field.add_table`` / ``field.mul_table`` fancy
-indexing.  The encoding also makes two shortcuts agree with the tables:
-integer arithmetic mod p on a prime field, and addition as XOR of the
-indices in characteristic 2 (``gflinalg`` uses both).  The tables are
-built at once from the elements' digit vectors: addition adds digits mod p,
-and a*b sums b_j times x^j*a, each x^j*a one shift-and-reduce step from the
-last.  No polynomial is ever factored: a reducible reduction polynomial
-shows up as a nonzero element without exactly one inverse, and is rejected
-then.
+indexing.  On a prime field the tables agree with integer arithmetic mod p
+on the indices, which ``gflinalg`` uses instead.  The tables are built at
+once from the elements' digit vectors: addition adds digits mod p, and a*b
+sums b_j times x^j*a, each x^j*a one shift-and-reduce step from the last.
+No polynomial is ever factored: a reducible reduction polynomial shows up
+as a nonzero element without exactly one inverse, and is rejected then.
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 Matrices are numpy int64 arrays of element indices.  The field picks the
 arithmetic once per call: prime fields work on the residues with integer
-products taken mod p, GF(2^m) with m > 1 adds by XOR and multiplies through
-the table, and odd extension fields use the add and multiply tables.
+products taken mod p, and extension fields use the add and multiply tables.
 Elimination updates only the rows that are nonzero in the pivot column, and
 in them only the pivot row's nonzero columns.
 """
@@ -30,8 +29,6 @@ def _add_multiple(gf: GF):
     if gf.m == 1:
         p = gf.p
         return lambda block, factor, row: (block + factor[:, None] * row) % p
-    if gf.p == 2:
-        return lambda block, factor, row: block ^ mul[factor[:, None], row]
     add = gf.add_table
     return lambda block, factor, row: add[block, mul[factor[:, None], row]]
 
@@ -104,7 +101,10 @@ def null_space(mat, gf: GF) -> np.ndarray:
 
 
 def mat_vec(mat, vec, gf: GF) -> np.ndarray:
-    """mat @ vec over GF(q); mat is (r, c), vec length c."""
+    """mat @ vec over GF(q); mat is (r, c), vec length c.
+
+    Entries must be element indices in [0, q); they are not checked.
+    """
     M = np.asarray(mat, dtype=np.int64)
     v = np.asarray(vec, dtype=np.int64)
     if M.shape[1] != v.shape[0]:
@@ -113,7 +113,11 @@ def mat_vec(mat, vec, gf: GF) -> np.ndarray:
 
 
 def mat_mul(a, b, gf: GF) -> np.ndarray:
-    """a @ b over GF(q)."""
+    """a @ b over GF(q).
+
+    Entries must be element indices in [0, q); they are not checked here,
+    since callers such as ``ExpanderCode.is_codeword`` validate their words.
+    """
     A = np.asarray(a, dtype=np.int64)
     B = np.asarray(b, dtype=np.int64)
     if A.shape[1] != B.shape[0]:

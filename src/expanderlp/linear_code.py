@@ -56,9 +56,8 @@ class LocalCode:
         return Fraction(self.dimension, self.length)
 
     def encode(self, message) -> np.ndarray:
-        msg = np.asarray(message, dtype=np.int64)
-        if msg.shape != (self.dimension,):
-            raise ValueError(f"message must have length {self.dimension}")
+        from .expander_code import check_word   # expander_code imports this module
+        msg = check_word(message, self.field.q, self.dimension)
         return gflinalg.mat_vec(self.generator.T, msg, self.field)
 
     def codewords(self) -> np.ndarray:

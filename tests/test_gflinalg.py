@@ -11,8 +11,9 @@ from expanderlp.harness import resolve_instance
 from oracles import (mat_mul_by_tables, mat_vec_by_tables, null_space_by_tables,
                      rref_by_tables)
 
-# prime fields (integer arithmetic), characteristic 2 (XOR) and odd extension
-# fields (tables); GF(256) and GF(27) with an explicit reduction polynomial
+# prime fields (integer arithmetic) and extension fields (tables) of
+# characteristic 2 and odd; GF(256) and GF(27) with an explicit reduction
+# polynomial
 FIELDS = [GF(2), GF(3), GF(7), GF(251), GF(4), GF(8), GF(16), GF(9),
           GF(256, (1, 1, 0, 1, 1, 0, 0, 0, 1)), GF(27, (1, 2, 0, 1))]
 

@@ -99,6 +99,16 @@ def test_encode_and_contains_agree():
         assert not code.contains(corrupted)
 
 
+@pytest.mark.parametrize("q", [7, 4, 9])
+@pytest.mark.parametrize("bad", [[-1, 0], [0, 9], [2, 1, 0]],
+                         ids=["negative", "at-least-q", "wrong-length"])
+def test_encode_rejects_a_bad_message_on_every_field(q, bad):
+    # a prime field's integer product would reduce 9 to 2 mod 7; it must not
+    code = generalized_reed_solomon(GF(q), 4, 2)
+    with pytest.raises(ValueError):
+        code.encode(bad)
+
+
 def test_codewords_closed_under_addition():
     code = single_parity_check(GF(4), 3)
     f = GF(4)
