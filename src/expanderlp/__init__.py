@@ -27,7 +27,7 @@ from .expander_code import (BoundReport, DistanceBound, ExpanderCode,
                             hamming_distance, parse_word, sqrt_fraction,
                             table_fraction)
 from .lp_core import LpProblem, LpSolution, solve
-from .lp_decoder import (DecodeResult, decode, build_reduced,
+from .lp_decoder import (DecodeResult, decode, decode_many, build_reduced,
                          cost_from_received, embed, unembed)
 from .certificate import (CertifyResult, DualWitness, ErrorCore, PeelingTrace,
                           WitnessCheck, build_witness_from_orientation,

@@ -152,6 +152,16 @@ def _local_distances(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray) -> list
     return [np.count_nonzero(yw[inc] != cw[inc], axis=1) for _, inc, _ in _sides(code)]
 
 
+def _checked(code: ExpanderCode, c, y) -> tuple[np.ndarray, np.ndarray]:
+    """c and y as int64 arrays; ValueError unless y is a word of the code's
+    length and alphabet and c is a codeword."""
+    yw = check_word(y, code.field.q, code.num_edges)
+    cw = np.asarray(c, dtype=np.int64)
+    if not code.is_codeword(cw):
+        raise ValueError("c must be a codeword")
+    return cw, yw
+
+
 # -- peeling --------------------------------------------------------------------
 
 def peel(code: ExpanderCode, c, y) -> PeelingTrace:
@@ -162,10 +172,11 @@ def peel(code: ExpanderCode, c, y) -> PeelingTrace:
     edges (exact comparison).  The run ends when the surviving set is empty,
     or stagnates at a fixed point.
     """
-    cw = np.asarray(c, dtype=np.int64)
-    yw = check_word(y, code.field.q, code.num_edges)
-    if not code.is_codeword(cw):
-        raise ValueError("c must be a codeword")
+    return _peel(code, *_checked(code, c, y))
+
+
+def _peel(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray) -> PeelingTrace:
+    """peel() on a checked codeword and received word."""
     sides = _sides(code)
     e1 = frozenset(int(e) for e in np.nonzero(cw != yw)[0])
     vsets = [frozenset(ends[e] for e in e1) for _, _, ends in sides]
@@ -227,9 +238,10 @@ def find_error_core(graph: TannerGraph, trace: PeelingTrace,
 
 # -- witness construction ---------------------------------------------------------
 
-def _write_witness(code: ExpanderCode, c, y, released: dict[int, int],
-                   epsilon: Fraction, source: str) -> DualWitness:
-    """The witness in which side released[e] let go of error edge e.
+def _write_witness(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
+                   released: dict[int, int], epsilon: Fraction, source: str) -> DualWitness:
+    """The witness in which side released[e] let go of error edge e, for a
+    codeword and a checked received word.
 
     On both sides a correct edge takes -1/2 at the codeword symbol and
     1/2-eps elsewhere, and an error edge +1/2 at the codeword symbol.  At
@@ -238,8 +250,6 @@ def _write_witness(code: ExpanderCode, c, y, released: dict[int, int],
     own.  sigma[v] = Delta/2 - dist(y|_v, c|_v) over global vertex ids.
     """
     q = code.field.q
-    cw = np.asarray(c, dtype=np.int64)
-    yw = check_word(y, q, code.num_edges)
     if released.keys() != set(np.flatnonzero(cw != yw).tolist()):
         raise ValueError(f"{source} must cover exactly the error edges")
     # templates[kind * q + symbol]: kind 0 a correct edge, 1 the releasing
@@ -272,12 +282,19 @@ def build_witness_from_peeling(code: ExpanderCode, c, y, trace: PeelingTrace,
     endpoint held fewer than delta*Delta/4 surviving edges, and takes the
     -5/2-eps values.
     """
+    yw = check_word(y, code.field.q, code.num_edges)
+    return _witness_from_peeling(code, np.asarray(c, dtype=np.int64), yw, trace, epsilon)
+
+
+def _witness_from_peeling(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
+                          trace: PeelingTrace, epsilon: Fraction) -> DualWitness:
+    """build_witness_from_peeling() on a checked received word."""
     if not trace.terminated_empty:
         raise WitnessUnavailableError("peeling stagnated; no witness from this trace")
     # edge_sets[idx] is E_{idx+1}, so an edge whose last set is E_{i*} was
     # released by the side of round i*-1 = idx
     released = {e: idx % 2 for idx, eset in enumerate(trace.edge_sets) for e in eset}
-    return _write_witness(code, c, y, released, epsilon, "peeling trace")
+    return _write_witness(code, cw, yw, released, epsilon, "peeling trace")
 
 
 def build_witness_from_orientation(code: ExpanderCode, c, y,
@@ -289,6 +306,15 @@ def build_witness_from_orientation(code: ExpanderCode, c, y,
     vertex constraints need every in-degree to stay strictly below
     delta*Delta/4 on its side; that is checked here as a precondition.
     """
+    yw = check_word(y, code.field.q, code.num_edges)
+    return _witness_from_orientation(code, np.asarray(c, dtype=np.int64), yw,
+                                     orientation, epsilon)
+
+
+def _witness_from_orientation(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
+                              orientation: OrientedEdgeSet,
+                              epsilon: Fraction) -> DualWitness:
+    """build_witness_from_orientation() on a checked received word."""
     n = code.graph.n
     distances = [local.min_distance()[0] for local, _, _ in _sides(code)]
     for v, deg in orientation.indegrees().items():
@@ -297,7 +323,7 @@ def build_witness_from_orientation(code: ExpanderCode, c, y,
             raise ValueError(f"in-degree {deg} at {_vertex_name(v, n)} is not below "
                              f"delta*Delta/4 = {limit}/4")
     released = {e: "ab".index(orientation.head_side[e]) for e in orientation.edges}
-    return _write_witness(code, c, y, released, epsilon, "orientation")
+    return _write_witness(code, cw, yw, released, epsilon, "orientation")
 
 
 # -- feasibility check ---------------------------------------------------------------
@@ -373,12 +399,14 @@ def check_witness(code: ExpanderCode, c, y, witness: DualWitness) -> WitnessChec
     A witness without E rows of q values per side and 2n sigma values is a
     ValueError.
     """
+    return _check_witness(code, *_checked(code, c, y), witness)
+
+
+def _check_witness(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
+                   witness: DualWitness) -> WitnessCheck:
+    """check_witness() on a checked codeword and received word."""
     graph = code.graph
     q = code.field.q
-    cw = np.asarray(c, dtype=np.int64)
-    yw = check_word(y, q, graph.num_edges)
-    if not code.is_codeword(cw):
-        raise ValueError("c must be a codeword")
     num_edges = graph.num_edges
     delta = graph.delta
     n = graph.n
@@ -454,22 +482,23 @@ def find_witness(code: ExpanderCode, c, y, mode: str = "peel",
     half-integers less 0 or eps, and eps enters a vertex constraint at most
     Delta times, so for 0 < epsilon <= 1/(2*Delta) the verdict is the same
     at every epsilon (see the module docstring); any other epsilon is a
-    ValueError.
+    ValueError.  In both modes c must be a codeword and y a word of the
+    code, or ValueError; they are checked once, here, and the peel, the
+    builder and the check run on the checked arrays.
     """
     bound = Fraction(1, 2 * code.graph.delta)
     if not 0 < epsilon <= bound:
         raise ValueError(f"epsilon {epsilon} must lie in (0, 1/(2*Delta)] = (0, {bound}]")
-    cw = np.asarray(c, dtype=np.int64)
-    yw = check_word(y, code.field.q, code.num_edges)
+    cw, yw = _checked(code, c, y)
     if mode == "peel":
-        trace = peel(code, cw, yw)
+        trace = _peel(code, cw, yw)
         if not trace.terminated_empty:
             core = find_error_core(code.graph, trace,
                                    code.code_a.relative_distance / 4,
                                    code.code_b.relative_distance / 4)
             return CertifyResult(witness_found=False, mode=mode, core=core,
                                  reason="peeling stagnated on an error core")
-        witness = build_witness_from_peeling(code, cw, yw, trace, epsilon)
+        witness = _witness_from_peeling(code, cw, yw, trace, epsilon)
     elif mode == "orient":
         delta = code.graph.delta
         try:
@@ -483,11 +512,11 @@ def find_witness(code: ExpanderCode, c, y, mode: str = "peel",
             return CertifyResult(witness_found=False, mode=mode,
                                  reason=f"no orientation within caps "
                                         f"({oriented.violations} residual violations)")
-        witness = build_witness_from_orientation(code, cw, yw, oriented, epsilon)
+        witness = _witness_from_orientation(code, cw, yw, oriented, epsilon)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    result = check_witness(code, cw, yw, witness)
+    result = _check_witness(code, cw, yw, witness)
     if not result.ok:
         return CertifyResult(witness_found=False, mode=mode,
                              reason=f"witness fails the exact check: {result.violation}")

@@ -97,15 +97,22 @@ class ExpanderCode:
 
     def is_codeword(self, word) -> bool:
         w = check_word(word, self.field.q, self.num_edges)
+        return bool(self.codeword_mask(w[None])[0])
+
+    def codeword_mask(self, words: np.ndarray) -> np.ndarray:
+        """Whether each row of a (k, E) stack of checked words is a codeword."""
+        bad = np.zeros(len(words), dtype=bool)
         for code, inc in ((self.code_a, self.graph.a_edges),
                           (self.code_b, self.graph.b_edges)):
             H = code.parity_check
             if H.shape[0] == 0:
                 continue
-            # column v of the product is the syndrome of vertex v's subword
-            if gflinalg.mat_mul(H, w[inc].T, self.field).any():
-                return False
-        return True
+            # column v*k + i of the product is the syndrome of word i's subword at v
+            n, delta = inc.shape
+            subwords = words.T[inc].transpose(1, 0, 2).reshape(delta, n * len(words))
+            syndromes = gflinalg.mat_mul(H, subwords, self.field)
+            bad |= syndromes.reshape(len(H) * n, len(words)).any(axis=0)
+        return ~bad
 
     def parity_check_matrix(self) -> np.ndarray:
         """Global parity-check matrix: every local check row, scattered to edge columns."""

@@ -28,6 +28,16 @@ on every run, so the pivots, the results and the reported iteration counts,
 which include the phase-1 pivots, are those of a decode from scratch.
 map_with_code runs jobs on a process pool that hands each worker the code
 once, so each worker's cache stays warm across its jobs.
+
+decode_many decodes a stack of received words.  Their LPs share the
+constraints and the phase-1 start, so lp_core.solve_many solves them in
+lockstep, as many per stack as fit in STACK_BYTES (256 KiB) of tableau;
+the objectives are built with one gather, and the optima lifted, rounded
+and checked as codewords, a stack at a time, by the code decode uses.  The
+budget bounds the stack's memory: the scan's ~20-row LPs fit ~50 to a
+stack.  An LP whose tableau alone fills the budget (the sweep's 320 x 160,
+the 96 x 768 of a 12-vertex parity code) goes to decode one word at a
+time, where the single-problem simplex is faster.
 """
 
 from __future__ import annotations
@@ -46,6 +56,9 @@ from .expander_code import ExpanderCode, check_word, hamming_distance
 from .lp_core import LpProblem, LpSolution
 
 DEFAULT_INT_TOL = 1e-6
+
+# decode_many's tableau memory per stack of LPs
+STACK_BYTES = 256 * 1024
 
 
 def embed(word, q: int) -> np.ndarray:
@@ -144,16 +157,24 @@ def build_reduced(code: ExpanderCode, y) -> tuple[LpProblem, int]:
     starts at column v*K_a and B-side vertex v's at n*K_a + v*K_b.  Returns
     the problem and its first B-side column, n*K_a.
     """
-    q = code.field.q
-    w = check_word(y, q, code.num_edges)
+    w = check_word(y, code.field.q, code.num_edges)
     poly = _polytope(code)
-    negc = -cost_from_received(w, q)
-    # [v, j, t]: local codeword j at A vertex v puts cw_a[j, t] on edge a_edges[v, t]
-    gains = negc[code.graph.a_edges[:, None, :], code.code_a.codewords()[None]]
-    objective = np.zeros(poly.eq_coeffs.shape[1])
-    objective[:poly.first_b] = gains.sum(axis=2).ravel()
-    return LpProblem(objective=objective, eq_coeffs=poly.eq_coeffs,
+    return LpProblem(objective=_objectives(code, w[None])[0], eq_coeffs=poly.eq_coeffs,
                      eq_rhs=poly.eq_rhs), poly.first_b
+
+
+def _objectives(code: ExpanderCode, words: np.ndarray) -> np.ndarray:
+    """The reduced LP's objective for each row of a (k, E) stack of checked
+    received words: A-side block v, entry j, is the sum over v's edges of
+    -cost at local codeword j's symbol."""
+    q = code.field.q
+    poly = _polytope(code)
+    negc = np.where(words[:, :, None] == np.arange(q), 1.0, -1.0)
+    # [i, v, j, t]: local codeword j at A vertex v puts cw_a[j, t] on edge a_edges[v, t]
+    gains = negc[:, code.graph.a_edges[:, None, :], code.code_a.codewords()[None]]
+    objectives = np.zeros((len(words), poly.eq_coeffs.shape[1]))
+    objectives[:, :poly.first_b] = gains.sum(axis=3).reshape(len(words), -1)
+    return objectives
 
 
 def _phase1_start(code: ExpanderCode, opt_tol: float) -> lp_core.Phase1:
@@ -205,31 +226,83 @@ def decode(code: ExpanderCode, y,
     problem, first_b = build_reduced(code, y)
     sol: LpSolution = lp_core.solve(problem, feas_tol=feas_tol, opt_tol=opt_tol,
                                     start=_phase1_start(code, opt_tol))
-    if sol.status != "optimal":
-        raise InternalInvariantError(
-            f"decoding LP reported {sol.status}; it is feasible and bounded by design")
+    return _decoded(code, [sol], first_b, int_tol)[0]
+
+
+def decode_many(code: ExpanderCode, ys,
+                int_tol: float = DEFAULT_INT_TOL,
+                feas_tol: float = lp_core.DEFAULT_FEAS_TOL,
+                opt_tol: float = lp_core.DEFAULT_OPT_TOL) -> list[DecodeResult]:
+    """[decode(code, y, ...) for y in ys], equal result by result.
+
+    The LPs share their constraints and phase-1 start, so they are solved
+    in stacks by lp_core.solve_many, as many per stack as fit in
+    STACK_BYTES of tableau; the objectives are built, and the optima lifted
+    and rounded, a stack at a time.  When one tableau alone fills the
+    budget, each word goes to decode.
+    """
+    q, num_edges = code.field.q, code.num_edges
+    words = np.asarray(ys, dtype=np.int64)
+    if not len(words):
+        return []
+    if words.ndim != 2 or words.shape[1] != num_edges:
+        raise ValueError(f"expected a stack of {num_edges}-symbol words, "
+                         f"got shape {words.shape}")
+    check_word(words.ravel(), q)
+    start = _phase1_start(code, opt_tol)
+    per_stack = STACK_BYTES // start.tableau.nbytes
+    if per_stack <= 1:
+        return [decode(code, y, int_tol=int_tol, feas_tol=feas_tol, opt_tol=opt_tol)
+                for y in words]
+    poly = _polytope(code)
+    results: list[DecodeResult] = []
+    for first in range(0, len(words), per_stack):
+        sols = lp_core.solve_many(_objectives(code, words[first:first + per_stack]),
+                                  poly.eq_coeffs, poly.eq_rhs, start,
+                                  feas_tol=feas_tol, opt_tol=opt_tol)
+        results += _decoded(code, sols, poly.first_b, int_tol)
+    return results
+
+
+def _decoded(code: ExpanderCode, sols: list[LpSolution], first_b: int,
+             int_tol: float) -> list[DecodeResult]:
+    """The decode results of solutions of the code's reduced LP.
+
+    f[e, alpha] is the w mass at e's A endpoint on local codewords with
+    alpha at e; each bucket sums its codewords in order, as a per-edge
+    bincount would.  A word is integral when every f entry is within
+    int_tol of 0 or 1 and each edge has one entry near 1.
+    """
+    for sol in sols:
+        if sol.status != "optimal":
+            raise InternalInvariantError(
+                f"decoding LP reported {sol.status}; it is feasible and bounded by design")
     n, q, num_edges = code.graph.n, code.field.q, code.num_edges
-    w_a = sol.values[:first_b].reshape(n, -1)
-    w_b = sol.values[first_b:].reshape(n, -1)
-    # f[e, alpha] is the w mass at e's A endpoint on local codewords with
-    # alpha at e; each bucket sums its codewords in order, as a per-edge
-    # bincount would
+    k = len(sols)
+    values = np.stack([sol.values for sol in sols])
+    w_a = values[:, :first_b].reshape(k, n, -1)
+    w_b = values[:, first_b:].reshape(k, n, -1)
     cw_a = code.code_a.codewords()
-    index = code.graph.a_edges[:, :, None] * q + cw_a.T[None]
-    weights = np.broadcast_to(w_a[:, None, :], index.shape)
+    # [i, v, t, j]: bucket of word i's edge a_edges[v, t] at symbol cw_a[j, t]
+    index = (np.arange(k)[:, None, None, None] * (num_edges * q)
+             + code.graph.a_edges[None, :, :, None] * q + cw_a.T[None, None])
+    weights = np.broadcast_to(w_a[:, :, None, :], index.shape)
     f = np.bincount(index.ravel(), weights=weights.ravel(),
-                    minlength=num_edges * q).reshape(num_edges, q)
+                    minlength=k * num_edges * q).reshape(k, num_edges, q)
 
     near_one = np.abs(f - 1.0) <= int_tol
     near_zero = np.abs(f) <= int_tol
-    status, word = "fractional-failure", None
-    if np.all(near_one | near_zero) and np.all(near_one.sum(axis=1) == 1):
-        status, word = "codeword", near_one.argmax(axis=1)
-        if not code.is_codeword(word):
-            raise InternalInvariantError(
-                "integral LP optimum is not a codeword; the polytope is broken")
-    return DecodeResult(status=status, codeword=word, raw_f=f, raw_w=(w_a, w_b),
-                        objective=sol.objective_value, lp_iterations=sol.iterations)
+    integral = ((near_one | near_zero).all(axis=(1, 2))
+                & (near_one.sum(axis=2) == 1).all(axis=1))
+    words = near_one.argmax(axis=2)
+    if not code.codeword_mask(words[integral]).all():
+        raise InternalInvariantError(
+            "integral LP optimum is not a codeword; the polytope is broken")
+    return [DecodeResult(status="codeword" if ok else "fractional-failure",
+                         codeword=words[i] if ok else None, raw_f=f[i],
+                         raw_w=(w_a[i], w_b[i]), objective=sol.objective_value,
+                         lp_iterations=sol.iterations)
+            for i, (ok, sol) in enumerate(zip(integral.tolist(), sols))]
 
 
 # the code a pool worker was started with (see map_with_code)

@@ -8,6 +8,14 @@ integral points), so the scan walks the whole received-word space and
 tabulates how often the relaxation is integral, fractional, or tied, and
 records any word where an integral answer is not distance-optimal — there
 should never be one.
+
+The scan decodes its words with lp_decoder.decode_many, so the LPs of
+small codes are solved in stacks that share one phase-1 start, and takes
+the oracle's distance and tie flag for every word from one codeword table
+per index range (ml_decode enumerates the code again on each call).  The
+tallies and the mismatch list, in word order, are those of decoding and
+oracle-decoding each word in turn (tests/oracles.py keeps that loop as the
+reference).
 """
 
 from __future__ import annotations
@@ -18,10 +26,12 @@ import numpy as np
 
 from .errors import EnumerationCapError
 from .expander_code import ExpanderCode, check_word
-from .lp_decoder import DEFAULT_INT_TOL, decode, map_with_code
+from .lp_decoder import DEFAULT_INT_TOL, STACK_BYTES, decode_many, map_with_code
 from .lp_core import DEFAULT_FEAS_TOL, DEFAULT_OPT_TOL
 
 DEFAULT_SCAN_CAP = 2 ** 16
+# received words a scan decodes per decode_many call
+SCAN_BLOCK = 1024
 
 
 @dataclass
@@ -80,39 +90,51 @@ class ScanReport:
         )
 
 
-def _word_from_index(index: int, q: int, length: int) -> np.ndarray:
-    word = np.empty(length, dtype=np.int64)
-    for j in range(length - 1, -1, -1):
-        word[j] = index % q
-        index //= q
-    return word
+def _nearest_distances(table: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of words, its distance to the nearest row of table, and
+    whether another row of table is as near (ml_decode's distance and tie).
+
+    Words are compared in groups whose (words, codewords, edges) comparison
+    fits in lp_decoder.STACK_BYTES.
+    """
+    group = max(1, STACK_BYTES // table.size)
+    distances, ties = [], []
+    for first in range(0, len(words), group):
+        d = np.count_nonzero(words[first:first + group, None, :] != table[None], axis=2)
+        best = d.min(axis=1)
+        distances.append(best)
+        ties.append(np.count_nonzero(d == best[:, None], axis=1) >= 2)
+    return np.concatenate(distances), np.concatenate(ties)
 
 
 def _scan_range(code: ExpanderCode, start: int, stop: int,
                 int_tol: float, feas_tol: float, opt_tol: float) -> ScanReport:
+    """The scan of received words start..stop-1: word i spells i in base q,
+    most significant symbol first.  Words go SCAN_BLOCK at a time, so the
+    decode results held at once stay bounded."""
     q = code.field.q
-    length = code.graph.num_edges
+    table = code.enumerate_codewords()
+    place = q ** np.arange(code.num_edges - 1, -1, -1, dtype=np.int64)
     report = ScanReport(total_words=0, integral_count=0,
                         fractional_count=0, tie_count=0)
-    for index in range(start, stop):
-        y = _word_from_index(index, q, length)
-        oracle = ml_decode(code, y)
-        result = decode(code, y, int_tol=int_tol, feas_tol=feas_tol,
-                        opt_tol=opt_tol)
-        report.total_words += 1
-        if oracle.tie:
-            report.tie_count += 1
-        if result.status == "codeword":
-            report.integral_count += 1
-            lp_dist = result.distance_to(y)
-            if lp_dist != oracle.distance:
-                report.mismatches.append({
-                    "word": y.tolist(),
-                    "lp_distance": int(lp_dist),
-                    "oracle_distance": int(oracle.distance),
-                })
-        else:
-            report.fractional_count += 1
+    for first in range(start, stop, SCAN_BLOCK):
+        words = np.arange(first, min(first + SCAN_BLOCK, stop))[:, None] // place % q
+        oracle, ties = _nearest_distances(table, words)
+        results = decode_many(code, words, int_tol=int_tol, feas_tol=feas_tol,
+                              opt_tol=opt_tol)
+        integral = np.array([r.status == "codeword" for r in results], dtype=bool)
+        report.total_words += len(words)
+        report.integral_count += int(integral.sum())
+        report.fractional_count += int((~integral).sum())
+        report.tie_count += int(ties.sum())
+        at = np.flatnonzero(integral)
+        if len(at):
+            decoded = np.stack([results[i].codeword for i in at.tolist()])
+            lp_dist = np.count_nonzero(decoded != words[at], axis=1)
+            for i, d in zip(at.tolist(), lp_dist.tolist()):
+                if d != oracle[i]:
+                    report.mismatches.append({"word": words[i].tolist(), "lp_distance": d,
+                                              "oracle_distance": int(oracle[i])})
     return report
 
 
@@ -122,7 +144,8 @@ def exhaustive_agreement_scan(code: ExpanderCode,
                               int_tol: float = DEFAULT_INT_TOL,
                               feas_tol: float = DEFAULT_FEAS_TOL,
                               opt_tol: float = DEFAULT_OPT_TOL) -> ScanReport:
-    """Run decode() and ml_decode() on every possible received word.
+    """Compare the LP decoder with the nearest-codeword oracle on every
+    possible received word, with the results of decode() and ml_decode().
 
     The word space has q^|E| elements and must fit under max_words.  With
     workers > 1 the index range is split across processes (map_with_code,

@@ -21,8 +21,9 @@ from expanderlp.certificate import (CertifyResult, WitnessCheck,
                                     find_error_core, peel)
 from expanderlp.errors import NoValidThetaError, NumericError
 from expanderlp.expander_code import check_word, compute_theta, hamming_distance
-from expanderlp.lp_core import _PIVOT_TOL, LpProblem
-from expanderlp.lp_decoder import cost_from_received
+from expanderlp.lp_core import _PIVOT_TOL, DEFAULT_FEAS_TOL, DEFAULT_OPT_TOL, LpProblem
+from expanderlp.lp_decoder import DEFAULT_INT_TOL, cost_from_received, decode
+from expanderlp.ml_oracle import ScanReport, ml_decode
 from expanderlp.orientation import OrientationFailure, orient
 
 
@@ -119,6 +120,39 @@ def nearest_codeword_scan(code, y):
         elif d == best:
             count += 1
     return best, count
+
+
+def scan_range_by_word(code, start, stop, int_tol=DEFAULT_INT_TOL,
+                       feas_tol=DEFAULT_FEAS_TOL, opt_tol=DEFAULT_OPT_TOL):
+    """The agreement scan of received words start..stop-1, one word at a
+    time: word i spells i in base q, most significant symbol first, and
+    each word gets its own ml_decode and decode."""
+    q = code.field.q
+    length = code.graph.num_edges
+    report = ScanReport(total_words=0, integral_count=0,
+                        fractional_count=0, tie_count=0)
+    for index in range(start, stop):
+        y = np.empty(length, dtype=np.int64)
+        for j in range(length - 1, -1, -1):
+            y[j] = index % q
+            index //= q
+        oracle = ml_decode(code, y)
+        result = decode(code, y, int_tol=int_tol, feas_tol=feas_tol, opt_tol=opt_tol)
+        report.total_words += 1
+        if oracle.tie:
+            report.tie_count += 1
+        if result.status == "codeword":
+            report.integral_count += 1
+            lp_dist = result.distance_to(y)
+            if lp_dist != oracle.distance:
+                report.mismatches.append({
+                    "word": y.tolist(),
+                    "lp_distance": int(lp_dist),
+                    "oracle_distance": int(oracle.distance),
+                })
+        else:
+            report.fractional_count += 1
+    return report
 
 
 # -- the decoding LP with edge variables ----------------------------------------

@@ -1,4 +1,4 @@
-"""End-to-end acceptance run: ten numbered criteria, one report line each.
+"""End-to-end acceptance run: eleven numbered criteria, one report line each.
 
 Each test records a PASS/FAIL verdict line; the conftest terminal-summary
 hook echoes every recorded line after the run, so the verdicts are visible
@@ -23,6 +23,7 @@ from expanderlp import (
     correctable_fraction_orientation,
     cycle_graph,
     decode,
+    decode_many,
     distance_bound_eq1,
     exhaustive_agreement_scan,
     find_error_core,
@@ -38,7 +39,8 @@ from expanderlp import (
     table_fraction,
 )
 
-from oracles import lp_optimum_by_enumeration, orientation_exists_brute_force
+from oracles import (lp_optimum_by_enumeration, orientation_exists_brute_force,
+                     scan_range_by_word)
 
 from test_lp_core import make_bounded_problem
 
@@ -331,3 +333,35 @@ def test_criterion_10_simplex_matches_enumeration():
     report("criterion-10", ok,
            f"{count} random LPs, largest objective gap {worst:.2e}, "
            f"{elapsed:.1f} s")
+
+
+def test_criterion_11_stacked_scan_equals_per_word_decode():
+    start = time.perf_counter()
+    codes = [ExpanderCode(cycle_graph(2), repetition(GF(3), 2), repetition(GF(3), 2)),
+             ExpanderCode(complete_bipartite(3), single_parity_check(GF(2), 3),
+                          single_parity_check(GF(2), 3)),
+             ExpanderCode(cycle_graph(3), repetition(GF(3), 2), repetition(GF(3), 2))]
+    words = differing = 0
+    scans_equal = True
+    for code in codes:
+        space = code.field.q ** code.num_edges
+        ys = list(itertools.product(range(code.field.q), repeat=code.num_edges))
+        for stacked, y in zip(decode_many(code, ys), ys):
+            single = decode(code, y)
+            same = (stacked.status == single.status
+                    and (stacked.codeword is None) == (single.codeword is None)
+                    and (single.codeword is None
+                         or np.array_equal(stacked.codeword, single.codeword))
+                    and np.array_equal(stacked.raw_f, single.raw_f)
+                    and all(np.array_equal(a, b) for a, b in zip(stacked.raw_w, single.raw_w))
+                    and stacked.objective.hex() == single.objective.hex()
+                    and stacked.lp_iterations == single.lp_iterations)
+            differing += not same
+        words += space
+        scans_equal &= exhaustive_agreement_scan(code) == scan_range_by_word(code, 0, space)
+    elapsed = time.perf_counter() - start
+    ok = differing == 0 and scans_equal and words == 81 + 512 + 729
+    report("criterion-11", ok,
+           f"stacked scan equals per-word decode: {words} words on 3 instances, "
+           f"{differing} differing decodes, scan reports "
+           f"{'equal' if scans_equal else 'DIFFERENT'}, {elapsed:.1f} s")

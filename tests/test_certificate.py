@@ -353,14 +353,15 @@ def test_failed_check_is_reported_not_found(k66_rep2, monkeypatch):
     c = np.zeros(36, dtype=np.int64)
     y = c.copy()
     y[0] = 1
-    real = certificate.build_witness_from_peeling
+    real = certificate._witness_from_peeling
 
     def broken(*args):
         witness = real(*args)
         witness.tau_a[0][0] += 3
         return witness
 
-    monkeypatch.setattr(certificate, "build_witness_from_peeling", broken)
+    # find_witness validates c and y once, then builds through the private body
+    monkeypatch.setattr(certificate, "_witness_from_peeling", broken)
     expected = check_witness(k66_rep2, c, y, broken(k66_rep2, c, y, peel(k66_rep2, c, y), EPS))
     result = find_witness(k66_rep2, c, y, mode="peel")
     assert (result.witness_found, result.epsilon, result.witness) == (False, None, None)
@@ -709,6 +710,38 @@ def test_invalid_received_word_rejected(k66_rep2, entry, name):
     }
     with pytest.raises(ValueError):
         calls[entry]()
+
+
+def test_find_witness_validates_c_and_y_once(k66_rep2, k66_grs, four_cycle_rep3, monkeypatch):
+    # the search checks its inputs once, then runs peel, the builder and
+    # the check on the checked arrays; the public entries keep checking
+    counts = {"is_codeword": 0, "check_word": 0}
+    real_is_codeword, real_check_word = ExpanderCode.is_codeword, certificate.check_word
+
+    def counted_is_codeword(self, word):
+        counts["is_codeword"] += 1
+        return real_is_codeword(self, word)
+
+    def counted_check_word(*args):
+        counts["check_word"] += 1
+        return real_check_word(*args)
+
+    monkeypatch.setattr(ExpanderCode, "is_codeword", counted_is_codeword)
+    monkeypatch.setattr(certificate, "check_word", counted_check_word)
+    codes = {"k66_rep2": k66_rep2, "k66_grs": k66_grs, "four_cycle_rep3": four_cycle_rep3}
+    searches = 0
+    for name, code in codes.items():
+        for case in GOLDEN_WITNESSES[name]:
+            for mode in ("peel", "orient"):
+                counts.update(is_codeword=0, check_word=0)
+                find_witness(code, np.array(case["c"]), np.array(case["y"]), mode=mode)
+                assert counts == {"is_codeword": 1, "check_word": 1}
+                searches += 1
+    assert searches == 2 * sum(len(GOLDEN_WITNESSES[name]) for name in codes)
+    # orient mode tests c too, also where no orientation would be found
+    for mode in ("peel", "orient"):
+        with pytest.raises(ValueError, match="c must be a codeword"):
+            find_witness(four_cycle_rep3, [0, 0, 0, 1], [0, 0, 0, 0], mode=mode)
 
 
 # -- witnesses pinned to recorded values ---------------------------------------------

@@ -167,6 +167,9 @@ def test_is_codeword_matches_per_vertex_reference(fixture, request):
     assert verdicts == [is_codeword_by_vertex(code, w) for w in words]
     assert all(verdicts[::4]) and not all(verdicts[1::4])
     assert not all(verdicts[2::4])
+    # the stacked check gives every word's verdict at once
+    assert code.codeword_mask(np.array(words)).tolist() == verdicts
+    assert code.codeword_mask(np.zeros((0, code.num_edges), dtype=np.int64)).shape == (0,)
 
 
 def test_codeword_basis_spans(k33_parity2):

@@ -381,3 +381,191 @@ def test_phase_counts_split_the_total():
     sol = solve(problem, start=start)
     assert sol.phase1_iterations == start.iterations > 0
     assert sol.iterations >= sol.phase1_iterations
+
+
+# -- many objectives in one stack ------------------------------------------------
+
+def _fields(sol):
+    """Every field of a solution, values by their bytes and the objective by hex."""
+    values = None if sol.values is None else sol.values.tobytes()
+    objective = None if sol.objective_value is None else sol.objective_value.hex()
+    return sol.status, values, objective, sol.iterations, sol.phase1_iterations
+
+
+def _solve_each(objectives, A, b, start, feas_tol=lp_core.DEFAULT_FEAS_TOL):
+    """solve() on each objective: its fields, or the NumericError it raised."""
+    out = []
+    for c in objectives:
+        try:
+            out.append(_fields(solve(LpProblem(objective=c, eq_coeffs=A, eq_rhs=b),
+                                     feas_tol=feas_tol, start=start)))
+        except NumericError as exc:
+            out.append(("raised", str(exc)))
+    return out
+
+
+def _assert_many_matches_each(objectives, A, b, start, feas_tol=lp_core.DEFAULT_FEAS_TOL):
+    each = _solve_each(objectives, A, b, start, feas_tol)
+    raised = [o for o in each if o[0] == "raised"]
+    try:
+        many = lp_core.solve_many(objectives, A, b, start, feas_tol=feas_tol)
+    except NumericError as exc:
+        # raised in the round where some problem's solve raises it
+        assert ("raised", str(exc)) in raised
+        return each
+    assert not raised
+    assert [_fields(sol) for sol in many] == each
+    return each
+
+
+@settings(max_examples=200, deadline=None)
+@given(constraint_families())
+def test_solve_many_equals_solve_per_objective(family):
+    A, b, _, _, _, objectives, feas_tols = family
+    try:
+        start = lp_core.phase1(A, b)
+    except NumericError as exc:
+        with pytest.raises(NumericError, match=str(exc)):
+            lp_core.solve_many(objectives, A, b)
+        return
+    for feas_tol in feas_tols:
+        each = _assert_many_matches_each(objectives, A, b, start, feas_tol)
+    if all(o[0] != "raised" for o in each):
+        # without a start, phase 1 runs inside, as in solve
+        assert [_fields(s) for s in lp_core.solve_many(objectives, A, b,
+                                                       feas_tol=feas_tols[-1])] == each
+
+
+@pytest.mark.parametrize("graph, local", [("complete:3", "parity:2:3"),
+                                          ("cycle:3", "repetition:3:2"),
+                                          ("complete:4", "parity:3:4")])
+def test_solve_many_takes_each_problems_own_pivot_count(graph, local):
+    # decoding LPs: most ratio tests tie, and problems leave the stack after
+    # different numbers of phase-2 pivots
+    g = resolve_graph(graph)
+    code = ExpanderCode(g, resolve_code(local, g.delta), resolve_code(local, g.delta))
+    rng = np.random.default_rng(13)
+    problems = [build_reduced(code, rng.integers(0, code.field.q, size=code.num_edges))[0]
+                for _ in range(40)]
+    A, b = problems[0].eq_coeffs, problems[0].eq_rhs
+    start = lp_core.phase1(A, b)
+    each = _assert_many_matches_each(np.array([p.objective for p in problems]), A, b, start)
+    phase2 = {o[3] - o[4] for o in each}
+    assert len(phase2) >= 2
+
+
+def test_solve_many_infeasible_start():
+    # x + y = 1 and x + y = 1 + 1e-6: infeasible at 1e-8, feasible at 1e-4
+    A, b = np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0 + 1e-6])
+    start = lp_core.phase1(A, b)
+    objectives = [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]
+    assert {o[0] for o in _assert_many_matches_each(objectives, A, b, start, 1e-8)} == {
+        "infeasible"}
+    assert {o[0] for o in _assert_many_matches_each(objectives, A, b, start, 1e-4)} == {
+        "optimal"}
+
+
+def _unseparable_start():
+    """A start whose two rows agree everywhere: entering column 2 ties them
+    with equal keys, which no lexicographic comparison separates."""
+    T = np.array([[1.0, 0.0, 1.0, 1.0, 1.0, 0.0],
+                  [0.0, 1.0, 1.0, 1.0, 1.0, 0.0]])
+    T.flags.writeable = False
+    start = lp_core.Phase1(shape=(2, 3), opt_tol=lp_core.DEFAULT_OPT_TOL, infeasibility=0.0,
+                           search_iterations=0, iterations=0, tableau=T, basis=(0, 1))
+    return T[:, :3], np.zeros(2), start
+
+
+def test_solve_many_raises_the_unseparable_tie_as_solve_does():
+    A, b, start = _unseparable_start()
+    # the first objective enters column 2 and ties; the others stop at once
+    objectives = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 1.0, 0.0]]
+    each = _solve_each(objectives, A, b, start)
+    assert each[0] == ("raised", "lexicographic ratio test could not separate candidate rows")
+    assert [o[0] for o in each[1:]] == ["optimal", "optimal"]
+    with pytest.raises(NumericError, match="could not separate candidate rows"):
+        lp_core.solve_many(objectives, A, b, start)
+    _assert_many_matches_each(objectives[1:], A, b, start)
+
+
+def test_solve_many_checks_its_inputs():
+    rng = np.random.default_rng(5)
+    problem = make_bounded_problem(rng, 3, 6)
+    A, b = problem.eq_coeffs, problem.eq_rhs
+    start = lp_core.phase1(A, b)
+    with pytest.raises(ValueError, match="objectives"):
+        lp_core.solve_many(np.ones((2, 5)), A, b, start)
+    with pytest.raises(ValueError, match="non-finite"):
+        lp_core.solve_many([[np.inf] + [0.0] * 5], A, b, start)
+    other = make_bounded_problem(rng, 3, 7)
+    with pytest.raises(ValueError, match="phase-1 start"):
+        lp_core.solve_many(np.ones((2, 7)), other.eq_coeffs, other.eq_rhs, start)
+    with pytest.raises(ValueError, match="opt_tol"):
+        lp_core.solve_many(np.ones((2, 6)), A, b, start, opt_tol=1e-7)
+    assert lp_core.solve_many(np.zeros((0, 6)), A, b, start) == []
+
+
+def test_leaving_rows_matches_leaving_on_tie_heavy_stacks():
+    rng = np.random.default_rng(2025)
+    multi_row_ties = unseparable = 0
+    for _ in range(60):
+        m = int(rng.integers(4, 30))
+        tabs = [tie_heavy_tableau(rng, m, 6) for _ in range(5)]
+        T = np.stack([tab.T for tab in tabs])
+        for col in range(6):
+            colvals = T[:, :, col]
+            pos = colvals > 1e-9
+            has_row = pos.any(axis=1)
+            expected = []
+            for tab in (t for t, h in zip(tabs, has_row) if h):
+                try:
+                    expected.append(tab._leaving(col))
+                except NumericError:
+                    expected.append(None)
+            if None in expected:
+                with pytest.raises(NumericError, match="could not separate"):
+                    lp_core._leaving_rows(T[has_row], colvals[has_row], pos[has_row], 6)
+                unseparable += 1
+                continue
+            got = lp_core._leaving_rows(T[has_row], colvals[has_row], pos[has_row], 6)
+            assert got.tolist() == expected
+            ratios = np.where(pos, T[:, :, -1] / np.where(pos, colvals, 1.0), np.inf)
+            multi_row_ties += int(((ratios == ratios.min(axis=1, keepdims=True))
+                                   & pos).sum(axis=1).max() > 2)
+    assert multi_row_ties > 50 and unseparable > 10
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_pivot_is_pivot_bit_for_bit(seed):
+    # both sides of pivot's sparse/dense switch in one stack, and zeros of
+    # both signs: every entry, its sign bit included, is what pivot leaves
+    rng = np.random.default_rng(seed)
+    m, n, k = 40, 30, 6
+    tabs = []
+    for _ in range(k):
+        T = rng.normal(size=(m, n + m + 1)) * (rng.random((m, n + m + 1)) < 0.3)
+        T[rng.random(T.shape) < 0.2] = -0.0
+        T[:, n:-1] = np.eye(m)
+        tab = lp_core._Tableau(T, n, list(range(n, n + m)), 1e-9)
+        tab.z[:] = rng.normal(size=n + m + 1)
+        tabs.append(tab)
+    for _ in range(12):
+        rows, cols = [], []
+        for tab in tabs:
+            col, nnz = int(rng.integers(0, n)), int(rng.choice([1, 2, 10, 11, 25, m]))
+            rows_nz = rng.choice(m, size=nnz, replace=False)
+            column = np.zeros(m)
+            column[rows_nz] = (rng.uniform(0.5, 2.0, size=nnz)
+                               * rng.choice([-1.0, 1.0], size=nnz))
+            tab.T[:, col] = column
+            rows.append(int(rows_nz[0]))
+            cols.append(col)
+        T = np.stack([tab.T for tab in tabs])
+        z = np.stack([tab.z for tab in tabs])
+        basis = np.array([tab.basis for tab in tabs])
+        lp_core._pivot_stack(T, z, basis, np.array(rows), np.array(cols))
+        for tab, row, col in zip(tabs, rows, cols):
+            tab.pivot(row, col)
+        assert T.tobytes() == np.stack([tab.T for tab in tabs]).tobytes()
+        assert z.tobytes() == np.stack([tab.z for tab in tabs]).tobytes()
+        assert basis.tolist() == [tab.basis for tab in tabs]

@@ -282,3 +282,72 @@ def test_warm_decode_pivots_only_in_phase_2(monkeypatch, r20_rep2):
         assert 0 < sol.phase1_iterations <= sol.iterations
         assert pivots[0] == (sol.iterations if k == 0
                              else sol.iterations - sol.phase1_iterations)
+
+
+# -- many words in stacked LPs -----------------------------------------------------
+
+def _fields(result):
+    """Every field of a decode result: arrays by dtype and bytes, the
+    objective by hex."""
+    codeword = (None if result.codeword is None
+                else (result.codeword.dtype, result.codeword.tobytes()))
+    return (result.status, codeword, result.raw_f.shape, result.raw_f.tobytes(),
+            [(block.shape, block.tobytes()) for block in result.raw_w],
+            result.objective.hex(), result.lp_iterations)
+
+
+@pytest.mark.parametrize("name", ["four_cycle_rep3", "k33_parity2", "k66_rep2",
+                                  "k66_grs", "r20_rep2", *INSTANCES])
+def test_decode_many_equals_decode_word_by_word(request, name):
+    code = (resolve_instance(*INSTANCES[name]) if name in INSTANCES
+            else request.getfixturevalue(name))
+    words = _words(code, 5, seed=43)
+    assert ([_fields(r) for r in lp_decoder.decode_many(code, words)]
+            == [_fields(decode(code, y)) for y in words])
+
+
+def test_decode_many_across_stack_boundaries(monkeypatch, k33_parity2):
+    # every word of the space, in stacks of 3, 7 and one word short of all
+    words = list(itertools.product(range(2), repeat=9))
+    expected = [_fields(decode(k33_parity2, y)) for y in words]
+    assert sum(f[0] == "fractional-failure" for f in expected) == 0
+    tableau = lp_decoder._phase1_start(k33_parity2, lp_core.DEFAULT_OPT_TOL).tableau.nbytes
+    for per_stack in (3, 7, len(words) - 1):
+        monkeypatch.setattr(lp_decoder, "STACK_BYTES", per_stack * tableau)
+        assert [_fields(r) for r in lp_decoder.decode_many(k33_parity2, words)] == expected
+
+
+def test_decode_many_keeps_fractional_optima():
+    # K4,4 with binary parity locals: some random words have fractional
+    # optima, and the stack keeps them as decode does
+    code = resolve_instance("complete:4", "parity:2:4", "parity:2:4")
+    rng = np.random.default_rng(3)
+    words = [rng.integers(0, 2, size=code.num_edges) for _ in range(60)]
+    results = lp_decoder.decode_many(code, words)
+    assert {r.status for r in results} == {"codeword", "fractional-failure"}
+    assert [_fields(r) for r in results] == [_fields(decode(code, y)) for y in words]
+
+
+def test_decode_many_hands_large_lps_to_decode(monkeypatch, r20_rep2):
+    # one r20 tableau is over the stack budget, so each word is one decode call
+    real, calls = lp_decoder.decode, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp_decoder, "decode", counted)
+    monkeypatch.setattr(lp_core, "solve_many", None)
+    words = _words(r20_rep2, 3, seed=2)
+    assert len(lp_decoder.decode_many(r20_rep2, words)) == 3 and len(calls) == 3
+
+
+@pytest.mark.parametrize("ys", [[[0, 0, 0]], [[0, 0, 0, 5]], [[0, 0, 0, -1]], [0, 0, 0, 0]],
+                         ids=["short", "symbol-out-of-field", "negative", "one-word-not-a-stack"])
+def test_decode_many_validates_input(four_cycle_rep3, ys):
+    with pytest.raises(ValueError):
+        lp_decoder.decode_many(four_cycle_rep3, ys)
+
+
+def test_decode_many_of_no_words(four_cycle_rep3):
+    assert lp_decoder.decode_many(four_cycle_rep3, []) == []

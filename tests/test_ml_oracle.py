@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from expanderlp import EnumerationCapError, ScanReport, exhaustive_agreement_scan, ml_decode
+from expanderlp import (EnumerationCapError, ExpanderCode, ScanReport,
+                        exhaustive_agreement_scan, ml_decode, ml_oracle)
+from expanderlp.harness import resolve_instance
 
-from oracles import nearest_codeword_scan
+from oracles import nearest_codeword_scan, scan_range_by_word
 
 
 def test_codewords_decode_to_themselves(four_cycle_rep3):
@@ -96,3 +98,42 @@ def test_scalar_relabeling_preserves_distances(four_cycle_rep3, rng):
 def test_ml_decode_rejects_invalid_received_word(four_cycle_rep3, y):
     with pytest.raises(ValueError):
         ml_decode(four_cycle_rep3, y)
+
+
+class ShortListCode(ExpanderCode):
+    """A code whose codeword list misses its first codeword, so the oracle
+    is wrong wherever that codeword is the nearest and decoded scans report
+    mismatches.  Module level, so pool workers can unpickle it."""
+
+    def enumerate_codewords(self, *args):
+        return super().enumerate_codewords(*args)[1:]
+
+
+def _scan_codes():
+    rep3 = resolve_instance("cycle:2", "repetition:3:2", "repetition:3:2")
+    k33 = resolve_instance("complete:3", "parity:2:3", "parity:2:3")
+    c3 = resolve_instance("cycle:3", "repetition:3:2", "repetition:3:2")
+    return {"four-cycle-rep3": rep3, "k33-parity2": k33, "cycle3-rep3": c3,
+            "k33-parity2-short-list": ShortListCode(k33.graph, k33.code_a, k33.code_b)}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(_scan_codes()))
+def test_scan_equals_the_word_by_word_reference(name, workers):
+    code = _scan_codes()[name]
+    total = code.field.q ** code.num_edges
+    expected = scan_range_by_word(code, 0, total)
+    assert exhaustive_agreement_scan(code, workers=workers) == expected
+    if name.endswith("short-list"):
+        # the mismatches, in word order, are what the comparison covered
+        assert len(expected.mismatches) > 1
+
+
+def test_scan_across_block_boundaries(monkeypatch):
+    # blocks of 7 words and comparison groups of 5: the mismatches still
+    # come in word order, and every tally adds up
+    code = _scan_codes()["k33-parity2-short-list"]
+    expected = scan_range_by_word(code, 0, 512)
+    monkeypatch.setattr(ml_oracle, "SCAN_BLOCK", 7)
+    monkeypatch.setattr(ml_oracle, "STACK_BYTES", 5 * code.enumerate_codewords().size)
+    assert exhaustive_agreement_scan(code) == expected
