@@ -28,30 +28,28 @@ pivots, and returns exactly the values and counts, it would have without
 the start.  The feasibility verdict compares the stored phase-1 objective
 with each call's own feas_tol.
 
-Two shortcuts make each pivot cheaper without changing which pivot is taken.
-The tie-break divides the tied rows' inverse block once and skips the
-columns where every still-tied row agrees, since those cannot narrow the
-tie.  A pivot whose column is nonzero in at most a quarter of the rows
-updates only the block of rows where that column is nonzero and columns
-where the pivot row is; every other entry of the full outer-product update
-is a subtraction of zero.  The pivot sequence and the tableau are the same
-as with the column-by-column tie-break and the dense update
-(tests/oracles.py keeps both as references).
+One engine takes every pivot: _Simplex runs a stack of k >= 1 tableaux
+over the same columns in lockstep, with one entering rule, one ratio test,
+one rank-1 update and one loop.  phase1 runs it on a stack of one, solve
+is solve_many of one objective, and solve_many runs phase 2 for many
+objectives over one set of constraints: the problems share the
+constraints, the phase-1 start and the Python work of each round, and a
+problem leaves the stack when it is optimal or unbounded.  Every sum other
+than the update (the starting reduced costs, the residual, c.x) is taken
+per problem, so a problem's pivots and outputs do not depend on what else
+is in the stack.
 
-solve_many(objectives, eq_coeffs, eq_rhs, start) runs phase 2 for many
-objectives over one set of constraints in lockstep.  The problems share the
-constraints, the phase-1 start and the Python work of each round: one
-(k, rows, cols) tableau stack and one (k, cols) reduced-cost stack take
-every live problem's entering choice, ratio test, tie-break and rank-1
-update at once, and a problem leaves the stack when it is optimal or
-unbounded.  Each problem takes the pivots solve takes, and every sum (the
-starting reduced costs, the residual, c.x) is still taken per problem with
-solve's own expression, since a stacked matmul may add in another order;
-the outputs are equal to the last bit.  The stack pays off where per-call
-Python dominates, on LPs of a few dozen rows that take a few pivots.  A
-single solve keeps _Tableau: a stack of one measured slower on the larger
-decoding LPs (96 x 768: 112-124 ms against 90-96 ms; 320 x 160: 1.8 ms
-against 0.9 ms, on a 2-core host).
+Two shortcuts make each pivot cheaper without changing which pivot is
+taken.  The tie-break sorts only the tied rows' keys and skips the columns
+where they all agree.  When the pivot columns are nonzero in at most a
+quarter of the stack's rows, the update touches only the block of rows
+where some pivot column is nonzero and columns where some pivot row is.
+The update adds each product to zero, as einsum does, so a zero product
+is +0.0 and the entries outside the block, and the sign of every zero, are
+what the full update leaves; the full update writes its products into one
+buffer per stack.  tests/oracles.py keeps the one-tableau loop with the
+plain outer-product update and the column-by-column tie-break as the
+reference.
 """
 
 from __future__ import annotations
@@ -115,93 +113,128 @@ class LpSolution:
     phase1_iterations: int = field(default=0)
 
 
-class _Tableau:
-    """Mutable simplex state.
+class _Simplex:
+    """The simplex engine: a stack of k >= 1 tableaux that pivot in lockstep.
 
-    T has shape (rows, n + m + 1): the n real columns, then the m columns
-    that started as the identity (artificials, later the basis inverse),
-    then the right-hand side.  basis[r] is the column index basic in row r;
-    an index >= n means row r still carries its artificial.  The pivot count
-    is capped at 500*(m+n) + 2000.
+    T has shape (k, rows + 1, n + m + 1).  Its columns are, per problem, the
+    n real columns, then the m columns that started as the identity
+    (artificials, later the basis inverse), then the right-hand side.  Its
+    last row holds the reduced costs, with minus the objective in the last
+    column, so every pivot updates them with the constraint rows.
+    basis[s, r] is the column basic in row r of problem s, an index >= n an
+    artificial.  Every round pivots every problem of the stack once, so they
+    share one pivot count, capped at 500*(m+n) + 2000.
+
+    Each problem has its own pivot row and column, so they are read and
+    written through flat indices into the stack: one gather or scatter
+    each, however many problems the stack holds.
     """
 
-    def __init__(self, T: np.ndarray, n_real: int, basis: list[int], opt_tol: float):
-        self.T = T
+    def __init__(self, T: np.ndarray, basis: np.ndarray, n_real: int, opt_tol: float,
+                 iterations: int = 0):
         self.n = n_real
-        self.basis = basis
-        self.z = np.zeros(T.shape[1])  # reduced costs; last slot = -objective
         self.opt_tol = opt_tol
-        self.max_iters = 500 * (T.shape[1] - 1) + 2000
-        self.iterations = 0
-        self._outer = np.empty_like(T)   # the dense update's outer product
+        self.iterations = iterations
+        k, height, width = T.shape
+        self.max_iters = 500 * (width - 1) + 2000
+        self._outer = np.empty_like(T)   # the dense update's outer products
+        # flat offsets: problem s's first row among all rows, and the first
+        # cell of its row r among all cells.  keep() compacts the stack, so
+        # the first k' entries serve a stack of k' problems.
+        self._all_slots = np.arange(k)
+        self._all_first_rows = self._all_slots * height
+        self._all_row_starts = np.arange(k * height).reshape(k, height) * width
+        self.T, self.basis = T, basis
+        self.keep(slice(None))
 
-    def pivot(self, row: int, col: int) -> None:
+    def keep(self, going) -> None:
+        """Keep only the problems that going selects in the stack."""
+        self.T, self.basis = self.T[going], self.basis[going]
+        k, height, width = self.T.shape
+        self._slots, self._update = self._all_slots[:k], self._outer[:k]
+        self._each_slot = list(range(k))
+        self._first_row, self._row_start = self._all_first_rows[:k], self._all_row_starts[:k]
+        self._cells, self._rows = self.T.reshape(-1), self.T.reshape(-1, width)
+        self._basic = self.basis.reshape(-1)
+        self._costs, self._rhs = self.T[:, -1, :self.n], self.T[:, :-1, -1]
+
+    def pivot(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Pivot problem s on (rows[s], cols[s]), for every s."""
+        col_cells = self._row_start + cols[:, None]
+        self._pivot(rows, cols[:, None], col_cells, self._cells[col_cells])
+
+    def _pivot(self, rows, cols, col_cells, col) -> None:
+        """pivot() given the (k, 1) columns and their cells and entries,
+        as run() has them from the entering rule."""
         T = self.T
-        piv_row = T[row] / T[row, col]
-        body_col = T[:, col].copy()
-        rows = np.flatnonzero(body_col)
-        if 4 * len(rows) <= len(body_col):
-            # the update is zero outside the rows where the pivot column is
-            # nonzero and the columns where the pivot row is; skipping it
+        at = self._first_row + rows
+        # x / x is exactly 1, so the pivot row written last puts the 1 in
+        piv_rows = self._rows[at] / col.take(at[:, None])
+        if 4 * np.count_nonzero(col[:, :-1]) <= col.size - len(col):
+            # the update is zero outside the rows where a pivot column is
+            # nonzero and the columns where a pivot row is; skipping it
             # leaves every entry as the full update would
-            cols = np.flatnonzero(piv_row)
-            T[np.ix_(rows, cols)] -= np.outer(body_col[rows], piv_row[cols])
+            nonzero = col.any(axis=0).nonzero()[0]
+            used = piv_rows.any(axis=0).nonzero()[0]
+            T[np.ix_(self._slots, nonzero, used)] -= np.einsum(
+                "si,sj->sij", col[:, nonzero], piv_rows[:, used])
         else:
-            T -= np.einsum("i,j->ij", body_col, piv_row, out=self._outer)
-        T[row] = piv_row
-        T[:, col] = 0.0
-        T[row, col] = 1.0
-        self.z -= self.z[col] * piv_row
-        self.z[col] = 0.0
-        self.basis[row] = col
+            T -= np.einsum("si,sj->sij", col, piv_rows, out=self._update)
+        self._cells[col_cells] = 0.0
+        self._rows[at] = piv_rows
+        self._basic[at - self._slots] = cols[:, 0]   # basis has no cost row
         self.iterations += 1
 
-    def _entering(self) -> int | None:
-        rc = self.z[:self.n]
-        j = int(np.argmax(rc))
-        return j if rc[j] > self.opt_tol else None
+    def _leaving(self, col: np.ndarray) -> np.ndarray | None:
+        """The row the lexicographic ratio test picks in problem s for the
+        entering column whose entries, cost row last, are col[s]; None when
+        some problem's column has no positive entry.
 
-    def _leaving(self, col: int) -> int | None:
-        colvals = self.T[:, col]
-        pos = np.nonzero(colvals > _PIVOT_TOL)[0]
-        if len(pos) == 0:
+        A ratio is NaN where the column is not positive, so the least ratio
+        skips those rows and is NaN only where there are none.  Rows tied at
+        the least ratio compare their basis-inverse rows over their pivot
+        entries, left to right: the candidates are sorted by problem, then
+        by those keys, skipping the columns where every candidate agrees.
+        """
+        body = col[:, :-1]
+        ratios = self._rhs / np.where(body > _PIVOT_TOL, body, np.nan)
+        least = np.fmin.reduce(ratios, axis=1, keepdims=True, initial=np.nan)
+        slot, rows = (ratios == least).nonzero()
+        if slot.tolist() == self._each_slot:     # one row in every problem
+            return rows
+        if np.isnan(least).any():
             return None
-        ratios = self.T[pos, -1] / colvals[pos]
-        tied = pos[ratios == ratios.min()]
-        if len(tied) > 1:
-            # tied rows' basis-inverse rows over their pivot entries, compared
-            # left to right; a column where all still-tied rows agree cannot
-            # narrow the tie, so jump to the first one where they differ
-            keys = self.T[tied, self.n:-1] / colvals[tied, None]
-            j = 0
-            while len(tied) > 1:
-                differ = np.flatnonzero((keys[:, j:] != keys[0, j:]).any(axis=0))
-                if len(differ) == 0:
-                    break
-                j += int(differ[0])
-                vals = keys[:, j]
-                keep = vals == vals.min()
-                tied, keys = tied[keep], keys[keep]
-                j += 1
-        if len(tied) > 1:
-            raise NumericError(
-                "lexicographic ratio test could not separate candidate rows")
-        return int(tied[0])
+        keys = self.T[slot, rows, self.n:-1] / body[slot, rows, None]
+        keys = keys[:, (keys != keys[0]).any(axis=0)]
+        order = np.lexsort(np.concatenate((keys.T[::-1], slot[None])))
+        slot, rows, keys = slot[order], rows[order], keys[order]
+        first = np.concatenate(([True], slot[1:] != slot[:-1]))
+        runner_up = (~first).nonzero()[0]
+        runner_up = runner_up[first[runner_up - 1]]
+        if (keys[runner_up] == keys[runner_up - 1]).all(axis=1).any():
+            raise NumericError("lexicographic ratio test could not separate candidate rows")
+        return rows[first]
 
-    def run(self) -> str:
-        """Pivot to optimality; returns 'optimal' or 'unbounded'."""
+    def run(self) -> tuple[np.ndarray, np.ndarray]:
+        """Pivot until some problem stops; returns the masks of the problems
+        that are optimal and of those that are unbounded.  Optimal problems
+        are reported first: a problem that is unbounded in the same round
+        is reported by the next call, which takes no pivot before it."""
         while True:
             if self.iterations > self.max_iters:
                 raise NumericError(
-                    f"simplex exceeded {self.max_iters} iterations; "
-                    "likely numeric trouble")
-            col = self._entering()
-            if col is None:
-                return "optimal"
-            row = self._leaving(col)
-            if row is None:
-                return "unbounded"
-            self.pivot(row, col)
+                    f"simplex exceeded {self.max_iters} iterations; likely numeric trouble")
+            cols = self._costs.argmax(axis=1, keepdims=True)
+            col_cells = self._row_start + cols
+            col = self._cells[col_cells]
+            # the stop checks use Python lists: on the few problems of a
+            # stack they cost less than a numpy reduction per round
+            if min(col[:, -1].tolist()) <= self.opt_tol:
+                return col[:, -1] <= self.opt_tol, np.zeros(len(col), dtype=bool)
+            rows = self._leaving(col)
+            if rows is None:
+                return np.zeros(len(col), dtype=bool), ~(col[:, :-1] > _PIVOT_TOL).any(axis=1)
+            self._pivot(rows, cols, col_cells, col)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,44 +267,38 @@ def phase1(eq_coeffs: np.ndarray, eq_rhs: np.ndarray,
     b0 = np.asarray(eq_rhs, dtype=float)
     m, n = A0.shape
 
-    # sign-normalize so b >= 0; aux block starts as the identity
+    # sign-normalize so b >= 0; aux block starts as the identity; the last
+    # row holds the reduced costs for maximizing -(sum of artificials)
     signs = np.where(b0 < 0, -1.0, 1.0)
-    T = np.zeros((m, n + m + 1))
-    T[:, :n] = A0 * signs[:, None]
-    T[:, n:n + m] = np.eye(m)
-    T[:, -1] = b0 * signs
-    basis = list(range(n, n + m))
-    tab = _Tableau(T, n, basis, opt_tol)
-    # phase-1 reduced costs for maximizing -(sum of artificials)
-    tab.z[:n] = T[:, :n].sum(axis=0)
-    tab.z[-1] = T[:, -1].sum()             # negative of the phase-1 objective
+    T = np.zeros((1, m + 1, n + m + 1))
+    T[0, :m, :n] = A0 * signs[:, None]
+    T[0, :m, n:n + m] = np.eye(m)
+    T[0, :m, -1] = b0 * signs
+    T[0, m, :n] = T[0, :m, :n].sum(axis=0)
+    T[0, m, -1] = T[0, :m, -1].sum()         # negative of the phase-1 objective
+    tab = _Simplex(T, np.arange(n, n + m)[None], n, opt_tol)
 
-    status = tab.run()
-    if status == "unbounded":
+    _, unbounded = tab.run()
+    if unbounded[0]:
         raise NumericError("phase-1 objective reported unbounded; cannot happen")
-    infeasibility = float(tab.z[-1])
+    infeasibility = float(tab.T[0, -1, -1])
     search_iterations = tab.iterations
 
     # drive leftover artificials out of the basis, dropping redundant rows
-    drop: list[int] = []
+    keep = []
     for r in range(m):
-        if tab.basis[r] < n:
+        if tab.basis[0, r] < n:
+            keep.append(r)
             continue
-        row = tab.T[r, :n]
-        candidates = np.nonzero(np.abs(row) > _PIVOT_TOL)[0]
-        if len(candidates) == 0:
-            drop.append(r)
-        else:
-            tab.pivot(r, int(candidates[0]))
-    if drop:
-        dropped = set(drop)
-        keep = [r for r in range(m) if r not in dropped]
-        tab.T = tab.T[keep]
-        tab.basis = [tab.basis[r] for r in keep]
-    tab.T.flags.writeable = False
+        candidates = np.nonzero(np.abs(tab.T[0, r, :n]) > _PIVOT_TOL)[0]
+        if len(candidates):
+            keep.append(r)
+            tab.pivot(np.array([r]), candidates[:1])
+    tableau = tab.T[0, keep]
+    tableau.flags.writeable = False
     return Phase1(shape=(m, n), opt_tol=opt_tol, infeasibility=infeasibility,
                   search_iterations=search_iterations, iterations=tab.iterations,
-                  tableau=tab.T, basis=tuple(tab.basis))
+                  tableau=tableau, basis=tuple(tab.basis[0, keep].tolist()))
 
 
 def _checked_start(A0: np.ndarray, b0: np.ndarray, start: Phase1 | None,
@@ -329,32 +356,9 @@ def solve(problem: LpProblem,
     it phase 1 runs here.  Either way the pivots, the outputs and the
     iteration counts are the same.
     """
-    A0 = problem.eq_coeffs
-    b0 = problem.eq_rhs
-    c = problem.objective
-    n = A0.shape[1]
-    start = _checked_start(A0, b0, start, opt_tol)
-    if start.infeasibility > feas_tol:
-        return LpSolution(status="infeasible", iterations=start.search_iterations,
-                          phase1_iterations=start.search_iterations)
+    return solve_many(problem.objective[None], problem.eq_coeffs, problem.eq_rhs, start,
+                      feas_tol=feas_tol, opt_tol=opt_tol)[0]
 
-    # phase 2: fresh reduced costs for the real objective
-    tab = _Tableau(start.tableau.copy(), n, list(start.basis), opt_tol)
-    tab.iterations = start.iterations
-    cb = c[_phase2_basis(start, n)]
-    tab.z[:n] = c - cb @ tab.T[:, :n]
-    tab.z[n:-1] = -(cb @ tab.T[:, n:-1])
-    tab.z[-1] = -(cb @ tab.T[:, -1])
-
-    status = tab.run()
-    if status == "unbounded":
-        return LpSolution(status="unbounded", iterations=tab.iterations,
-                          phase1_iterations=start.iterations)
-    return _optimal(A0, b0, c[None], np.array([tab.basis], dtype=np.int64),
-                    tab.T[None, :, -1], tab.iterations, start, feas_tol)[0]
-
-
-# -- many objectives over one start -------------------------------------------------
 
 def solve_many(objectives, eq_coeffs, eq_rhs, start: Phase1 | None = None,
                feas_tol: float = DEFAULT_FEAS_TOL,
@@ -362,14 +366,12 @@ def solve_many(objectives, eq_coeffs, eq_rhs, start: Phase1 | None = None,
     """solve() for each row of objectives over the same constraints.
 
     The result at index i is the one solve(LpProblem(objectives[i],
-    eq_coeffs, eq_rhs), feas_tol, opt_tol, start) returns, with the same
-    pivots: phase 2 runs on a stack of tableaux, one per problem, and each
-    round applies solve's rules (Dantzig entering, the lexicographic ratio
-    test, the rank-1 update) to every problem still pivoting.  A problem
-    leaves the stack when it is optimal or unbounded.  A NumericError that
-    solve would raise for some problem is raised here, in the round it
-    occurs.  Every sum is taken per problem with solve's own expression, so
-    values and objective values are equal to the last bit.
+    eq_coeffs, eq_rhs), feas_tol, opt_tol, start) returns: phase 2 runs on
+    a stack of tableaux, one per problem, and a problem leaves the stack
+    when it is optimal or unbounded.  A NumericError that some problem
+    meets is raised in the round it occurs.  Every sum (the starting
+    reduced costs, the residual, c.x) is taken per problem, so the values
+    and objective values do not depend on what else is in the stack.
     """
     A0 = np.asarray(eq_coeffs, dtype=float)
     b0 = np.asarray(eq_rhs, dtype=float)
@@ -384,98 +386,30 @@ def solve_many(objectives, eq_coeffs, eq_rhs, start: Phase1 | None = None,
         return [LpSolution(status="infeasible", iterations=start.search_iterations,
                            phase1_iterations=start.search_iterations) for _ in C]
 
+    # phase 2: fresh reduced costs for each real objective
     T0 = start.tableau
     basis0 = _phase2_basis(start, n)
-    T = np.repeat(T0[None], len(C), axis=0)
-    z = np.empty((len(C), T0.shape[1]))
-    for zi, c in zip(z, C):
+    T = np.empty((len(C), T0.shape[0] + 1, T0.shape[1]))
+    T[:, :-1] = T0
+    for z, c in zip(T[:, -1], C):
         cb = c[basis0]
-        zi[:n] = c - cb @ T0[:, :n]
-        zi[n:-1] = -(cb @ T0[:, n:-1])
-        zi[-1] = -(cb @ T0[:, -1])
-    basis = np.repeat(basis0[None], len(C), axis=0)
+        z[:n] = c - cb @ T0[:, :n]
+        z[n:-1] = -(cb @ T0[:, n:-1])
+        z[-1] = -(cb @ T0[:, -1])
+    tab = _Simplex(T, np.repeat(basis0[None], len(C), axis=0), n, opt_tol, start.iterations)
     live = np.arange(len(C))            # the problem in each stack slot
     solutions: list[LpSolution | None] = [None] * len(C)
-    iterations = start.iterations
-    max_iters = 500 * (T0.shape[1] - 1) + 2000
     while len(live):
-        if iterations > max_iters:
-            raise NumericError(
-                f"simplex exceeded {max_iters} iterations; likely numeric trouble")
-        slots = np.arange(len(live))
-        cols = z[:, :n].argmax(axis=1)
-        optimal = z[slots, cols] <= opt_tol
-        colvals = T[slots, :, cols]
-        pos = colvals > _PIVOT_TOL
-        unbounded = ~optimal & ~pos.any(axis=1)
-        if optimal.any():
-            done = live[optimal]
-            for i, sol in zip(done.tolist(),
-                              _optimal(A0, b0, C[done], basis[optimal], T[optimal, :, -1],
-                                       iterations, start, feas_tol)):
-                solutions[i] = sol
+        optimal, unbounded = tab.run()
+        done = live[optimal]
+        for i, sol in zip(done.tolist(),
+                          _optimal(A0, b0, C[done], tab.basis[optimal], tab.T[optimal, :-1, -1],
+                                   tab.iterations, start, feas_tol)):
+            solutions[i] = sol
         for i in live[unbounded].tolist():
-            solutions[i] = LpSolution(status="unbounded", iterations=iterations,
+            solutions[i] = LpSolution(status="unbounded", iterations=tab.iterations,
                                       phase1_iterations=start.iterations)
         going = ~(optimal | unbounded)
-        if not going.all():
-            T, z, basis, live = T[going], z[going], basis[going], live[going]
-            cols, colvals, pos = cols[going], colvals[going], pos[going]
-        if len(live):
-            rows = _leaving_rows(T, colvals, pos, n)
-            _pivot_stack(T, z, basis, rows, cols)
-            iterations += 1
+        tab.keep(going)
+        live = live[going]
     return solutions
-
-
-def _leaving_rows(T: np.ndarray, colvals: np.ndarray, pos: np.ndarray,
-                  n: int) -> np.ndarray:
-    """_Tableau._leaving for every tableau of a stack, each with a pivot row.
-
-    colvals[s] is tableau s's entering column and pos[s] where it exceeds
-    the pivot tolerance.  Ties are narrowed as _leaving narrows them: at the
-    first column of the basis-inverse keys where the still-tied rows differ,
-    keep the rows at the least key.
-    """
-    ratios = np.full(colvals.shape, np.inf)
-    np.divide(T[:, :, -1], colvals, out=ratios, where=pos)
-    tied = ratios == ratios.min(axis=1, keepdims=True)
-    multi = np.flatnonzero(tied.sum(axis=1) > 1)
-    if len(multi):
-        t = tied[multi]
-        keys = T[multi, :, n:-1] / np.where(t, colvals[multi], 1.0)[:, :, None]
-        while True:
-            still = np.flatnonzero(t.sum(axis=1) > 1)
-            if not len(still):
-                break
-            kt, tt = keys[still], t[still]
-            at = np.arange(len(still))
-            first = kt[at, tt.argmax(axis=1)]
-            differ = ((kt != first[:, None, :]) & tt[:, :, None]).any(axis=1)
-            if not differ.any(axis=1).all():
-                raise NumericError(
-                    "lexicographic ratio test could not separate candidate rows")
-            vals = np.where(tt, kt[at, :, differ.argmax(axis=1)], np.inf)
-            t[still] = tt & (vals == vals.min(axis=1, keepdims=True))
-        tied[multi] = t
-    return tied.argmax(axis=1)
-
-
-def _pivot_stack(T: np.ndarray, z: np.ndarray, basis: np.ndarray,
-                 rows: np.ndarray, cols: np.ndarray) -> None:
-    """_Tableau.pivot on every tableau s of the stack at (rows[s], cols[s]).
-
-    Entry by entry this is the update pivot makes, on either of its
-    branches: einsum adds each product to a zero, so a product with a zero
-    factor is +0.0, and subtracting it leaves the entry and the sign of a
-    zero as the sparse branch, which skips it, does.
-    """
-    slots = np.arange(len(T))
-    piv_row = T[slots, rows] / T[slots, rows, cols][:, None]
-    T -= np.einsum("si,sj->sij", T[slots, :, cols], piv_row)
-    T[slots, rows] = piv_row
-    T[slots, :, cols] = 0.0
-    T[slots, rows, cols] = 1.0
-    z -= z[slots, cols][:, None] * piv_row
-    z[slots, cols] = 0.0
-    basis[slots, rows] = cols

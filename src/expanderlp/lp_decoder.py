@@ -35,9 +35,9 @@ lockstep, as many per stack as fit in STACK_BYTES (256 KiB) of tableau;
 the objectives are built with one gather, and the optima lifted, rounded
 and checked as codewords, a stack at a time, by the code decode uses.  The
 budget bounds the stack's memory: the scan's ~20-row LPs fit ~50 to a
-stack.  An LP whose tableau alone fills the budget (the sweep's 320 x 160,
-the 96 x 768 of a 12-vertex parity code) goes to decode one word at a
-time, where the single-problem simplex is faster.
+stack, and an LP whose tableau alone fills it (the sweep's 320 x 160, the
+96 x 768 of a 12-vertex parity code) is solved in stacks of one, by the
+same engine decode's solve runs.
 """
 
 from __future__ import annotations
@@ -237,23 +237,19 @@ def decode_many(code: ExpanderCode, ys,
 
     The LPs share their constraints and phase-1 start, so they are solved
     in stacks by lp_core.solve_many, as many per stack as fit in
-    STACK_BYTES of tableau; the objectives are built, and the optima lifted
-    and rounded, a stack at a time.  When one tableau alone fills the
-    budget, each word goes to decode.
+    STACK_BYTES of tableau and at least one; the objectives are built, and
+    the optima lifted and rounded, a stack at a time.
     """
     q, num_edges = code.field.q, code.num_edges
-    words = np.asarray(ys, dtype=np.int64)
+    words = np.asarray(ys)
     if not len(words):
         return []
     if words.ndim != 2 or words.shape[1] != num_edges:
         raise ValueError(f"expected a stack of {num_edges}-symbol words, "
                          f"got shape {words.shape}")
-    check_word(words.ravel(), q)
+    words = check_word(words.ravel(), q).reshape(words.shape)
     start = _phase1_start(code, opt_tol)
-    per_stack = STACK_BYTES // start.tableau.nbytes
-    if per_stack <= 1:
-        return [decode(code, y, int_tol=int_tol, feas_tol=feas_tol, opt_tol=opt_tol)
-                for y in words]
+    per_stack = max(1, STACK_BYTES // start.tableau.nbytes)
     poly = _polytope(code)
     results: list[DecodeResult] = []
     for first in range(0, len(words), per_stack):

@@ -21,7 +21,8 @@ from expanderlp.certificate import (CertifyResult, WitnessCheck,
                                     find_error_core, peel)
 from expanderlp.errors import NoValidThetaError, NumericError
 from expanderlp.expander_code import check_word, compute_theta, hamming_distance
-from expanderlp.lp_core import _PIVOT_TOL, DEFAULT_FEAS_TOL, DEFAULT_OPT_TOL, LpProblem
+from expanderlp.lp_core import (_PIVOT_TOL, DEFAULT_FEAS_TOL, DEFAULT_OPT_TOL, LpProblem,
+                                LpSolution)
 from expanderlp.lp_decoder import DEFAULT_INT_TOL, cost_from_received, decode
 from expanderlp.ml_oracle import ScanReport, ml_decode
 from expanderlp.orientation import OrientationFailure, orient
@@ -243,28 +244,32 @@ def build_primal(code, y):
     return LpProblem(objective=objective, eq_coeffs=A, eq_rhs=b), layout
 
 
-# -- simplex pivot rules, the plain way ---------------------------------------
-# Drop-in replacements for expanderlp.lp_core._Tableau.pivot and ._leaving
-# (bind them with monkeypatch.setattr on the class).  The solver's versions
-# must take exactly the same pivots and produce equal tableaux.
+# -- the simplex, one tableau at a time ----------------------------------------
+# lp_core's rules the plain way: one tableau, one pivot per step, the full
+# outer-product update and the column-by-column tie-break.  lp_core's stacked
+# engine must take exactly the same pivots and leave the same tableaux.
 
 def pivot_dense(self, row, col):
-    """_Tableau.pivot as one full outer-product update of the whole tableau."""
+    """A pivot as one full outer-product update of the whole tableau.
+
+    Adding 0.0 turns a product's -0.0 into +0.0, as a sum of products
+    started at zero does, so the signs of zeros match lp_core's too."""
     T = self.T
     piv_row = T[row] / T[row, col]
     body_col = T[:, col].copy()
-    T -= np.outer(body_col, piv_row)
+    T -= np.outer(body_col, piv_row) + 0.0
     T[row] = piv_row
     T[:, col] = 0.0
     T[row, col] = 1.0
-    self.z -= self.z[col] * piv_row
+    self.z -= self.z[col] * piv_row + 0.0
     self.z[col] = 0.0
     self.basis[row] = col
     self.iterations += 1
 
 
 def leaving_column_by_column(self, col):
-    """_Tableau._leaving breaking ties one basis-inverse column at a time."""
+    """The lexicographic ratio test breaking ties one basis-inverse column at
+    a time; None when the column has no positive entry."""
     colvals = self.T[:, col]
     pos = np.nonzero(colvals > _PIVOT_TOL)[0]
     if len(pos) == 0:
@@ -281,6 +286,89 @@ def leaving_column_by_column(self, col):
         raise NumericError(
             "lexicographic ratio test could not separate candidate rows")
     return int(tied[0])
+
+
+class ReferenceTableau:
+    """One simplex tableau.  T is (rows, n + m + 1): the n real columns, the
+    m columns that started as the identity, the right-hand side; z holds the
+    reduced costs, minus the objective last; basis[r] is row r's column."""
+
+    pivot = pivot_dense
+    leaving = leaving_column_by_column
+
+    def __init__(self, T, n_real, basis, opt_tol=DEFAULT_OPT_TOL):
+        self.T, self.n, self.basis, self.opt_tol = T, n_real, list(basis), opt_tol
+        self.z = np.zeros(T.shape[1])
+        self.max_iters = 500 * (T.shape[1] - 1) + 2000
+        self.iterations = 0
+
+    def run(self):
+        """Pivot to optimality; returns 'optimal' or 'unbounded'."""
+        while True:
+            if self.iterations > self.max_iters:
+                raise NumericError(
+                    f"simplex exceeded {self.max_iters} iterations; likely numeric trouble")
+            rc = self.z[:self.n]
+            col = int(np.argmax(rc))
+            if rc[col] <= self.opt_tol:
+                return "optimal"
+            row = self.leaving(col)
+            if row is None:
+                return "unbounded"
+            self.pivot(row, col)
+
+
+def solve_by_reference(problem, feas_tol=DEFAULT_FEAS_TOL, opt_tol=DEFAULT_OPT_TOL):
+    """lp_core.solve on one tableau: phase 1 from the artificial basis, the
+    leftover artificials driven out and redundant rows dropped, then phase 2,
+    with the same checks and messages."""
+    A0, b0, c = problem.eq_coeffs, problem.eq_rhs, problem.objective
+    m, n = A0.shape
+    signs = np.where(b0 < 0, -1.0, 1.0)
+    T = np.zeros((m, n + m + 1))
+    T[:, :n] = A0 * signs[:, None]
+    T[:, n:n + m] = np.eye(m)
+    T[:, -1] = b0 * signs
+    tab = ReferenceTableau(T, n, range(n, n + m), opt_tol)
+    tab.z[:n] = T[:, :n].sum(axis=0)
+    tab.z[-1] = T[:, -1].sum()
+    if tab.run() == "unbounded":
+        raise NumericError("phase-1 objective reported unbounded; cannot happen")
+    if tab.z[-1] > feas_tol:
+        return LpSolution(status="infeasible", iterations=tab.iterations,
+                          phase1_iterations=tab.iterations)
+    drop = []
+    for r in range(m):
+        if tab.basis[r] < n:
+            continue
+        candidates = np.nonzero(np.abs(tab.T[r, :n]) > _PIVOT_TOL)[0]
+        if len(candidates) == 0:
+            drop.append(r)
+        else:
+            tab.pivot(r, int(candidates[0]))
+    keep = [r for r in range(m) if r not in drop]
+    tab.T, tab.basis = tab.T[keep], [tab.basis[r] for r in keep]
+    phase1_iterations = tab.iterations
+    if any(j >= n for j in tab.basis):
+        raise NumericError("artificial variable left in the basis after cleanup")
+    cb = c[tab.basis]
+    tab.z[:n] = c - cb @ tab.T[:, :n]
+    tab.z[n:-1] = -(cb @ tab.T[:, n:-1])
+    tab.z[-1] = -(cb @ tab.T[:, -1])
+    if tab.run() == "unbounded":
+        return LpSolution(status="unbounded", iterations=tab.iterations,
+                          phase1_iterations=phase1_iterations)
+    x = np.zeros(n)
+    for r, j in enumerate(tab.basis):
+        x[j] = tab.T[r, -1]
+    if x.min(initial=0.0) < -feas_tol:
+        raise NumericError(f"optimal basis has a negative variable: {x.min()}")
+    x = np.clip(x, 0.0, None)
+    resid = np.abs(A0 @ x - b0).max() if m else 0.0
+    if resid > feas_tol * (1.0 + np.abs(b0).max(initial=0.0)):
+        raise NumericError(f"constraint residual {resid} exceeds tolerance")
+    return LpSolution(status="optimal", values=x, objective_value=float(c @ x),
+                      iterations=tab.iterations, phase1_iterations=phase1_iterations)
 
 
 def lift_f_by_edge(code, raw_w):

@@ -41,13 +41,19 @@ from oracles import is_codeword_by_vertex
 # -- word helpers ------------------------------------------------------------------
 
 
-def test_check_word_validates_shape_and_symbols():
+def test_check_word_validates_shape_and_symbols(k33_parity2):
     word = check_word([0, 2, 1], 3, 3)
     assert word.dtype == np.int64 and word.tolist() == [0, 2, 1]
     assert check_word([], 3).shape == (0,)
-    for bad, length in (([0, 3], None), ([-1, 0], 2), ([0, 1], 3), ([[0, 1]], None)):
+    assert check_word(np.array([0.0, 2.0, 1.0]), 3).tolist() == [0, 2, 1]
+    for bad, length in (([0, 3], None), ([-1, 0], 2), ([0, 1], 3), ([[0, 1]], None),
+                        ([-0.5, 2.9, 1], None), ([0.5] * 3, 3), ([np.nan, 0], None),
+                        ([np.inf, 0], None)):
         with pytest.raises(ValueError):
             check_word(bad, 3, length)
+    # a fractional word is not truncated into a codeword
+    with pytest.raises(ValueError, match="integers"):
+        k33_parity2.is_codeword([0.5] * 9)
 
 
 def test_parse_format_round_trip():

@@ -1,5 +1,9 @@
 """Equality-form simplex, cross-checked against basis enumeration."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +13,8 @@ from expanderlp import ExpanderCode, LpProblem, NumericError, lp_core, solve
 from expanderlp.harness import resolve_code, resolve_graph, sample_error_pattern
 from expanderlp.lp_decoder import build_reduced
 
-from oracles import leaving_column_by_column, lp_optimum_by_enumeration, pivot_dense
+from oracles import (ReferenceTableau, leaving_column_by_column, lp_optimum_by_enumeration,
+                     pivot_dense, solve_by_reference)
 
 
 def make_bounded_problem(rng, m, n):
@@ -169,53 +174,95 @@ def tie_heavy_tableau(rng, m, n):
         T[r] = rng.integers(1, 4) * T[rng.integers(0, m // 2)]
         if rng.random() < 0.8:
             T[r, n + rng.integers(0, m)] += 1.0
-    return lp_core._Tableau(T, n, list(range(n, n + m)), 1e-9)
+    return ReferenceTableau(T, n, range(n, n + m))
+
+
+def engine_stack(tabs):
+    """lp_core's engine over a stack of copies of reference tableaux, each
+    with its reduced costs as its last row."""
+    T = np.stack([np.vstack([tab.T, tab.z]) for tab in tabs])
+    return lp_core._Simplex(T, np.array([tab.basis for tab in tabs]), tabs[0].n,
+                            tabs[0].opt_tol)
 
 
 def test_leaving_matches_column_by_column_on_ties():
+    # stacks of one and of five tie-heavy tableaux: the engine's row in each
+    # problem is the reference's; a problem without a positive entry makes
+    # it report None, and otherwise an unseparable tie raises
     rng = np.random.default_rng(2024)
     multi_row_ties = unseparable = 0
-    for _ in range(60):
-        tab = tie_heavy_tableau(rng, int(rng.integers(4, 30)), 6)
-        for col in range(tab.n):
-            try:
-                expected = leaving_column_by_column(tab, col)
-            except NumericError:
-                with pytest.raises(NumericError):
-                    tab._leaving(col)
-                unseparable += 1
-                continue
-            assert tab._leaving(col) == expected
-            colvals = tab.T[:, col]
-            pos = np.flatnonzero(colvals > 1e-9)
-            if len(pos):
-                ratios = tab.T[pos, -1] / colvals[pos]
-                multi_row_ties += np.count_nonzero(ratios == ratios.min()) > 2
-    assert multi_row_ties > 50 and unseparable > 10
+    for k in (1, 5):
+        for _ in range(60):
+            m = int(rng.integers(4, 30))
+            tabs = [tie_heavy_tableau(rng, m, 6) for _ in range(k)]
+            engine = engine_stack(tabs)
+            for col in range(6):
+                expected = []
+                for tab in tabs:
+                    try:
+                        expected.append(leaving_column_by_column(tab, col))
+                    except NumericError:
+                        expected.append("raised")
+                    colvals = tab.T[:, col]
+                    pos = np.flatnonzero(colvals > 1e-9)
+                    ratios = tab.T[pos, -1] / colvals[pos]
+                    multi_row_ties += np.count_nonzero(ratios == ratios.min(initial=np.inf)) > 2
+                if None in expected:
+                    assert engine._leaving(engine.T[:, :, col]) is None
+                elif "raised" in expected:
+                    with pytest.raises(NumericError, match="could not separate candidate rows"):
+                        engine._leaving(engine.T[:, :, col])
+                    unseparable += 1
+                else:
+                    assert engine._leaving(engine.T[:, :, col]).tolist() == expected
+    assert multi_row_ties > 100 and unseparable > 20
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_sparse_and_dense_pivots_give_equal_tableaux(seed):
-    # m = 40 rows: a pivot column with at most 10 nonzeros takes the sparse
-    # update, 11 or more the dense one; both sides of the switch are covered
+    # m = 40 rows: pivot columns with at most 10 nonzeros in all take the
+    # sparse update, 11 or more the dense one; in stacks of one and of six,
+    # with zeros of both signs, every entry, its sign bit included, is what
+    # the reference's full outer-product update leaves
     rng = np.random.default_rng(seed)
     m, n = 40, 30
-    T = rng.normal(size=(m, n + m + 1)) * (rng.random((m, n + m + 1)) < 0.3)
-    T[:, n:-1] = np.eye(m)
-    fast = lp_core._Tableau(T.copy(), n, list(range(n, n + m)), 1e-9)
-    ref = lp_core._Tableau(T.copy(), n, list(range(n, n + m)), 1e-9)
-    fast.z[:] = ref.z[:] = rng.normal(size=n + m + 1)
-    for k in (1, 2, 10, 11, 25, m) * 3:
-        col = int(rng.integers(0, n))
-        rows = rng.choice(m, size=k, replace=False)
-        column = np.zeros(m)
-        column[rows] = rng.uniform(0.5, 2.0, size=k) * rng.choice([-1.0, 1.0], size=k)
-        fast.T[:, col] = ref.T[:, col] = column
-        fast.pivot(int(rows[0]), col)
-        pivot_dense(ref, int(rows[0]), col)
-        assert np.array_equal(fast.T, ref.T)
-        assert np.array_equal(fast.z, ref.z)
-        assert fast.basis == ref.basis
+    branches = set()
+    for k in (1, 6):
+        tabs = []
+        for _ in range(k):
+            T = rng.normal(size=(m, n + m + 1)) * (rng.random((m, n + m + 1)) < 0.3)
+            T[rng.random(T.shape) < 0.2] = -0.0
+            T[:, n:-1] = np.eye(m)
+            tab = ReferenceTableau(T, n, range(n, n + m))
+            tab.z[:] = rng.normal(size=n + m + 1)
+            tabs.append(tab)
+        for nnz_choices in ([1, 2], [10, 11, 25, m], [1, 2, 10, 11, 25, m]) * 4:
+            rows, cols = [], []
+            for tab in tabs:
+                col, nnz = int(rng.integers(0, n)), int(rng.choice(nnz_choices))
+                rows_nz = rng.choice(m, size=nnz, replace=False)
+                column = np.zeros(m)
+                column[rows_nz] = (rng.uniform(0.5, 2.0, size=nnz)
+                                   * rng.choice([-1.0, 1.0], size=nnz))
+                tab.T[:, col] = column
+                rows.append(int(rows_nz[0]))
+                cols.append(col)
+            engine = engine_stack(tabs)
+            branches.add((k, 4 * sum(np.count_nonzero(tab.T[:, c]) for tab, c in zip(tabs, cols))
+                          <= k * m))
+            engine.pivot(np.array(rows), np.array(cols))
+            for tab, row, col in zip(tabs, rows, cols):
+                pivot_dense(tab, row, col)
+            assert engine.T.tobytes() == engine_stack(tabs).T.tobytes()
+            assert engine.basis.tolist() == [tab.basis for tab in tabs]
+    assert branches == {(1, True), (1, False), (6, True), (6, False)}
+
+
+def _fields(sol):
+    """Every field of a solution, values by their bytes and the objective by hex."""
+    values = None if sol.values is None else sol.values.tobytes()
+    objective = None if sol.objective_value is None else sol.objective_value.hex()
+    return sol.status, values, objective, sol.iterations, sol.phase1_iterations
 
 
 @pytest.mark.parametrize("graph, local, weight", [
@@ -224,20 +271,40 @@ def test_sparse_and_dense_pivots_give_equal_tableaux(seed):
     ("random:12:6:1", "parity:2:6", 3),
     ("random:12:6:1", "parity:2:6", 6),
 ])
-def test_solve_takes_the_reference_pivots(monkeypatch, graph, local, weight):
+def test_solve_takes_the_reference_pivots(graph, local, weight):
     g = resolve_graph(graph)
     code = ExpanderCode(g, resolve_code(local, g.delta), resolve_code(local, g.delta))
     rng = np.random.default_rng(weight)
     c = code.random_codeword(rng)
     problem, _ = build_reduced(code, sample_error_pattern(code, c, weight, rng))
     fast = solve(problem)
-    monkeypatch.setattr(lp_core._Tableau, "pivot", pivot_dense)
-    monkeypatch.setattr(lp_core._Tableau, "_leaving", leaving_column_by_column)
-    ref = solve(problem)
-    assert fast.status == ref.status == "optimal"
-    assert fast.iterations == ref.iterations
-    assert fast.objective_value == ref.objective_value
-    assert np.array_equal(fast.values, ref.values)
+    assert fast.status == "optimal"
+    assert _fields(fast) == _fields(solve_by_reference(problem))
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "lp_solves.json").read_text())
+
+
+def golden_fields(sol):
+    """A solution as the golden file records it."""
+    return {"status": sol.status, "iterations": sol.iterations,
+            "phase1_iterations": sol.phase1_iterations,
+            "objective": None if sol.objective_value is None else sol.objective_value.hex(),
+            "values_sha256": (None if sol.values is None
+                              else hashlib.sha256(sol.values.tobytes()).hexdigest())}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN["solve"]))
+def test_solve_matches_the_golden(case):
+    # the reference-pivot instances, solved cold; recorded from the
+    # two-engine solver this one replaced
+    graph, local, weight = case.split()
+    g = resolve_graph(graph)
+    code = ExpanderCode(g, resolve_code(local, g.delta), resolve_code(local, g.delta))
+    rng = np.random.default_rng(int(weight))
+    c = code.random_codeword(rng)
+    problem, _ = build_reduced(code, sample_error_pattern(code, c, int(weight), rng))
+    assert golden_fields(solve(problem)) == GOLDEN["solve"][case]
 
 
 @pytest.mark.parametrize("rows", [0, 1], ids=["no-rows", "one-zero-row"])
@@ -346,14 +413,14 @@ def test_infeasible_verdict_counts_the_phase_1_search(monkeypatch):
     # solve that stops at the verdict does
     A, b = np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([2.0, 1.0])
     searched = []
-    real_run = lp_core._Tableau.run
+    real_run = lp_core._Simplex.run
 
     def recording_run(self):
         status = real_run(self)
         searched.append(self.iterations)
         return status
 
-    monkeypatch.setattr(lp_core._Tableau, "run", recording_run)
+    monkeypatch.setattr(lp_core._Simplex, "run", recording_run)
     start = lp_core.phase1(A, b)
     assert searched == [1] and start.iterations == 2
     problem = LpProblem(objective=[1.0, 1.0], eq_coeffs=A, eq_rhs=b)
@@ -385,27 +452,23 @@ def test_phase_counts_split_the_total():
 
 # -- many objectives in one stack ------------------------------------------------
 
-def _fields(sol):
-    """Every field of a solution, values by their bytes and the objective by hex."""
-    values = None if sol.values is None else sol.values.tobytes()
-    objective = None if sol.objective_value is None else sol.objective_value.hex()
-    return sol.status, values, objective, sol.iterations, sol.phase1_iterations
-
-
-def _solve_each(objectives, A, b, start, feas_tol=lp_core.DEFAULT_FEAS_TOL):
-    """solve() on each objective: its fields, or the NumericError it raised."""
+def _each(objectives, A, b, start, feas_tol=lp_core.DEFAULT_FEAS_TOL, reference=False):
+    """solve() on each objective, or the reference solver (which runs its
+    own phase 1): its fields, or the NumericError it raised."""
     out = []
     for c in objectives:
+        problem = LpProblem(objective=c, eq_coeffs=A, eq_rhs=b)
         try:
-            out.append(_fields(solve(LpProblem(objective=c, eq_coeffs=A, eq_rhs=b),
-                                     feas_tol=feas_tol, start=start)))
+            out.append(_fields(solve_by_reference(problem, feas_tol=feas_tol) if reference
+                               else solve(problem, feas_tol=feas_tol, start=start)))
         except NumericError as exc:
             out.append(("raised", str(exc)))
     return out
 
 
-def _assert_many_matches_each(objectives, A, b, start, feas_tol=lp_core.DEFAULT_FEAS_TOL):
-    each = _solve_each(objectives, A, b, start, feas_tol)
+def _assert_many_matches_each(objectives, A, b, start, feas_tol=lp_core.DEFAULT_FEAS_TOL,
+                              reference=False):
+    each = _each(objectives, A, b, start, feas_tol, reference)
     raised = [o for o in each if o[0] == "raised"]
     try:
         many = lp_core.solve_many(objectives, A, b, start, feas_tol=feas_tol)
@@ -429,7 +492,7 @@ def test_solve_many_equals_solve_per_objective(family):
             lp_core.solve_many(objectives, A, b)
         return
     for feas_tol in feas_tols:
-        each = _assert_many_matches_each(objectives, A, b, start, feas_tol)
+        each = _assert_many_matches_each(objectives, A, b, start, feas_tol, reference=True)
     if all(o[0] != "raised" for o in each):
         # without a start, phase 1 runs inside, as in solve
         assert [_fields(s) for s in lp_core.solve_many(objectives, A, b,
@@ -449,7 +512,8 @@ def test_solve_many_takes_each_problems_own_pivot_count(graph, local):
                 for _ in range(40)]
     A, b = problems[0].eq_coeffs, problems[0].eq_rhs
     start = lp_core.phase1(A, b)
-    each = _assert_many_matches_each(np.array([p.objective for p in problems]), A, b, start)
+    each = _assert_many_matches_each(np.array([p.objective for p in problems]), A, b, start,
+                                     reference=True)
     phase2 = {o[3] - o[4] for o in each}
     assert len(phase2) >= 2
 
@@ -480,7 +544,7 @@ def test_solve_many_raises_the_unseparable_tie_as_solve_does():
     A, b, start = _unseparable_start()
     # the first objective enters column 2 and ties; the others stop at once
     objectives = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 1.0, 0.0]]
-    each = _solve_each(objectives, A, b, start)
+    each = _each(objectives, A, b, start)
     assert each[0] == ("raised", "lexicographic ratio test could not separate candidate rows")
     assert [o[0] for o in each[1:]] == ["optimal", "optimal"]
     with pytest.raises(NumericError, match="could not separate candidate rows"):
@@ -506,29 +570,36 @@ def test_solve_many_checks_its_inputs():
 
 
 def test_leaving_rows_matches_leaving_on_tie_heavy_stacks():
+    # the ratio test on a stack of five picks, in each problem that has a
+    # positive entry, the row it picks on that problem in a stack of one,
+    # and raises where one of them raises
     rng = np.random.default_rng(2025)
     multi_row_ties = unseparable = 0
     for _ in range(60):
         m = int(rng.integers(4, 30))
         tabs = [tie_heavy_tableau(rng, m, 6) for _ in range(5)]
-        T = np.stack([tab.T for tab in tabs])
         for col in range(6):
-            colvals = T[:, :, col]
-            pos = colvals > 1e-9
-            has_row = pos.any(axis=1)
+            has_row = [bool((tab.T[:, col] > 1e-9).any()) for tab in tabs]
+            stacked_tabs = [tab for tab, h in zip(tabs, has_row) if h]
+            if not stacked_tabs:
+                continue
             expected = []
-            for tab in (t for t, h in zip(tabs, has_row) if h):
+            for tab in stacked_tabs:
+                single = engine_stack([tab])
                 try:
-                    expected.append(tab._leaving(col))
+                    expected.extend(single._leaving(single.T[:, :, col]).tolist())
                 except NumericError:
                     expected.append(None)
+            stacked = engine_stack(stacked_tabs)
             if None in expected:
                 with pytest.raises(NumericError, match="could not separate"):
-                    lp_core._leaving_rows(T[has_row], colvals[has_row], pos[has_row], 6)
+                    stacked._leaving(stacked.T[:, :, col])
                 unseparable += 1
                 continue
-            got = lp_core._leaving_rows(T[has_row], colvals[has_row], pos[has_row], 6)
-            assert got.tolist() == expected
+            assert stacked._leaving(stacked.T[:, :, col]).tolist() == expected
+            T = np.stack([tab.T for tab in tabs])
+            colvals = T[:, :, col]
+            pos = colvals > 1e-9
             ratios = np.where(pos, T[:, :, -1] / np.where(pos, colvals, 1.0), np.inf)
             multi_row_ties += int(((ratios == ratios.min(axis=1, keepdims=True))
                                    & pos).sum(axis=1).max() > 2)
@@ -537,8 +608,9 @@ def test_leaving_rows_matches_leaving_on_tie_heavy_stacks():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_stacked_pivot_is_pivot_bit_for_bit(seed):
-    # both sides of pivot's sparse/dense switch in one stack, and zeros of
-    # both signs: every entry, its sign bit included, is what pivot leaves
+    # both sides of the sparse/dense switch in one stack, and zeros of both
+    # signs: every entry, its sign bit included, is what pivoting each
+    # problem in a stack of one leaves
     rng = np.random.default_rng(seed)
     m, n, k = 40, 30, 6
     tabs = []
@@ -546,26 +618,24 @@ def test_stacked_pivot_is_pivot_bit_for_bit(seed):
         T = rng.normal(size=(m, n + m + 1)) * (rng.random((m, n + m + 1)) < 0.3)
         T[rng.random(T.shape) < 0.2] = -0.0
         T[:, n:-1] = np.eye(m)
-        tab = lp_core._Tableau(T, n, list(range(n, n + m)), 1e-9)
+        tab = ReferenceTableau(T, n, range(n, n + m))
         tab.z[:] = rng.normal(size=n + m + 1)
         tabs.append(tab)
+    singles = [engine_stack([tab]) for tab in tabs]
+    stacked = engine_stack(tabs)
     for _ in range(12):
         rows, cols = [], []
-        for tab in tabs:
+        for s, single in enumerate(singles):
             col, nnz = int(rng.integers(0, n)), int(rng.choice([1, 2, 10, 11, 25, m]))
             rows_nz = rng.choice(m, size=nnz, replace=False)
             column = np.zeros(m)
             column[rows_nz] = (rng.uniform(0.5, 2.0, size=nnz)
                                * rng.choice([-1.0, 1.0], size=nnz))
-            tab.T[:, col] = column
+            single.T[0, :m, col] = stacked.T[s, :m, col] = column
             rows.append(int(rows_nz[0]))
             cols.append(col)
-        T = np.stack([tab.T for tab in tabs])
-        z = np.stack([tab.z for tab in tabs])
-        basis = np.array([tab.basis for tab in tabs])
-        lp_core._pivot_stack(T, z, basis, np.array(rows), np.array(cols))
-        for tab, row, col in zip(tabs, rows, cols):
-            tab.pivot(row, col)
-        assert T.tobytes() == np.stack([tab.T for tab in tabs]).tobytes()
-        assert z.tobytes() == np.stack([tab.z for tab in tabs]).tobytes()
-        assert basis.tolist() == [tab.basis for tab in tabs]
+        stacked.pivot(np.array(rows), np.array(cols))
+        for single, row, col in zip(singles, rows, cols):
+            single.pivot(np.array([row]), np.array([col]))
+        assert stacked.T.tobytes() == np.concatenate([s.T for s in singles]).tobytes()
+        assert stacked.basis.tolist() == [s.basis[0].tolist() for s in singles]

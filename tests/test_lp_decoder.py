@@ -1,8 +1,11 @@
 """The decoding LP: embeddings, assembly, and end-to-end decodes."""
 
 import gc
+import hashlib
 import itertools
+import json
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from expanderlp import lp_core, lp_decoder
 from expanderlp.harness import resolve_instance, sample_error_pattern
 
 from oracles import build_primal, lift_f_by_edge, nearest_codeword_scan
+from test_lp_core import golden_fields
 
 
 def test_embed_is_one_hot():
@@ -182,6 +186,8 @@ def test_decode_validates_input(four_cycle_rep3):
         decode(four_cycle_rep3, [0, 0, 0])
     with pytest.raises(ValueError):
         decode(four_cycle_rep3, [0, 0, 0, 5])
+    with pytest.raises(ValueError, match="integers"):
+        decode(four_cycle_rep3, [0, 1.9, 0, -0.5])
 
 
 # -- the per-code cache: constraints and phase 1 built once --------------------
@@ -262,17 +268,17 @@ def test_warm_decode_pivots_only_in_phase_2(monkeypatch, r20_rep2):
     # a fresh code, so phase 1 runs under the counting pivot too
     code = _fresh(r20_rep2)
     pivots, solutions = [0], []
-    real_pivot, real_solve = lp_core._Tableau.pivot, lp_core.solve
+    real_pivot, real_solve = lp_core._Simplex._pivot, lp_core.solve
 
-    def counting_pivot(self, row, col):
-        pivots[0] += 1
-        real_pivot(self, row, col)
+    def counting_pivot(self, *args):
+        pivots[0] += len(self.T)     # one pivot in each problem of the stack
+        real_pivot(self, *args)
 
     def recording_solve(*args, **kwargs):
         solutions.append(real_solve(*args, **kwargs))
         return solutions[-1]
 
-    monkeypatch.setattr(lp_core._Tableau, "pivot", counting_pivot)
+    monkeypatch.setattr(lp_core._Simplex, "_pivot", counting_pivot)
     monkeypatch.setattr(lp_core, "solve", recording_solve)
     for k, y in enumerate(_words(code, 3, seed=5)):
         pivots[0] = 0
@@ -328,22 +334,27 @@ def test_decode_many_keeps_fractional_optima():
     assert [_fields(r) for r in results] == [_fields(decode(code, y)) for y in words]
 
 
-def test_decode_many_hands_large_lps_to_decode(monkeypatch, r20_rep2):
-    # one r20 tableau is over the stack budget, so each word is one decode call
-    real, calls = lp_decoder.decode, []
+def test_decode_many_solves_large_lps_in_stacks_of_one(monkeypatch, r20_rep2):
+    # one r20 tableau is over the stack budget, so each word is a stack of
+    # one in solve_many, never a call to decode, with decode's results
+    real, stacks = lp_core.solve_many, []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def recording(objectives, *args, **kwargs):
+        stacks.append(len(objectives))
+        return real(objectives, *args, **kwargs)
 
-    monkeypatch.setattr(lp_decoder, "decode", counted)
-    monkeypatch.setattr(lp_core, "solve_many", None)
     words = _words(r20_rep2, 3, seed=2)
-    assert len(lp_decoder.decode_many(r20_rep2, words)) == 3 and len(calls) == 3
+    expected = [_fields(decode(r20_rep2, y)) for y in words]
+    monkeypatch.setattr(lp_core, "solve_many", recording)
+    monkeypatch.setattr(lp_decoder, "decode", None)
+    assert [_fields(r) for r in lp_decoder.decode_many(r20_rep2, words)] == expected
+    assert stacks == [1, 1, 1]
 
 
-@pytest.mark.parametrize("ys", [[[0, 0, 0]], [[0, 0, 0, 5]], [[0, 0, 0, -1]], [0, 0, 0, 0]],
-                         ids=["short", "symbol-out-of-field", "negative", "one-word-not-a-stack"])
+@pytest.mark.parametrize("ys", [[[0, 0, 0]], [[0, 0, 0, 5]], [[0, 0, 0, -1]], [0, 0, 0, 0],
+                                [[0, 0, 0, 1], [0, 1.9, 0, -0.5]]],
+                         ids=["short", "symbol-out-of-field", "negative", "one-word-not-a-stack",
+                              "fractional"])
 def test_decode_many_validates_input(four_cycle_rep3, ys):
     with pytest.raises(ValueError):
         lp_decoder.decode_many(four_cycle_rep3, ys)
@@ -351,3 +362,33 @@ def test_decode_many_validates_input(four_cycle_rep3, ys):
 
 def test_decode_many_of_no_words(four_cycle_rep3):
     assert lp_decoder.decode_many(four_cycle_rep3, []) == []
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "lp_solves.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["decode"]))
+def test_decode_matches_the_golden(request, monkeypatch, name):
+    # decode's LP solutions, recorded from the two-engine solver this one
+    # replaced, on the words decode_many is checked with; decode_many's
+    # results carry the same solutions
+    code = (resolve_instance(*INSTANCES[name]) if name in INSTANCES
+            else request.getfixturevalue(name))
+    cases = GOLDEN["decode"][name]
+    solutions, real = [], lp_core.solve
+
+    def recording(*args, **kwargs):
+        solutions.append(real(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(lp_core, "solve", recording)
+    words = [case["word"] for case in cases]
+    for case, y in zip(cases, words):
+        expected = {k: v for k, v in case.items() if k not in ("word", "decode_status")}
+        assert decode(code, y).status == case["decode_status"]
+        assert golden_fields(solutions[-1]) == expected
+    for case, result in zip(cases, lp_decoder.decode_many(code, words)):
+        values = np.concatenate([block.ravel() for block in result.raw_w])
+        assert (result.status, result.lp_iterations, result.objective.hex(),
+                hashlib.sha256(values.tobytes()).hexdigest()) == (
+            case["decode_status"], case["iterations"], case["objective"], case["values_sha256"])
