@@ -27,11 +27,15 @@ error edge, and one writer turns that into tau and sigma.  The two sides
 share one code path: a side index (0 for A, 1 for B) selects the local
 code, the incident-edge array and the edges' endpoints.
 Everything here is exact rational arithmetic; nothing floats.
-Witnesses hold Fraction values, and check_witness compares them exactly as
+Witnesses hold Fraction values, and the check compares them exactly as
 integers: every value is scaled by one common denominator, so each
 constraint becomes an integer comparison done on whole numpy arrays.  The
-writer shares a few value objects among all rows, and the check reads each
-distinct object once.
+writer knows each value as one of a few integers per edge kind: it builds
+the scaled arrays first and renders the Fraction lists from the same
+integers, and find_witness checks those arrays directly.  check_witness
+takes any witness, so it reads the integers back from the lists; the
+writer shares a few value objects among all rows, and it reads each
+distinct object once.  Both feed one check core.
 
 One eps is enough.  A built witness's values are the half-integers -1/2,
 1/2, -5/2 and 3/2, some less eps, and its edge constraints hold for every
@@ -47,10 +51,12 @@ the same at every such eps, and find_witness builds and checks one witness
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,10 +67,11 @@ from .tanner_graph import TannerGraph
 
 EPSILON_START = Fraction(1, 10 ** 6)
 
-_CORRECT_MATCH = Fraction(-1, 2)        # value at the codeword symbol, correct edge
-_ERROR_MATCH = Fraction(1, 2)           # value at the codeword symbol, error edge
-_PEELED = Fraction(-5, 2)               # off-symbol value at the endpoint that let go
-_SURVIVOR = Fraction(3, 2)              # off-symbol value at the other endpoint
+# A witness's values in halves, per edge kind: kind 0 a correct edge, 1 the
+# endpoint that released an error edge, 2 its other endpoint.  Off the
+# codeword symbol, kinds 0 and 1 also take -eps.
+_MATCH_HALVES = (-1, 1, 1)              # value at the codeword symbol
+_OFF_HALVES = (1, -5, 3)                # value at every other symbol
 
 
 @dataclass
@@ -156,10 +163,18 @@ def _checked(code: ExpanderCode, c, y) -> tuple[np.ndarray, np.ndarray]:
     """c and y as int64 arrays; ValueError unless y is a word of the code's
     length and alphabet and c is a codeword."""
     yw = check_word(y, code.field.q, code.num_edges)
-    cw = np.asarray(c, dtype=np.int64)
-    if not code.is_codeword(cw):
+    # is_codeword validates the raw c, so the cast below truncates nothing
+    if not code.is_codeword(c):
         raise ValueError("c must be a codeword")
-    return cw, yw
+    return np.asarray(c, dtype=np.int64), yw
+
+
+def _check_rational(epsilon) -> None:
+    """ValueError unless epsilon is an exact rational (a Fraction or an int):
+    a float's binary value is not the number it prints as."""
+    if not isinstance(epsilon, numbers.Rational):
+        raise ValueError(f"epsilon must be rational, such as a Fraction, "
+                         f"not {type(epsilon).__name__} {epsilon!r}")
 
 
 # -- peeling --------------------------------------------------------------------
@@ -238,39 +253,66 @@ def find_error_core(graph: TannerGraph, trace: PeelingTrace,
 
 # -- witness construction ---------------------------------------------------------
 
+class _Scaled(NamedTuple):
+    """A witness's values as integers over one common denominator den: tau
+    as a (2, E, q) array of tau_a, tau_b times den, eps times den, and per
+    global vertex the local distance its sigma stands for (-1 for none)."""
+
+    tau: np.ndarray
+    den: int
+    eps: int
+    dist: np.ndarray
+
+
 def _write_witness(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
-                   released: dict[int, int], epsilon: Fraction, source: str) -> DualWitness:
+                   released: dict[int, int], epsilon: numbers.Rational,
+                   source: str) -> tuple[DualWitness, _Scaled]:
     """The witness in which side released[e] let go of error edge e, for a
-    codeword and a checked received word.
+    codeword and a checked received word, and its values as scaled integers.
 
     On both sides a correct edge takes -1/2 at the codeword symbol and
     1/2-eps elsewhere, and an error edge +1/2 at the codeword symbol.  At
     the other symbols of an error edge, the endpoint that released it takes
     -5/2-eps and the other endpoint +3/2.  Every tau row is a list of its
     own.  sigma[v] = Delta/2 - dist(y|_v, c|_v) over global vertex ids.
+    The lists are rendered from the scaled integers, so the two are equal.
     """
     q = code.field.q
+    num_edges = code.num_edges
+    delta = code.graph.delta
     if released.keys() != set(np.flatnonzero(cw != yw).tolist()):
         raise ValueError(f"{source} must cover exactly the error edges")
-    # templates[kind * q + symbol]: kind 0 a correct edge, 1 the releasing
-    # endpoint of an error edge, 2 its other endpoint
-    templates = [[match if alpha == symbol else off for alpha in range(q)]
-                 for off, match in ((Fraction(1, 2) - epsilon, _CORRECT_MATCH),
-                                    (_PEELED - epsilon, _ERROR_MATCH),
-                                    (_SURVIVOR, _ERROR_MATCH))
-                 for symbol in range(q)]
-    kinds = np.zeros((2, code.num_edges), dtype=np.int64)
+    den = math.lcm(2, epsilon.denominator)
+    eps_scaled = epsilon.numerator * (den // epsilon.denominator)
+    half = den // 2
+    match = [h * half for h in _MATCH_HALVES]
+    off = [h * half - eps_scaled * (kind < 2) for kind, h in enumerate(_OFF_HALVES)]
+    kinds = np.zeros((2, num_edges), dtype=np.int64)
     edges = np.fromiter(released, dtype=np.int64, count=len(released))
     sides = np.fromiter(released.values(), dtype=np.int64, count=len(released))
     kinds[sides, edges] = 1
     kinds[1 - sides, edges] = 2
+    present = [0] * (len(released) < num_edges) + [1, 2] * bool(released)
+    dtype = _exact_dtype([v for k in present for v in (match[k], off[k])],
+                         den, eps_scaled, delta)
+    at_c = np.arange(q) == cw[:, None]
+    tau = np.where(at_c, np.array(match, dtype=dtype)[kinds][..., None],
+                   np.array(off, dtype=dtype)[kinds][..., None])
+
+    # templates[kind * q + symbol]: the row of an edge of that kind whose
+    # codeword symbol is symbol
+    templates = [[m if alpha == symbol else o for alpha in range(q)]
+                 for m, o in zip((Fraction(v, den) for v in match),
+                                 (Fraction(v, den) for v in off))
+                 for symbol in range(q)]
     tau_a, tau_b = (list(map(list, map(templates.__getitem__, index)))
                     for index in (kinds * q + cw).tolist())
-    half_delta = Fraction(code.graph.delta, 2)
-    sigma_of = [half_delta - d for d in range(code.graph.delta + 1)]
-    sigma = list(map(sigma_of.__getitem__,
-                     np.concatenate(_local_distances(code, cw, yw)).tolist()))
-    return DualWitness(tau_a=tau_a, tau_b=tau_b, sigma=sigma, epsilon=epsilon)
+    dist = np.concatenate(_local_distances(code, cw, yw))
+    half_delta = Fraction(delta, 2)
+    sigma_of = [half_delta - d for d in range(delta + 1)]
+    sigma = list(map(sigma_of.__getitem__, dist.tolist()))
+    return (DualWitness(tau_a=tau_a, tau_b=tau_b, sigma=sigma, epsilon=epsilon),
+            _Scaled(tau, den, eps_scaled, dist))
 
 
 def build_witness_from_peeling(code: ExpanderCode, c, y, trace: PeelingTrace,
@@ -280,15 +322,20 @@ def build_witness_from_peeling(code: ExpanderCode, c, y, trace: PeelingTrace,
     An error edge that died in round i* (it is in edge_sets up to i* and not
     after) was released by its endpoint on the side of round i*-1; that
     endpoint held fewer than delta*Delta/4 surviving edges, and takes the
-    -5/2-eps values.
+    -5/2-eps values.  c and y must be words of the code and epsilon
+    rational, or ValueError.
     """
+    _check_rational(epsilon)
     yw = check_word(y, code.field.q, code.num_edges)
-    return _witness_from_peeling(code, np.asarray(c, dtype=np.int64), yw, trace, epsilon)
+    cw = check_word(c, code.field.q, code.num_edges)
+    return _witness_from_peeling(code, cw, yw, trace, epsilon)[0]
 
 
 def _witness_from_peeling(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
-                          trace: PeelingTrace, epsilon: Fraction) -> DualWitness:
-    """build_witness_from_peeling() on a checked received word."""
+                          trace: PeelingTrace,
+                          epsilon: Fraction) -> tuple[DualWitness, _Scaled]:
+    """build_witness_from_peeling() on checked words, with the witness's
+    scaled integers."""
     if not trace.terminated_empty:
         raise WitnessUnavailableError("peeling stagnated; no witness from this trace")
     # edge_sets[idx] is E_{idx+1}, so an edge whose last set is E_{i*} was
@@ -304,17 +351,20 @@ def build_witness_from_orientation(code: ExpanderCode, c, y,
 
     The head of each directed error edge takes the -5/2-eps values, so the
     vertex constraints need every in-degree to stay strictly below
-    delta*Delta/4 on its side; that is checked here as a precondition.
+    delta*Delta/4 on its side; that is checked here as a precondition.  c
+    and y must be words of the code and epsilon rational, or ValueError.
     """
+    _check_rational(epsilon)
     yw = check_word(y, code.field.q, code.num_edges)
-    return _witness_from_orientation(code, np.asarray(c, dtype=np.int64), yw,
-                                     orientation, epsilon)
+    cw = check_word(c, code.field.q, code.num_edges)
+    return _witness_from_orientation(code, cw, yw, orientation, epsilon)[0]
 
 
 def _witness_from_orientation(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
                               orientation: OrientedEdgeSet,
-                              epsilon: Fraction) -> DualWitness:
-    """build_witness_from_orientation() on a checked received word."""
+                              epsilon: Fraction) -> tuple[DualWitness, _Scaled]:
+    """build_witness_from_orientation() on checked words, with the
+    witness's scaled integers."""
     n = code.graph.n
     distances = [local.min_distance()[0] for local, _, _ in _sides(code)]
     for v, deg in orientation.indegrees().items():
@@ -355,6 +405,18 @@ def _distinct_ratios(values: list) -> tuple[list[tuple[int, int]], np.ndarray]:
     return [values[i].as_integer_ratio() for i in first.tolist()], inverse
 
 
+def _exact_dtype(scaled: list[int], den: int, eps_scaled: int, delta: int):
+    """int64 if the check's integers fit it, else object (Python ints).
+
+    Every value the check forms from tau values scaled to these integers is
+    at most (Delta+2)*max(|tau*den|, den + eps*den) in absolute value: below
+    2**62 the arrays are int64, above it they hold Python ints.  Both are
+    exact.
+    """
+    largest = max(max(scaled), -min(scaled), den + eps_scaled)
+    return np.int64 if largest * (delta + 2) < _INT64_SAFE else object
+
+
 def _scaled_taus(witness: DualWitness, shape: tuple[int, int],
                  delta: int) -> tuple[np.ndarray, int, int]:
     """The witness's tau values times one common denominator, as integers.
@@ -362,10 +424,7 @@ def _scaled_taus(witness: DualWitness, shape: tuple[int, int],
     den is the lcm of 2, eps's denominator and every tau denominator, so
     tau*den, eps*den and the vertex bounds (2*dist - Delta)*den/2 are all
     integers.  Returns the (2, E, q) array of tau_a, tau_b scaled by den,
-    then den and eps*den.  Every value the check forms is at most
-    (Delta+2)*max(|tau*den|, den + eps*den) in absolute value: below 2**62
-    the array is int64, above it holds Python ints (dtype object).  Both
-    are exact.
+    of _exact_dtype, then den and eps*den.
     """
     ratios, inverse = _distinct_ratios(
         list(chain.from_iterable(chain(witness.tau_a, witness.tau_b))))
@@ -373,8 +432,7 @@ def _scaled_taus(witness: DualWitness, shape: tuple[int, int],
     den = math.lcm(2, eps_den, *(d for _, d in ratios))
     scaled = [num * (den // d) for num, d in ratios]
     eps_scaled = eps_num * (den // eps_den)
-    largest = max(max(scaled), -min(scaled), den + eps_scaled)
-    dtype = np.int64 if largest * (delta + 2) < _INT64_SAFE else object
+    dtype = _exact_dtype(scaled, den, eps_scaled, delta)
     return np.array(scaled, dtype=dtype)[inverse].reshape((2,) + shape), den, eps_scaled
 
 
@@ -392,35 +450,42 @@ def _sigma_distances(witness: DualWitness, delta: int) -> np.ndarray:
 def check_witness(code: ExpanderCode, c, y, witness: DualWitness) -> WitnessCheck:
     """Exact feasibility check of a witness; reports the first violation found.
 
-    Every constraint is an integer comparison over the common denominator
-    of the witness's values.  The order is every edge by (e, alpha), then
-    side a before side b, vertex by vertex, the sigma check before that
-    vertex's local codewords; the message quotes the witness's own values.
-    A witness without E rows of q values per side and 2n sigma values is a
-    ValueError.
+    The witness's values are read back from its lists as integers over their
+    common denominator (each distinct value object once), and every
+    constraint is an integer comparison.  The order is every edge by
+    (e, alpha), then side a before side b, vertex by vertex, the sigma check
+    before that vertex's local codewords; the message quotes the witness's
+    own values.  A witness without E rows of q values per side and 2n sigma
+    values is a ValueError.
     """
-    return _check_witness(code, *_checked(code, c, y), witness)
+    cw, yw = _checked(code, c, y)
+    graph = code.graph
+    _check_shape(witness, graph.num_edges, code.field.q, 2 * graph.n)
+    if witness.epsilon <= 0:
+        return WitnessCheck(ok=False, violation="epsilon must be positive")
+    tau, den, eps_scaled = _scaled_taus(witness, (graph.num_edges, code.field.q),
+                                        graph.delta)
+    return _check_scaled(code, cw, yw, witness, _Scaled(
+        tau, den, eps_scaled, _sigma_distances(witness, graph.delta)))
 
 
-def _check_witness(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
-                   witness: DualWitness) -> WitnessCheck:
-    """check_witness() on a checked codeword and received word."""
+def _check_scaled(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
+                  witness: DualWitness, scaled: _Scaled) -> WitnessCheck:
+    """The check of a witness's scaled integers, on a checked codeword and
+    received word; the witness's lists are read only to quote values in a
+    violation message."""
     graph = code.graph
     q = code.field.q
     num_edges = graph.num_edges
     delta = graph.delta
     n = graph.n
-    _check_shape(witness, num_edges, q, 2 * n)
-    eps = witness.epsilon
-    if eps <= 0:
-        return WitnessCheck(ok=False, violation="epsilon must be positive")
-    tau, den, eps_scaled = _scaled_taus(witness, (num_edges, q), delta)
+    tau, den = scaled.tau, scaled.den
 
     # cost*den, less eps*den except at the codeword symbol (the weak constraint)
     symbols = np.arange(q)
     limit = np.full((num_edges, q), den, dtype=tau.dtype)
     limit[symbols == yw[:, None]] = -den
-    limit[symbols != cw[:, None]] -= eps_scaled
+    limit[symbols != cw[:, None]] -= scaled.eps
     bad = np.flatnonzero(tau[0] + tau[1] > limit)
     if bad.size:
         e, alpha = divmod(int(bad[0]), q)
@@ -438,14 +503,12 @@ def _check_witness(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
 
     half_delta = Fraction(delta, 2)
     distances = _local_distances(code, cw, yw)
-    sigma_off = (_sigma_distances(witness, delta) != np.concatenate(distances)).reshape(2, n)
+    sigma_off = (scaled.dist != np.concatenate(distances)).reshape(2, n)
     for s, (local, inc, _) in enumerate(_sides(code)):
         side, taus, dist = "ab"[s], (witness.tau_a, witness.tau_b)[s], distances[s]
         codewords = local.codewords()
         # totals[v, k]: the sum over v's edges of tau at local codeword k's symbol
-        totals = np.zeros((n, len(codewords)), dtype=tau.dtype)
-        for t in range(delta):
-            totals += tau[s][inc[:, t][:, None], codewords[None, :, t]]
+        totals = tau[s].reshape(-1)[inc[:, None, :] * q + codewords[None]].sum(axis=2)
         rhs = (2 * dist - delta).astype(tau.dtype) * (den // 2)
         bad = np.flatnonzero(totals < rhs[:, None])
         first = int(bad[0]) // len(codewords) if bad.size else n
@@ -481,11 +544,15 @@ def find_witness(code: ExpanderCode, c, y, mode: str = "peel",
     built at epsilon and checked once.  The witness's values are
     half-integers less 0 or eps, and eps enters a vertex constraint at most
     Delta times, so for 0 < epsilon <= 1/(2*Delta) the verdict is the same
-    at every epsilon (see the module docstring); any other epsilon is a
-    ValueError.  In both modes c must be a codeword and y a word of the
-    code, or ValueError; they are checked once, here, and the peel, the
-    builder and the check run on the checked arrays.
+    at every epsilon (see the module docstring); any other epsilon, and any
+    epsilon that is not rational (a float), is a ValueError.  In both modes
+    c must be a codeword and y a word of the code, or ValueError; they are
+    checked once, here, and the peel, the builder and the check run on the
+    checked arrays.  The check reads the integers the writer scaled the
+    witness's values to, not the Fraction lists it returns; check_witness
+    gives the same verdict on those lists.
     """
+    _check_rational(epsilon)
     bound = Fraction(1, 2 * code.graph.delta)
     if not 0 < epsilon <= bound:
         raise ValueError(f"epsilon {epsilon} must lie in (0, 1/(2*Delta)] = (0, {bound}]")
@@ -498,7 +565,7 @@ def find_witness(code: ExpanderCode, c, y, mode: str = "peel",
                                    code.code_b.relative_distance / 4)
             return CertifyResult(witness_found=False, mode=mode, core=core,
                                  reason="peeling stagnated on an error core")
-        witness = _witness_from_peeling(code, cw, yw, trace, epsilon)
+        witness, scaled = _witness_from_peeling(code, cw, yw, trace, epsilon)
     elif mode == "orient":
         delta = code.graph.delta
         try:
@@ -512,11 +579,11 @@ def find_witness(code: ExpanderCode, c, y, mode: str = "peel",
             return CertifyResult(witness_found=False, mode=mode,
                                  reason=f"no orientation within caps "
                                         f"({oriented.violations} residual violations)")
-        witness = _witness_from_orientation(code, cw, yw, oriented, epsilon)
+        witness, scaled = _witness_from_orientation(code, cw, yw, oriented, epsilon)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    result = _check_witness(code, cw, yw, witness)
+    result = _check_scaled(code, cw, yw, witness, scaled)
     if not result.ok:
         return CertifyResult(witness_found=False, mode=mode,
                              reason=f"witness fails the exact check: {result.violation}")

@@ -353,16 +353,19 @@ def test_failed_check_is_reported_not_found(k66_rep2, monkeypatch):
     c = np.zeros(36, dtype=np.int64)
     y = c.copy()
     y[0] = 1
-    real = certificate._witness_from_peeling
+    real = certificate._write_witness
 
     def broken(*args):
-        witness = real(*args)
+        witness, scaled = real(*args)
         witness.tau_a[0][0] += 3
-        return witness
+        scaled.tau[0, 0, 0] += 3 * scaled.den
+        return witness, scaled
 
-    # find_witness validates c and y once, then builds through the private body
-    monkeypatch.setattr(certificate, "_witness_from_peeling", broken)
-    expected = check_witness(k66_rep2, c, y, broken(k66_rep2, c, y, peel(k66_rep2, c, y), EPS))
+    # find_witness checks the integers the writer scaled the witness to, and
+    # quotes the witness's lists: the tamper reaches both
+    monkeypatch.setattr(certificate, "_write_witness", broken)
+    expected = check_witness(k66_rep2, c, y,
+                             build_witness_from_peeling(k66_rep2, c, y, peel(k66_rep2, c, y), EPS))
     result = find_witness(k66_rep2, c, y, mode="peel")
     assert (result.witness_found, result.epsilon, result.witness) == (False, None, None)
     assert result.reason == f"witness fails the exact check: {expected.violation}"
@@ -712,6 +715,61 @@ def test_invalid_received_word_rejected(k66_rep2, entry, name):
         calls[entry]()
 
 
+def _bad_transmitted_words():
+    return {"half": [0.5] * 36, "nan": np.full(36, np.nan)}
+
+
+@pytest.mark.parametrize("name", sorted(_bad_transmitted_words()))
+@pytest.mark.parametrize("entry", ["peel", "find_witness_peel", "find_witness_orient",
+                                   "check_witness", "build_witness_from_peeling",
+                                   "build_witness_from_orientation"])
+def test_non_integer_transmitted_word_rejected(k66_rep2, entry, name):
+    # [0.5] * 36 would truncate to the zero codeword, and y's one error at
+    # edge 0 would then be certified for a c that is no word of the code
+    c = _bad_transmitted_words()[name]
+    y = np.zeros(36, dtype=np.int64)
+    y[0] = 1
+    zero = np.zeros(36, dtype=np.int64)
+    trace = peel(k66_rep2, zero, y)
+    witness = build_witness_from_peeling(k66_rep2, zero, y, trace)
+    oriented = OrientedEdgeSet(graph=k66_rep2.graph, edges=(0,), head_side={0: "b"},
+                               cap_a=1, cap_b=1)
+    calls = {
+        "peel": lambda: peel(k66_rep2, c, y),
+        "find_witness_peel": lambda: find_witness(k66_rep2, c, y, mode="peel"),
+        "find_witness_orient": lambda: find_witness(k66_rep2, c, y, mode="orient"),
+        "check_witness": lambda: check_witness(k66_rep2, c, y, witness),
+        "build_witness_from_peeling": lambda: build_witness_from_peeling(k66_rep2, c, y, trace),
+        "build_witness_from_orientation":
+            lambda: build_witness_from_orientation(k66_rep2, c, y, oriented),
+    }
+    with pytest.raises(ValueError, match="symbols must be integers"):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("epsilon", [1e-7, np.float64(1e-7), 0.0625],
+                         ids=["float", "numpy-float", "float-exact-binary"])
+def test_float_epsilon_rejected(k66_rep2, epsilon):
+    # a float's binary value is not the number it prints as; 1e-7 once made
+    # find_witness report that a feasible witness fails the exact check
+    c = np.zeros(36, dtype=np.int64)
+    y = c.copy()
+    y[0] = 1
+    trace = peel(k66_rep2, c, y)
+    oriented = OrientedEdgeSet(graph=k66_rep2.graph, edges=(0,), head_side={0: "b"},
+                               cap_a=1, cap_b=1)
+    for call in (lambda: find_witness(k66_rep2, c, y, mode="peel", epsilon=epsilon),
+                 lambda: find_witness(k66_rep2, c, y, mode="orient", epsilon=epsilon),
+                 lambda: build_witness_from_peeling(k66_rep2, c, y, trace, epsilon),
+                 lambda: build_witness_from_orientation(k66_rep2, c, y, oriented, epsilon)):
+        with pytest.raises(ValueError, match="epsilon must be rational"):
+            call()
+    exact = Fraction(epsilon)
+    for mode in ("peel", "orient"):
+        result = find_witness(k66_rep2, c, y, mode=mode, epsilon=exact)
+        assert result.witness_found and result.epsilon == exact
+
+
 def test_find_witness_validates_c_and_y_once(k66_rep2, k66_grs, four_cycle_rep3, monkeypatch):
     # the search checks its inputs once, then runs peel, the builder and
     # the check on the checked arrays; the public entries keep checking
@@ -781,3 +839,115 @@ def test_witnesses_match_golden(fixture, request):
             witness.tau_a[e][int(c[e])] += 1
             expected["tau_a"][e][int(c[e])] = str(Fraction(expected["tau_a"][e][int(c[e])]) + 1)
             assert _as_strings(witness) == expected
+
+
+# -- the search checks the integers its writer wrote ----------------------------------
+
+
+@pytest.mark.parametrize("epsilon, dtype", [(EPS, np.int64), (Fraction(1, 10**30), object)],
+                         ids=["int64", "object"])
+@pytest.mark.parametrize("fixture", ["k66_rep2", "k66_grs", "four_cycle_rep3"])
+def test_writer_integers_equal_the_read_back(fixture, epsilon, dtype, request):
+    # on the recorded patterns, both routes: the arrays the writer hands the
+    # search are what check_witness reads back from the lists it renders
+    code = request.getfixturevalue(fixture)
+    delta = code.graph.delta
+    for case in GOLDEN_WITNESSES[fixture]:
+        c, y = np.array(case["c"]), np.array(case["y"])
+        heads = {int(e): side for e, side in case["orient_edges"].items()}
+        oriented = OrientedEdgeSet(graph=code.graph, edges=tuple(heads), head_side=heads,
+                                   cap_a=1, cap_b=1)
+        built = [certificate._witness_from_peeling(code, c, y, peel(code, c, y), epsilon),
+                 certificate._witness_from_orientation(code, c, y, oriented, epsilon)]
+        for witness, scaled in built:
+            tau, den, eps_scaled = certificate._scaled_taus(
+                witness, (code.num_edges, code.field.q), delta)
+            assert tau.dtype == scaled.tau.dtype == dtype
+            assert np.array_equal(tau, scaled.tau)
+            assert (den, eps_scaled) == (scaled.den, scaled.eps)
+            assert np.array_equal(certificate._sigma_distances(witness, delta), scaled.dist)
+
+
+def _edit_both(code, c, witness, scaled, rng):
+    """One to three random edits, made alike to a witness's lists and to
+    its scaled integers."""
+    delta = code.graph.delta
+    steps = [Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(-3),
+             witness.epsilon, -witness.epsilon]
+    for _ in range(int(rng.integers(1, 4))):
+        kind = int(rng.integers(4))
+        if kind < 3:
+            side = int(rng.integers(2))
+            e = int(rng.integers(code.num_edges))
+            # the codeword symbol a third of the time, so weak constraints get hit
+            alpha = int(c[e]) if kind == 2 else int(rng.integers(code.field.q))
+            step = steps[int(rng.integers(len(steps)))]
+            (witness.tau_a, witness.tau_b)[side][e][alpha] += step
+            scaled.tau[side, e, alpha] += int(step * scaled.den)
+        else:
+            v = int(rng.integers(2 * code.graph.n))
+            witness.sigma[v] += [Fraction(1), Fraction(-1), Fraction(1, 2)][int(rng.integers(3))]
+            dist = Fraction(delta, 2) - witness.sigma[v]
+            scaled.dist[v] = int(dist) if dist.denominator == 1 and 0 <= dist <= delta else -1
+
+
+@pytest.mark.parametrize("epsilon", [EPS, Fraction(1, 10**30)], ids=["int64", "object"])
+@pytest.mark.parametrize("fixture", ["k66_rep2", "k66_rep3", "k66_grs"])
+def test_find_witness_verdict_matches_fraction_reference(fixture, epsilon, request,
+                                                         monkeypatch):
+    # the search's verdict and reason are the Fraction reference's on the
+    # witness it built: as written, and after edits made to its lists and
+    # its integers alike
+    code = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(505)
+    real = certificate._write_witness
+    built = []
+    edit = False
+
+    def recording(*args):
+        witness, scaled = real(*args)
+        if edit:
+            _edit_both(code, args[1], witness, scaled, rng)
+        built.append(witness)
+        return witness, scaled
+
+    monkeypatch.setattr(certificate, "_write_witness", recording)
+    q = code.field.q
+    kinds = set()
+    for _ in range(6):
+        c = code.random_codeword(rng)
+        y = c.copy()
+        errors = rng.choice(code.num_edges, size=int(rng.integers(1, 4)), replace=False)
+        y[errors] = (y[errors] + rng.integers(1, q, size=len(errors))) % q
+        for mode in ("peel", "orient"):
+            for edit in (False,) + (True,) * 6:
+                built.clear()
+                result = find_witness(code, c, y, mode=mode, epsilon=epsilon)
+                if not built:
+                    continue
+                slow = check_witness_by_fraction(code, c, y, built[0])
+                if result.witness_found:
+                    assert slow.ok and result.witness is built[0]
+                    kinds.add("ok")
+                else:
+                    assert result.reason == f"witness fails the exact check: {slow.violation}"
+                    kinds.add(slow.violation.split(" at ")[0])
+                _same_verdict(code, c, y, built[0])
+    assert kinds == {"ok", "strict edge constraint", "weak edge constraint",
+                     "sigma mismatch", "vertex constraint"}
+
+
+def test_find_witness_reads_no_value_objects(k66_rep2, k66_grs, four_cycle_rep3, monkeypatch):
+    # the search checks the writer's integers, never the Fraction lists
+    def refuse(values):
+        raise AssertionError("find_witness read a witness's value objects")
+
+    monkeypatch.setattr(certificate, "_distinct_ratios", refuse)
+    codes = {"k66_rep2": k66_rep2, "k66_grs": k66_grs, "four_cycle_rep3": four_cycle_rep3}
+    for name, code in codes.items():
+        for case in GOLDEN_WITNESSES[name]:
+            for mode in ("peel", "orient"):
+                result = find_witness(code, np.array(case["c"]), np.array(case["y"]), mode=mode)
+                assert case[f"find_{mode}"] == {"found": result.witness_found,
+                                                "reason": result.reason,
+                                                "epsilon": str(result.epsilon)}
