@@ -16,16 +16,18 @@ costs cost[e][alpha] (-1 at the received symbol, +1 elsewhere):
             for every vertex v and every local codeword b at v.
 
 Witnesses are built two ways.  The peeling route iteratively discards
-vertices with few remaining error edges; if the error set peels away
-completely, each error edge remembers the round it died and that round
-dictates its tau values.  Peeling that stagnates instead yields an error
-core, an error subset whose every involved vertex keeps a constant fraction
-of error edges.  The orientation route directs the error edges so that
-every vertex has small in-degree, and in-edges take the role of the peeled
-edges.  Either way the witness comes down to which endpoint released each
-error edge, and one writer turns that into tau and sigma.  The two sides
-share one code path: a side index (0 for A, 1 for B) selects the local
-code, the incident-edge array and the edges' endpoints.
+vertices with few remaining error edges, on boolean masks: one row over the
+edges and one over the round's side per round.  If the error set peels
+away completely, each error edge remembers the round it died and that
+round dictates its tau values.  Peeling that stagnates instead yields an
+error core, an error subset whose every involved vertex keeps a constant
+fraction of error edges.  The orientation route directs the error edges so
+that every vertex has small in-degree, and in-edges take the role of the
+peeled edges.  Either way the witness comes down to one array over the
+edges, the side that released each error edge (0 for A, 1 for B, -1 off the
+error edges), and one writer turns that into tau and sigma.  The two sides
+share one code path: a side index selects the local code, the
+incident-edge array and the edges' endpoints.
 Everything here is exact rational arithmetic; nothing floats.
 Witnesses hold Fraction values, and the check compares them exactly as
 integers: every value is scaled by one common denominator, so each
@@ -52,7 +54,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -76,21 +77,19 @@ _OFF_HALVES = (1, -5, 3)                # value at every other symbol
 
 @dataclass
 class PeelingTrace:
-    """The full history of one peeling run.
+    """The full history of one peeling run, as read-only boolean masks.
 
-    vertex_sets[i] holds global vertex ids (B side offset by n); even i are
-    A-side sets, odd i are B-side.  edge_sets[i] is the surviving error-edge
-    set entering round i+1 (edge_sets[0] is the initial error set).
-    final_index is the index of the round that finished the run: the first
-    round whose edge set came up empty, or the last round computed before
-    the sets stopped changing.
+    edge_sets is a (rounds, E) array whose row i marks E_{i+1}, the error
+    edges surviving into round i+1 (row 0 is the initial error set); the
+    last row is the round that finished the run, the first to come up empty
+    or the last computed before the sets stopped changing.  vertex_sets is a
+    (rounds + 1, n) array whose row i marks, by local id, the vertices kept
+    on side i % 2 (A for even i, B for odd).
     """
 
-    error_edges: frozenset[int]
-    vertex_sets: list[frozenset[int]]
-    edge_sets: list[frozenset[int]]
+    edge_sets: np.ndarray
+    vertex_sets: np.ndarray
     terminated_empty: bool
-    final_index: int
 
 
 @dataclass
@@ -138,25 +137,18 @@ class CertifyResult:
 
 # -- the two sides ----------------------------------------------------------------
 #
-# Side 0 is A and side 1 is B.  Vertex sets hold global ids, as in
-# TannerGraph.ends: A vertex v is v and B vertex v is n + v.
-
-def _vertex_name(v: int, n: int) -> str:
-    side, local = divmod(v, n)
-    return f"{'ab'[side]}{local}"
-
+# Side 0 is A and side 1 is B.  Vertex masks are by local id; an error
+# core's vertex sets hold global ids, as in TannerGraph.ends: A vertex v is
+# v and B vertex v is n + v.
 
 def _sides(code: ExpanderCode):
-    """Per side: its local code, its (n, Delta) incident-edge array, and each
-    edge's endpoint on that side as a global vertex id."""
-    graph = code.graph
-    return tuple(zip((code.code_a, code.code_b), (graph.a_edges, graph.b_edges),
-                     graph.ends.tolist()))
+    """Per side: its local code and its (n, Delta) incident-edge array."""
+    return ((code.code_a, code.graph.a_edges), (code.code_b, code.graph.b_edges))
 
 
 def _local_distances(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray) -> list[np.ndarray]:
     """dist(y|_v, c|_v) for every vertex v, one array per side."""
-    return [np.count_nonzero(yw[inc] != cw[inc], axis=1) for _, inc, _ in _sides(code)]
+    return [np.count_nonzero(yw[inc] != cw[inc], axis=1) for _, inc in _sides(code)]
 
 
 def _checked(code: ExpanderCode, c, y) -> tuple[np.ndarray, np.ndarray]:
@@ -192,38 +184,30 @@ def peel(code: ExpanderCode, c, y) -> PeelingTrace:
 
 def _peel(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray) -> PeelingTrace:
     """peel() on a checked codeword and received word."""
-    sides = _sides(code)
-    e1 = frozenset(int(e) for e in np.nonzero(cw != yw)[0])
-    vsets = [frozenset(ends[e] for e in e1) for _, _, ends in sides]
-    esets = [e1]
-    if not e1:
-        return PeelingTrace(error_edges=e1, vertex_sets=vsets, edge_sets=esets,
-                            terminated_empty=True, final_index=1)
-
-    i = 2
+    graph = code.graph
+    ends = (graph.a_of, graph.b_of)
+    # survive if 4 * (edges still held) >= d_side, i.e. degree >= delta*Delta/4
+    need = [local.min_distance()[0] for local, _ in _sides(code)]
+    alive = cw != yw
+    esets = [alive]
+    vsets = [np.bincount(side[alive], minlength=graph.n) > 0 for side in ends]
     unchanged_streak = 0
-    while True:
-        local, _, ends = sides[i % 2]
-        other_ends = sides[1 - i % 2][2]
-        prev_vs = vsets[i - 2]
-        cur_edges = esets[-1]
-        held = Counter(ends[e] for e in cur_edges)
-        # survive if 4 * (edges still held) >= d_side, i.e. degree >= delta*Delta/4
-        d_side = local.min_distance()[0]
-        vi = frozenset(v for v in prev_vs if 4 * held[v] >= d_side)
-        ei = frozenset(e for e in cur_edges if ends[e] in vi and other_ends[e] in vsets[i - 1])
-        changed = (vi != prev_vs) or (ei != cur_edges)
-        vsets.append(vi)
-        esets.append(ei)
-        if not ei:
-            return PeelingTrace(error_edges=e1, vertex_sets=vsets, edge_sets=esets,
-                                terminated_empty=True, final_index=i)
-        unchanged_streak = 0 if changed else unchanged_streak + 1
-        if unchanged_streak >= 2:
-            # two consecutive no-change rounds freeze both sides for good
-            return PeelingTrace(error_edges=e1, vertex_sets=vsets, edge_sets=esets,
-                                terminated_empty=False, final_index=i)
-        i += 1
+    while alive.any() and unchanged_streak < 2:
+        s = len(vsets) % 2
+        held = np.bincount(ends[s][alive], minlength=graph.n)
+        kept = vsets[-2] & (4 * held >= need[s])
+        # a surviving edge's endpoint on the last round's side is in that
+        # round's vertex set, so only this round's side can drop it
+        survivors = alive & kept[ends[s]]
+        unchanged = np.array_equal(kept, vsets[-2]) and np.array_equal(survivors, alive)
+        # two consecutive no-change rounds freeze both sides for good
+        unchanged_streak = unchanged_streak + 1 if unchanged else 0
+        vsets.append(kept)
+        esets.append(survivors)
+        alive = survivors
+    edge_sets, vertex_sets = np.array(esets), np.array(vsets)
+    edge_sets.flags.writeable = vertex_sets.flags.writeable = False
+    return PeelingTrace(edge_sets, vertex_sets, terminated_empty=not alive.any())
 
 
 def find_error_core(graph: TannerGraph, trace: PeelingTrace,
@@ -238,16 +222,17 @@ def find_error_core(graph: TannerGraph, trace: PeelingTrace,
         return None
     edges = trace.edge_sets[-1]
     vertices = []
-    for ends, zeta in zip(graph.ends.tolist(), (zeta_a, zeta_b)):
-        held = Counter(ends[e] for e in edges)
+    for s, (ends, zeta) in enumerate(zip((graph.a_of, graph.b_of), (zeta_a, zeta_b))):
+        held = np.bincount(ends[edges], minlength=graph.n)
         need = zeta * graph.delta
-        vertices.append(frozenset(ends[e] for e in edges))
-        for v in vertices[-1]:
-            if held[v] < need:
-                raise InternalInvariantError(
-                    f"stagnated peel left vertex {_vertex_name(v, graph.n)} with "
-                    f"{held[v]} < {need} core edges")
-    return ErrorCore(edges=edges, vertices_a=vertices[0], vertices_b=vertices[1],
+        short = np.flatnonzero((held > 0) & (held < need))
+        if short.size:
+            v = int(short[0])
+            raise InternalInvariantError(f"stagnated peel left vertex {'ab'[s]}{v} with "
+                                         f"{held[v]} < {need} core edges")
+        vertices.append(frozenset((np.flatnonzero(held) + s * graph.n).tolist()))
+    return ErrorCore(edges=frozenset(np.flatnonzero(edges).tolist()),
+                     vertices_a=vertices[0], vertices_b=vertices[1],
                      zeta_a=zeta_a, zeta_b=zeta_b)
 
 
@@ -265,10 +250,11 @@ class _Scaled(NamedTuple):
 
 
 def _write_witness(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
-                   released: dict[int, int], epsilon: numbers.Rational,
+                   released: np.ndarray, epsilon: numbers.Rational,
                    source: str) -> tuple[DualWitness, _Scaled]:
-    """The witness in which side released[e] let go of error edge e, for a
-    codeword and a checked received word, and its values as scaled integers.
+    """The witness in which side released[e] (0 = A, 1 = B) let go of error
+    edge e, for a codeword and a checked received word, and its values as
+    scaled integers.  released is -1 off the error edges, or ValueError.
 
     On both sides a correct edge takes -1/2 at the codeword symbol and
     1/2-eps elsewhere, and an error edge +1/2 at the codeword symbol.  At
@@ -280,19 +266,16 @@ def _write_witness(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
     q = code.field.q
     num_edges = code.num_edges
     delta = code.graph.delta
-    if released.keys() != set(np.flatnonzero(cw != yw).tolist()):
+    if not np.array_equal(released >= 0, cw != yw):
         raise ValueError(f"{source} must cover exactly the error edges")
     den = math.lcm(2, epsilon.denominator)
     eps_scaled = epsilon.numerator * (den // epsilon.denominator)
     half = den // 2
     match = [h * half for h in _MATCH_HALVES]
     off = [h * half - eps_scaled * (kind < 2) for kind, h in enumerate(_OFF_HALVES)]
-    kinds = np.zeros((2, num_edges), dtype=np.int64)
-    edges = np.fromiter(released, dtype=np.int64, count=len(released))
-    sides = np.fromiter(released.values(), dtype=np.int64, count=len(released))
-    kinds[sides, edges] = 1
-    kinds[1 - sides, edges] = 2
-    present = [0] * (len(released) < num_edges) + [1, 2] * bool(released)
+    # kinds[s, e]: 0 off the error edges, 1 where side s released e, else 2
+    kinds = np.where(released < 0, 0, 1 + (released != np.arange(2)[:, None]))
+    present = np.flatnonzero(np.bincount(kinds.ravel(), minlength=3)).tolist()
     dtype = _exact_dtype([v for k in present for v in (match[k], off[k])],
                          den, eps_scaled, delta)
     at_c = np.arange(q) == cw[:, None]
@@ -328,20 +311,17 @@ def build_witness_from_peeling(code: ExpanderCode, c, y, trace: PeelingTrace,
     _check_rational(epsilon)
     yw = check_word(y, code.field.q, code.num_edges)
     cw = check_word(c, code.field.q, code.num_edges)
-    return _witness_from_peeling(code, cw, yw, trace, epsilon)[0]
+    return _write_witness(code, cw, yw, _released_by_peeling(trace), epsilon,
+                          "peeling trace")[0]
 
 
-def _witness_from_peeling(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
-                          trace: PeelingTrace,
-                          epsilon: Fraction) -> tuple[DualWitness, _Scaled]:
-    """build_witness_from_peeling() on checked words, with the witness's
-    scaled integers."""
+def _released_by_peeling(trace: PeelingTrace) -> np.ndarray:
+    """Each error edge's releasing side (0 = A, 1 = B), -1 elsewhere."""
     if not trace.terminated_empty:
         raise WitnessUnavailableError("peeling stagnated; no witness from this trace")
     # edge_sets[idx] is E_{idx+1}, so an edge whose last set is E_{i*} was
     # released by the side of round i*-1 = idx
-    released = {e: idx % 2 for idx, eset in enumerate(trace.edge_sets) for e in eset}
-    return _write_witness(code, cw, yw, released, epsilon, "peeling trace")
+    return np.where(trace.edge_sets[0], (trace.edge_sets.sum(axis=0) - 1) % 2, -1)
 
 
 def build_witness_from_orientation(code: ExpanderCode, c, y,
@@ -357,23 +337,28 @@ def build_witness_from_orientation(code: ExpanderCode, c, y,
     _check_rational(epsilon)
     yw = check_word(y, code.field.q, code.num_edges)
     cw = check_word(c, code.field.q, code.num_edges)
-    return _witness_from_orientation(code, cw, yw, orientation, epsilon)[0]
+    return _write_witness(code, cw, yw, _released_by_orientation(code, orientation),
+                          epsilon, "orientation")[0]
 
 
-def _witness_from_orientation(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
-                              orientation: OrientedEdgeSet,
-                              epsilon: Fraction) -> tuple[DualWitness, _Scaled]:
-    """build_witness_from_orientation() on checked words, with the
-    witness's scaled integers."""
-    n = code.graph.n
-    distances = [local.min_distance()[0] for local, _, _ in _sides(code)]
-    for v, deg in orientation.indegrees().items():
-        limit = distances[v // n]
-        if 4 * deg >= limit:   # need deg < delta*Delta/4 strictly
-            raise ValueError(f"in-degree {deg} at {_vertex_name(v, n)} is not below "
-                             f"delta*Delta/4 = {limit}/4")
-    released = {e: "ab".index(orientation.head_side[e]) for e in orientation.edges}
-    return _write_witness(code, cw, yw, released, epsilon, "orientation")
+def _released_by_orientation(code: ExpanderCode, orientation: OrientedEdgeSet) -> np.ndarray:
+    """Each oriented edge's head side (0 = A, 1 = B), -1 elsewhere;
+    ValueError unless every in-degree is below delta*Delta/4 on its side."""
+    graph = code.graph
+    edges = list(orientation.edges)     # sorted
+    if edges and not 0 <= edges[0] <= edges[-1] < graph.num_edges:
+        raise ValueError("orientation must cover exactly the error edges")
+    released = np.full(graph.num_edges, -1)
+    released[edges] = list(map("ab".index, map(orientation.head_side.get, edges)))
+    indegree = np.bincount(graph.ends[released[edges], edges],
+                           minlength=2 * graph.n).reshape(2, graph.n)
+    limits = np.array([local.min_distance()[0] for local, _ in _sides(code)])
+    over = np.argwhere(4 * indegree >= limits[:, None])   # need deg < delta*Delta/4 strictly
+    if over.size:
+        s, v = over[0].tolist()
+        raise ValueError(f"in-degree {indegree[s, v]} at {'ab'[s]}{v} is not below "
+                         f"delta*Delta/4 = {limits[s]}/4")
+    return released
 
 
 # -- feasibility check ---------------------------------------------------------------
@@ -504,7 +489,7 @@ def _check_scaled(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
     half_delta = Fraction(delta, 2)
     distances = _local_distances(code, cw, yw)
     sigma_off = (scaled.dist != np.concatenate(distances)).reshape(2, n)
-    for s, (local, inc, _) in enumerate(_sides(code)):
+    for s, (local, inc) in enumerate(_sides(code)):
         side, taus, dist = "ab"[s], (witness.tau_a, witness.tau_b)[s], distances[s]
         codewords = local.codewords()
         # totals[v, k]: the sum over v's edges of tau at local codeword k's symbol
@@ -565,7 +550,7 @@ def find_witness(code: ExpanderCode, c, y, mode: str = "peel",
                                    code.code_b.relative_distance / 4)
             return CertifyResult(witness_found=False, mode=mode, core=core,
                                  reason="peeling stagnated on an error core")
-        witness, scaled = _witness_from_peeling(code, cw, yw, trace, epsilon)
+        released, source = _released_by_peeling(trace), "peeling trace"
     elif mode == "orient":
         delta = code.graph.delta
         try:
@@ -573,16 +558,16 @@ def find_witness(code: ExpanderCode, c, y, mode: str = "peel",
                     for local in (code.code_a, code.code_b)]
         except NoValidThetaError as exc:
             return CertifyResult(witness_found=False, mode=mode, reason=str(exc))
-        errors = [int(e) for e in np.nonzero(cw != yw)[0]]
-        oriented = orient(code.graph, errors, *caps)
+        oriented = orient(code.graph, np.flatnonzero(cw != yw).tolist(), *caps)
         if isinstance(oriented, OrientationFailure):
             return CertifyResult(witness_found=False, mode=mode,
                                  reason=f"no orientation within caps "
                                         f"({oriented.violations} residual violations)")
-        witness, scaled = _witness_from_orientation(code, cw, yw, oriented, epsilon)
+        released, source = _released_by_orientation(code, oriented), "orientation"
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
+    witness, scaled = _write_witness(code, cw, yw, released, epsilon, source)
     result = _check_scaled(code, cw, yw, witness, scaled)
     if not result.ok:
         return CertifyResult(witness_found=False, mode=mode,

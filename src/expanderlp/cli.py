@@ -134,7 +134,7 @@ def _cmd_core(args) -> int:
                            code.code_b.relative_distance / 4)
     payload = {
         "terminated_empty": trace.terminated_empty,
-        "final_index": trace.final_index,
+        "final_index": len(trace.edge_sets),
         "rounds": len(trace.edge_sets),
         "core_found": core is not None,
         "core": _core_payload(core, code.graph.n),

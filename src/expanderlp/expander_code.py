@@ -36,10 +36,12 @@ def check_word(word, q: int, length: int | None = None) -> np.ndarray:
     """The word as an int64 array; ValueError unless it is a 1-d array of
     integer element indices in [0, q), of the given length if one is given."""
     raw = np.asarray(word)
-    if raw.dtype.kind == "f" and not np.isfinite(raw).all():
+    if raw.dtype.kind in "fc" and not np.isfinite(raw).all():
         raise ValueError("symbols must be integers")
-    w = np.asarray(raw, dtype=np.int64)
-    if raw.dtype.kind in "fO" and not np.array_equal(w, raw):
+    # the real part, so a complex word casts without a warning; the compare
+    # below rejects a nonzero imaginary part
+    w = np.asarray(raw.real, dtype=np.int64)
+    if raw.dtype.kind in "fcO" and not np.array_equal(w, raw):
         raise ValueError("symbols must be integers")
     if w.ndim != 1 or (length is not None and w.shape[0] != length):
         expected = "a 1-d word" if length is None else f"{length} symbols"

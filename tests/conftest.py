@@ -41,6 +41,14 @@ def k33_parity2():
 
 
 @pytest.fixture(scope="session")
+def k44_rep4():
+    """K_{4,4} with binary repetition locals: one error edge puts both its
+    endpoints exactly at the peeling threshold, 4 * 1 == 4."""
+    local = repetition(GF(2), 4)
+    return ExpanderCode(complete_bipartite(4), local, local)
+
+
+@pytest.fixture(scope="session")
 def k66_rep2():
     """K_{6,6} with binary repetition locals: the all-zero/all-one code."""
     graph = complete_bipartite(6)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -383,6 +384,44 @@ def lift_f_by_edge(code, raw_w):
         for t in range(graph.delta):
             f[int(graph.a_edges[v, t])] = np.bincount(cw_a[:, t], weights=wa, minlength=q)
     return f
+
+
+# -- the peel on sets, one edge at a time -------------------------------------
+
+def peel_by_sets(code, c, y):
+    """certificate.peel on frozensets, with one Counter per round.
+
+    Returns (vertex_sets, edge_sets, terminated_empty, released):
+    vertex_sets[i] holds the global ids kept on side i % 2, edge_sets[i] is
+    E_{i+1}, and released maps each error edge to the side of the round
+    after the last set that holds it (0 for A, 1 for B).
+    """
+    cw = np.asarray(c, dtype=np.int64)
+    yw = check_word(y, code.field.q, code.num_edges)
+    sides = list(zip((code.code_a, code.code_b), code.graph.ends.tolist()))
+    e1 = frozenset(int(e) for e in np.nonzero(cw != yw)[0])
+    vsets = [frozenset(ends[e] for e in e1) for _, ends in sides]
+    esets = [e1]
+    empty = not e1
+    i = 2
+    unchanged_streak = 0
+    while not empty and unchanged_streak < 2:
+        local, ends = sides[i % 2]
+        other_ends = sides[1 - i % 2][1]
+        prev_vs = vsets[i - 2]
+        cur_edges = esets[-1]
+        held = Counter(ends[e] for e in cur_edges)
+        d_side = local.min_distance()[0]
+        vi = frozenset(v for v in prev_vs if 4 * held[v] >= d_side)
+        ei = frozenset(e for e in cur_edges if ends[e] in vi and other_ends[e] in vsets[i - 1])
+        changed = (vi != prev_vs) or (ei != cur_edges)
+        vsets.append(vi)
+        esets.append(ei)
+        empty = not ei
+        unchanged_streak = 0 if changed else unchanged_streak + 1
+        i += 1
+    released = {e: idx % 2 for idx, eset in enumerate(esets) for e in eset}
+    return vsets, esets, empty, released
 
 
 # -- the witness search over a halving eps schedule ---------------------------

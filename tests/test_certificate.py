@@ -7,12 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from expanderlp import (
     GF,
     DualWitness,
     ExpanderCode,
     OrientedEdgeSet,
+    WitnessUnavailableError,
     build_witness_from_orientation,
     build_witness_from_peeling,
     certificate,
@@ -25,7 +28,7 @@ from expanderlp import (
     repetition,
 )
 
-from oracles import check_witness_by_fraction, find_witness_by_halving
+from oracles import check_witness_by_fraction, find_witness_by_halving, peel_by_sets
 
 EPS = Fraction(1, 10**6)
 
@@ -37,9 +40,9 @@ def test_peel_clean_word(k66_rep2):
     c = np.zeros(36, dtype=np.int64)
     trace = peel(k66_rep2, c, c)
     assert trace.terminated_empty
-    assert trace.final_index == 1
-    assert trace.edge_sets == [frozenset()]
-    assert trace.error_edges == frozenset()
+    assert len(trace.edge_sets) == 1
+    assert trace.edge_sets.shape == (1, 36) and not trace.edge_sets.any()
+    assert trace.vertex_sets.shape == (2, 6) and not trace.vertex_sets.any()
 
 
 def test_peel_single_error_empties(k66_rep2):
@@ -50,9 +53,9 @@ def test_peel_single_error_empties(k66_rep2):
     y[5] = 1
     trace = peel(k66_rep2, c, y)
     assert trace.terminated_empty
-    assert trace.final_index == 2
-    assert trace.error_edges == frozenset([5])
-    assert trace.edge_sets[-1] == frozenset()
+    assert len(trace.edge_sets) == 2
+    assert np.flatnonzero(trace.edge_sets[0]).tolist() == [5]
+    assert not trace.edge_sets[-1].any()
 
 
 def test_peel_stagnates_on_weak_instance(four_cycle_rep3):
@@ -63,20 +66,18 @@ def test_peel_stagnates_on_weak_instance(four_cycle_rep3):
     y[0] = 1
     trace = peel(four_cycle_rep3, c, y)
     assert not trace.terminated_empty
-    assert trace.edge_sets[-1] == frozenset([0])
+    assert np.flatnonzero(trace.edge_sets[-1]).tolist() == [0]
 
 
-def test_peel_keeps_a_vertex_exactly_at_the_threshold():
+def test_peel_keeps_a_vertex_exactly_at_the_threshold(k44_rep4):
     # local distance 4 on K_{4,4}: one error edge gives 4*deg == d, which
     # still survives, so the single error never peels
-    local = repetition(GF(2), 4)
-    code = ExpanderCode(complete_bipartite(4), local, local)
     c = np.zeros(16, dtype=np.int64)
     y = c.copy()
     y[5] = 1
-    trace = peel(code, c, y)
+    trace = peel(k44_rep4, c, y)
     assert not trace.terminated_empty
-    assert trace.edge_sets[-1] == frozenset([5])
+    assert np.flatnonzero(trace.edge_sets[-1]).tolist() == [5]
 
 
 def test_peel_all_errors_keep_everything(k33_parity2):
@@ -86,7 +87,7 @@ def test_peel_all_errors_keep_everything(k33_parity2):
     # differs from c on all 9 edges either way
     trace = peel(k33_parity2, c, y)
     assert not trace.terminated_empty
-    assert trace.edge_sets[-1] == frozenset(range(9))
+    assert trace.edge_sets[-1].all()
 
 
 def test_peel_sets_shrink(k66_rep2, rng):
@@ -94,15 +95,42 @@ def test_peel_sets_shrink(k66_rep2, rng):
     y = c.copy()
     y[rng.choice(36, size=8, replace=False)] = 1
     trace = peel(k66_rep2, c, y)
-    for later, earlier in zip(trace.edge_sets[1:], trace.edge_sets):
-        assert later <= earlier
-    for i in range(2, len(trace.vertex_sets)):
-        assert trace.vertex_sets[i] <= trace.vertex_sets[i - 2]
+    assert not (trace.edge_sets[1:] & ~trace.edge_sets[:-1]).any()
+    assert not (trace.vertex_sets[2:] & ~trace.vertex_sets[:-2]).any()
 
 
 def test_peel_requires_codeword(four_cycle_rep3):
     with pytest.raises(ValueError):
         peel(four_cycle_rep3, [0, 0, 0, 1], [0, 0, 0, 0])
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fixture=st.sampled_from(["four_cycle_rep3", "k33_parity2", "k44_rep4", "k66_rep2",
+                                "k66_grs", "r20_rep2"]), data=st.data())
+def test_mask_peel_equals_the_set_peel(fixture, data, request):
+    # every round's masks against the frozenset reference, on the stagnating
+    # 4-cycle, the threshold-equality K_{4,4} and all-error words
+    code = request.getfixturevalue(fixture)
+    num_edges, q, n = code.num_edges, code.field.q, code.graph.n
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    c = code.random_codeword(rng)
+    errors = list(data.draw(st.one_of(st.just(range(num_edges)),
+                                      st.sets(st.integers(0, num_edges - 1))), label="errors"))
+    y = c.copy()
+    y[errors] = (c[errors] + rng.integers(1, q, size=len(errors))) % q
+    trace = peel(code, c, y)
+    vertex_sets, edge_sets, terminated_empty, released = peel_by_sets(code, c, y)
+    assert trace.terminated_empty == terminated_empty
+    assert [set(np.flatnonzero(row).tolist()) for row in trace.edge_sets] == edge_sets
+    assert [set((np.flatnonzero(row) + i % 2 * n).tolist())
+            for i, row in enumerate(trace.vertex_sets)] == vertex_sets
+    if terminated_empty:
+        sides = certificate._released_by_peeling(trace)
+        assert {e: s for e, s in enumerate(sides.tolist()) if s >= 0} == released
+    else:
+        with pytest.raises(WitnessUnavailableError):
+            certificate._released_by_peeling(trace)
 
 
 # -- error cores --------------------------------------------------------------------
@@ -284,6 +312,15 @@ def test_witness_builders_need_exactly_the_error_edges(k66_rep2):
         build_witness_from_peeling(k66_rep2, c, other, peel(k66_rep2, c, y), EPS)
     with pytest.raises(ValueError, match="orientation must cover exactly"):
         build_witness_from_orientation(k66_rep2, c, other, oriented, EPS)
+    # an edge id off the graph is no error edge, even where -1 would index
+    # the last edge, which is y's one error
+    last = c.copy()
+    last[35] = 1
+    for edge in (-1, 36):
+        off_graph = OrientedEdgeSet(graph=k66_rep2.graph, edges=(edge,), head_side={edge: "b"},
+                                    cap_a=1, cap_b=1)
+        with pytest.raises(ValueError, match="orientation must cover exactly"):
+            build_witness_from_orientation(k66_rep2, c, last, off_graph, EPS)
 
 
 def test_orient_mode_needs_theta(four_cycle_rep3):
@@ -716,7 +753,8 @@ def test_invalid_received_word_rejected(k66_rep2, entry, name):
 
 
 def _bad_transmitted_words():
-    return {"half": [0.5] * 36, "nan": np.full(36, np.nan)}
+    return {"half": [0.5] * 36, "nan": np.full(36, np.nan),
+            "complex": np.full(36, 0.5 + 0j), "imaginary": np.full(36, 1j)}
 
 
 @pytest.mark.parametrize("name", sorted(_bad_transmitted_words()))
@@ -745,6 +783,19 @@ def test_non_integer_transmitted_word_rejected(k66_rep2, entry, name):
     }
     with pytest.raises(ValueError, match="symbols must be integers"):
         calls[entry]()
+
+
+def test_complex_received_word_rejected(k33_parity2):
+    # 0.9+0j once truncated to 0, and the error-free word it became was
+    # certified in both modes
+    c = np.zeros(9, dtype=np.int64)
+    y = np.zeros(9, dtype=complex)
+    y[0] = 0.9
+    for call in (lambda: peel(k33_parity2, c, y),
+                 lambda: find_witness(k33_parity2, c, y, mode="peel"),
+                 lambda: find_witness(k33_parity2, c, y, mode="orient")):
+        with pytest.raises(ValueError, match="symbols must be integers"):
+            call()
 
 
 @pytest.mark.parametrize("epsilon", [1e-7, np.float64(1e-7), 0.0625],
@@ -857,8 +908,9 @@ def test_writer_integers_equal_the_read_back(fixture, epsilon, dtype, request):
         heads = {int(e): side for e, side in case["orient_edges"].items()}
         oriented = OrientedEdgeSet(graph=code.graph, edges=tuple(heads), head_side=heads,
                                    cap_a=1, cap_b=1)
-        built = [certificate._witness_from_peeling(code, c, y, peel(code, c, y), epsilon),
-                 certificate._witness_from_orientation(code, c, y, oriented, epsilon)]
+        built = [certificate._write_witness(code, c, y, released, epsilon, "route")
+                 for released in (certificate._released_by_peeling(peel(code, c, y)),
+                                  certificate._released_by_orientation(code, oriented))]
         for witness, scaled in built:
             tau, den, eps_scaled = certificate._scaled_taus(
                 witness, (code.num_edges, code.field.q), delta)

@@ -48,9 +48,12 @@ def test_check_word_validates_shape_and_symbols(k33_parity2):
     assert check_word(np.array([0.0, 2.0, 1.0]), 3).tolist() == [0, 2, 1]
     for bad, length in (([0, 3], None), ([-1, 0], 2), ([0, 1], 3), ([[0, 1]], None),
                         ([-0.5, 2.9, 1], None), ([0.5] * 3, 3), ([np.nan, 0], None),
-                        ([np.inf, 0], None)):
+                        ([np.inf, 0], None), (np.array([0.5 + 0j, 1.7 + 2j]), None),
+                        (np.array([1 + 1j, 0j]), None), (np.array([np.nan + 0j, 0j]), None)):
         with pytest.raises(ValueError):
             check_word(bad, 3, length)
+    # a complex word of whole real symbols is that word
+    assert check_word(np.array([1 + 0j, 0j, 2 + 0j]), 3).tolist() == [1, 0, 2]
     # a fractional word is not truncated into a codeword
     with pytest.raises(ValueError, match="integers"):
         k33_parity2.is_codeword([0.5] * 9)

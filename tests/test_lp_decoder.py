@@ -188,6 +188,8 @@ def test_decode_validates_input(four_cycle_rep3):
         decode(four_cycle_rep3, [0, 0, 0, 5])
     with pytest.raises(ValueError, match="integers"):
         decode(four_cycle_rep3, [0, 1.9, 0, -0.5])
+    with pytest.raises(ValueError, match="integers"):
+        decode(four_cycle_rep3, np.array([0, 0.9 + 0j, 0, 0]))
 
 
 # -- the per-code cache: constraints and phase 1 built once --------------------

@@ -148,3 +148,19 @@ def test_witness_counters_read_epsilon_and_head_side(k66_rep2):
     count = workloads.COUNTERS["orientation.orient"]
     assert [count(oriented), count(failed)] == [{"orients": 1, "orient_fails": 0},
                                                 {"orients": 1, "orient_fails": 1}]
+
+
+def test_peel_counter_reads_real_traces(k66_rep2, four_cycle_rep3):
+    # peel_rounds counts the rounds after the initial error set, len(edge_sets)
+    # - 1, and cores the traces that stagnated
+    c = np.zeros(36, dtype=np.int64)
+    y = c.copy()
+    y[[1, 14, 30]] = 1
+    emptied = certificate.peel(k66_rep2, c, y)
+    stagnated = certificate.peel(four_cycle_rep3, [0, 0, 0, 0], [1, 0, 0, 0])
+    assert emptied.terminated_empty and not stagnated.terminated_empty
+    count = workloads.COUNTERS["certificate.peel"]
+    assert [count(emptied), count(stagnated)] == [{"peels": 1, "peel_rounds": 1, "cores": 0},
+                                                  {"peels": 1, "peel_rounds": 2, "cores": 1}]
+    for trace in (emptied, stagnated):
+        assert count(trace)["peel_rounds"] == len(trace.edge_sets) - 1
