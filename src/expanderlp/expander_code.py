@@ -91,6 +91,7 @@ class ExpanderCode:
         self.field: GF = code_a.field
         self._parity: np.ndarray | None = None
         self._basis: np.ndarray | None = None
+        self._codewords: np.ndarray | None = None
 
     @property
     def num_edges(self) -> int:
@@ -153,11 +154,14 @@ class ExpanderCode:
         return gflinalg.mat_mul(coeffs[None], basis, self.field)[0]
 
     def enumerate_codewords(self, cap: int = DEFAULT_GLOBAL_ENUMERATION_CAP) -> np.ndarray:
-        basis = self.codeword_basis()
-        total = self.field.q ** basis.shape[0]
+        """Every codeword, one per row: spanned once per code, kept read-only."""
+        total = self.field.q ** self.dimension
         if total > cap:
             raise EnumerationCapError(f"{total} global codewords exceed cap {cap}")
-        return gflinalg.span(basis, self.field)
+        if self._codewords is None:
+            self._codewords = gflinalg.span(self.codeword_basis(), self.field)
+            self._codewords.flags.writeable = False
+        return self._codewords
 
     def brute_force_min_distance(self, cap: int = DEFAULT_GLOBAL_ENUMERATION_CAP) -> int:
         return gflinalg.min_weight(self.enumerate_codewords(cap))

@@ -34,10 +34,14 @@ one rank-1 update and one loop.  phase1 runs it on a stack of one, solve
 is solve_many of one objective, and solve_many runs phase 2 for many
 objectives over one set of constraints: the problems share the
 constraints, the phase-1 start and the Python work of each round, and a
-problem leaves the stack when it is optimal or unbounded.  Every sum other
-than the update (the starting reduced costs, the residual, c.x) is taken
-per problem, so a problem's pivots and outputs do not depend on what else
-is in the stack.
+problem leaves the stack when it is optimal or unbounded.  The starting
+reduced costs, residuals and c.x are matmuls over a singleton axis, which
+run item by item the kernel of the one-problem product: (k, 1, m) @ (m, p)
+the vector-matrix call of cb @ M, (m, n) @ (k, n, 1) the matrix-vector
+call of A0 @ x, (k, 1, n) @ (k, n, 1) the dot of c @ x.  So a problem's
+pivots and outputs do not depend on the rest of the stack.  A 2-D
+(k, m) @ (m, p) product (a matrix-matrix kernel) breaks this, and so does
+slicing the product: (cb @ T0)[:n] is not bit-equal to cb @ T0[:, :n].
 
 Two shortcuts make each pivot cheaper without changing which pivot is
 taken.  The tie-break sorts only the tied rows' keys and skips the columns
@@ -327,8 +331,7 @@ def _optimal(A0: np.ndarray, b0: np.ndarray, C: np.ndarray, basis: np.ndarray,
              feas_tol: float) -> list[LpSolution]:
     """The solutions at a stack of optimal bases, one per row of C: in
     problem i, basic variable basis[i, r] takes rhs[i, r]."""
-    m, n = A0.shape
-    X = np.zeros((len(C), n))
+    X = np.zeros((len(C), A0.shape[1]))
     X[np.arange(len(C))[:, None], basis] = rhs
     lowest = X.min(axis=1)
     negative = np.flatnonzero(lowest < -feas_tol)
@@ -336,13 +339,14 @@ def _optimal(A0: np.ndarray, b0: np.ndarray, C: np.ndarray, basis: np.ndarray,
         raise NumericError(f"optimal basis has a negative variable: {lowest[negative[0]]}")
     np.clip(X, 0.0, None, out=X)
     bound = feas_tol * (1.0 + np.abs(b0).max(initial=0.0))
-    for x in X:
-        resid = np.abs(A0 @ x - b0).max() if m else 0.0
-        if resid > bound:
-            raise NumericError(f"constraint residual {resid} exceeds tolerance")
-    return [LpSolution(status="optimal", values=x, objective_value=float(c @ x),
+    resid = np.abs((A0 @ X[:, :, None])[:, :, 0] - b0).max(axis=1, initial=0.0)
+    over = np.flatnonzero(resid > bound)
+    if len(over):
+        raise NumericError(f"constraint residual {resid[over[0]]} exceeds tolerance")
+    values = (C[:, None] @ X[:, :, None])[:, 0, 0].tolist()
+    return [LpSolution(status="optimal", values=x, objective_value=value,
                        iterations=iterations, phase1_iterations=start.iterations)
-            for c, x in zip(C, X)]
+            for x, value in zip(X, values)]
 
 
 def solve(problem: LpProblem,
@@ -369,9 +373,7 @@ def solve_many(objectives, eq_coeffs, eq_rhs, start: Phase1 | None = None,
     eq_coeffs, eq_rhs), feas_tol, opt_tol, start) returns: phase 2 runs on
     a stack of tableaux, one per problem, and a problem leaves the stack
     when it is optimal or unbounded.  A NumericError that some problem
-    meets is raised in the round it occurs.  Every sum (the starting
-    reduced costs, the residual, c.x) is taken per problem, so the values
-    and objective values do not depend on what else is in the stack.
+    meets is raised in the round it occurs.
     """
     A0 = np.asarray(eq_coeffs, dtype=float)
     b0 = np.asarray(eq_rhs, dtype=float)
@@ -391,11 +393,10 @@ def solve_many(objectives, eq_coeffs, eq_rhs, start: Phase1 | None = None,
     basis0 = _phase2_basis(start, n)
     T = np.empty((len(C), T0.shape[0] + 1, T0.shape[1]))
     T[:, :-1] = T0
-    for z, c in zip(T[:, -1], C):
-        cb = c[basis0]
-        z[:n] = c - cb @ T0[:, :n]
-        z[n:-1] = -(cb @ T0[:, n:-1])
-        z[-1] = -(cb @ T0[:, -1])
+    cb = C[:, None, basis0]
+    T[:, -1:, :n] = C[:, None] - cb @ T0[:, :n]
+    T[:, -1:, n:-1] = -(cb @ T0[:, n:-1])
+    T[:, -1:, -1:] = -(cb @ T0[:, -1:])
     tab = _Simplex(T, np.repeat(basis0[None], len(C), axis=0), n, opt_tol, start.iterations)
     live = np.arange(len(C))            # the problem in each stack slot
     solutions: list[LpSolution | None] = [None] * len(C)

@@ -1,19 +1,19 @@
 """Brute-force nearest-codeword decoding, and exhaustive LP-vs-oracle scans.
 
-ml_decode enumerates every global codeword and returns a closest one; it is
-the ground truth the LP decoder is measured against.  When the LP relaxation
-has an integral optimum its codeword must sit at exactly the oracle's
-distance (the LP objective is an affine function of Hamming distance on
-integral points), so the scan walks the whole received-word space and
-tabulates how often the relaxation is integral, fractional, or tied, and
-records any word where an integral answer is not distance-optimal — there
-should never be one.
+ml_decode returns a closest global codeword; it is the ground truth the LP
+decoder is measured against.  When the LP relaxation has an integral
+optimum its codeword must sit at exactly the oracle's distance (the LP
+objective is an affine function of Hamming distance on integral points),
+so the scan walks the whole received-word space and tabulates how often
+the relaxation is integral, fractional, or tied, and records any word
+where an integral answer is not distance-optimal — there should never be
+one.
 
 The scan decodes its words with lp_decoder.decode_many, so the LPs of
-small codes are solved in stacks that share one phase-1 start, and takes
-the oracle's distance and tie flag for every word from one codeword table
-per index range (ml_decode enumerates the code again on each call).  The
-tallies and the mismatch list, in word order, are those of decoding and
+small codes are solved in stacks that share one phase-1 start.  One routine,
+_nearest, answers "nearest codeword, distance, tie" for ml_decode and the
+scan alike, over the one codeword table each code enumerates and keeps.
+The tallies and the mismatch list, in word order, are those of decoding and
 oracle-decoding each word in turn (tests/oracles.py keeps that loop as the
 reference).
 """
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EnumerationCapError
-from .expander_code import ExpanderCode, check_word
+from .expander_code import DEFAULT_GLOBAL_ENUMERATION_CAP, ExpanderCode, check_word
 from .lp_decoder import DEFAULT_INT_TOL, STACK_BYTES, decode_many, map_with_code
 from .lp_core import DEFAULT_FEAS_TOL, DEFAULT_OPT_TOL
 
@@ -44,21 +44,17 @@ class OracleResult:
     num_codewords_scanned: int
 
 
-def ml_decode(code: ExpanderCode, y, cap: int | None = None) -> OracleResult:
+def ml_decode(code: ExpanderCode, y, cap: int = DEFAULT_GLOBAL_ENUMERATION_CAP) -> OracleResult:
     """Exact nearest-codeword decoding by scanning the full codeword list.
 
     Returns the first minimizer in enumeration order; `tie` reports whether
     any other codeword achieves the same distance.
     """
     yw = check_word(y, code.field.q, code.num_edges)
-    words = (code.enumerate_codewords() if cap is None
-             else code.enumerate_codewords(cap))
-    distances = np.count_nonzero(words != yw[None, :], axis=1)
-    best = int(distances.argmin())
-    d = int(distances[best])
-    tie = int((distances == d).sum()) >= 2
-    return OracleResult(nearest=words[best].copy(), distance=d, tie=tie,
-                        num_codewords_scanned=int(words.shape[0]))
+    table = code.enumerate_codewords(cap)
+    best, distance, tie = _nearest(table, yw[None])
+    return OracleResult(nearest=table[best[0]].copy(), distance=int(distance[0]),
+                        tie=bool(tie[0]), num_codewords_scanned=len(table))
 
 
 @dataclass
@@ -90,21 +86,20 @@ class ScanReport:
         )
 
 
-def _nearest_distances(table: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each row of words, its distance to the nearest row of table, and
-    whether another row of table is as near (ml_decode's distance and tie).
+def _nearest(table: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For each row of words: the index of its first nearest row of table,
+    the distance to it, and whether another row of table is as near.
 
     Words are compared in groups whose (words, codewords, edges) comparison
     fits in lp_decoder.STACK_BYTES.
     """
     group = max(1, STACK_BYTES // table.size)
-    distances, ties = [], []
+    parts = []
     for first in range(0, len(words), group):
         d = np.count_nonzero(words[first:first + group, None, :] != table[None], axis=2)
-        best = d.min(axis=1)
-        distances.append(best)
-        ties.append(np.count_nonzero(d == best[:, None], axis=1) >= 2)
-    return np.concatenate(distances), np.concatenate(ties)
+        least = d.min(axis=1, keepdims=True)
+        parts.append((d.argmin(axis=1), least[:, 0], np.count_nonzero(d == least, axis=1) >= 2))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _scan_range(code: ExpanderCode, start: int, stop: int,
@@ -119,7 +114,7 @@ def _scan_range(code: ExpanderCode, start: int, stop: int,
                         fractional_count=0, tie_count=0)
     for first in range(start, stop, SCAN_BLOCK):
         words = np.arange(first, min(first + SCAN_BLOCK, stop))[:, None] // place % q
-        oracle, ties = _nearest_distances(table, words)
+        _, oracle, ties = _nearest(table, words)
         results = decode_many(code, words, int_tol=int_tol, feas_tol=feas_tol,
                               opt_tol=opt_tol)
         integral = np.array([r.status == "codeword" for r in results], dtype=bool)
@@ -131,10 +126,10 @@ def _scan_range(code: ExpanderCode, start: int, stop: int,
         if len(at):
             decoded = np.stack([results[i].codeword for i in at.tolist()])
             lp_dist = np.count_nonzero(decoded != words[at], axis=1)
-            for i, d in zip(at.tolist(), lp_dist.tolist()):
-                if d != oracle[i]:
-                    report.mismatches.append({"word": words[i].tolist(), "lp_distance": d,
-                                              "oracle_distance": int(oracle[i])})
+            wrong = lp_dist != oracle[at]
+            for i, d in zip(at[wrong].tolist(), lp_dist[wrong].tolist()):
+                report.mismatches.append({"word": words[i].tolist(), "lp_distance": d,
+                                          "oracle_distance": int(oracle[i])})
     return report
 
 

@@ -44,6 +44,9 @@ class OrientedEdgeSet:
 
     def __post_init__(self) -> None:
         self.edges = tuple(sorted(int(e) for e in self.edges))
+        for e in self.edges[:1] + self.edges[-1:]:   # sorted, so any id off the graph is an end
+            if not 0 <= e < self.graph.num_edges:
+                raise ValueError(f"edge id {e} out of range")
         if set(self.head_side) != set(self.edges):
             raise ValueError("head_side must assign exactly the edges of the set")
         for e, side in self.head_side.items():

@@ -312,13 +312,18 @@ def test_witness_builders_need_exactly_the_error_edges(k66_rep2):
         build_witness_from_peeling(k66_rep2, c, other, peel(k66_rep2, c, y), EPS)
     with pytest.raises(ValueError, match="orientation must cover exactly"):
         build_witness_from_orientation(k66_rep2, c, other, oriented, EPS)
-    # an edge id off the graph is no error edge, even where -1 would index
-    # the last edge, which is y's one error
+    # the set refuses an edge id off the graph when it is made; one whose
+    # edges were reassigned afterwards is no error edge to the builder, even
+    # where -1 would index the last edge, which is y's one error
     last = c.copy()
     last[35] = 1
     for edge in (-1, 36):
-        off_graph = OrientedEdgeSet(graph=k66_rep2.graph, edges=(edge,), head_side={edge: "b"},
+        with pytest.raises(ValueError, match=f"edge id {edge} out of range"):
+            OrientedEdgeSet(graph=k66_rep2.graph, edges=(edge,), head_side={edge: "b"},
+                            cap_a=1, cap_b=1)
+        off_graph = OrientedEdgeSet(graph=k66_rep2.graph, edges=(35,), head_side={35: "b"},
                                     cap_a=1, cap_b=1)
+        off_graph.edges, off_graph.head_side = (edge,), {edge: "b"}
         with pytest.raises(ValueError, match="orientation must cover exactly"):
             build_witness_from_orientation(k66_rep2, c, last, off_graph, EPS)
 

@@ -552,6 +552,19 @@ def test_solve_many_raises_the_unseparable_tie_as_solve_does():
     _assert_many_matches_each(objectives[1:], A, b, start)
 
 
+def test_optimal_raises_the_first_failing_residual_in_stack_order():
+    # x = 1, y = 2 at three optimal bases; only the middle problem's basic
+    # values are off, then the last one's too, by more
+    A, b = np.eye(2), np.array([1.0, 2.0])
+    start = lp_core.phase1(A, b)
+    C, basis = np.ones((3, 2)), np.array([[0, 1]] * 3)
+    for rhs, residual in (([[1.0, 2.0], [1.0, 2.5], [1.0, 2.0]], 0.5),
+                          ([[1.0, 2.0], [1.0, 2.5], [1.75, 2.0]], 0.5)):
+        with pytest.raises(NumericError, match=f"^constraint residual {residual} exceeds"):
+            lp_core._optimal(A, b, C, basis, np.array(rhs), 0, start,
+                             lp_core.DEFAULT_FEAS_TOL)
+
+
 def test_solve_many_checks_its_inputs():
     rng = np.random.default_rng(5)
     problem = make_bounded_problem(rng, 3, 6)

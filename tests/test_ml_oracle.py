@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from expanderlp import (EnumerationCapError, ExpanderCode, ScanReport,
-                        exhaustive_agreement_scan, ml_decode, ml_oracle)
+                        exhaustive_agreement_scan, gflinalg, ml_decode, ml_oracle)
 from expanderlp.harness import resolve_instance
 
 from oracles import nearest_codeword_scan, scan_range_by_word
@@ -45,6 +45,26 @@ def test_matches_independent_scan(k33_parity2, rng):
 def test_cap_is_enforced(k33_parity2):
     with pytest.raises(EnumerationCapError):
         ml_decode(k33_parity2, np.zeros(9, dtype=np.int64), cap=4)
+
+
+def test_one_codeword_table_per_code(monkeypatch, four_cycle_rep3):
+    # ml_decode and the scan share the table the code spans once (the local
+    # codes span their own words, which are shorter)
+    code = ExpanderCode(four_cycle_rep3.graph, four_cycle_rep3.code_a, four_cycle_rep3.code_b)
+    spans = []
+
+    def counted(rows, gf, _real=gflinalg.span):
+        spans.append(np.shape(rows)[1])
+        return _real(rows, gf)
+
+    monkeypatch.setattr(gflinalg, "span", counted)
+    first = ml_decode(code, [0, 0, 0, 1])
+    assert ml_decode(code, [0, 0, 1, 1]).tie and not first.tie
+    assert exhaustive_agreement_scan(code).total_words == 81
+    assert spans.count(code.num_edges) == 1
+    assert not code.enumerate_codewords().flags.writeable
+    with pytest.raises(EnumerationCapError):
+        ml_decode(code, [0, 0, 0, 1], cap=2)
 
 
 def test_scan_tiny_instance_all_integral(four_cycle_rep3):

@@ -124,6 +124,14 @@ def test_bad_edge_ids_rejected():
         orient(g, [99], 1, 1)
 
 
+@pytest.mark.parametrize("edge", [-1, 36])
+def test_oriented_set_rejects_edge_ids_off_the_graph(edge):
+    # -1 would otherwise read as the last edge, and 36 fail as an IndexError
+    g = complete_bipartite(6)
+    with pytest.raises(ValueError, match=f"edge id {edge} out of range"):
+        OrientedEdgeSet(graph=g, edges=(edge,), head_side={edge: "b"}, cap_a=0, cap_b=0)
+
+
 def test_head_tail_bookkeeping():
     g = complete_bipartite(2)
     oriented = OrientedEdgeSet(graph=g, edges=(0,), head_side={0: "b"},

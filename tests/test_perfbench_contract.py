@@ -16,7 +16,8 @@ import pytest
 
 import numpy as np
 
-from expanderlp import ExpanderCode, certificate, harness, lp_core, lp_decoder, orientation
+from expanderlp import (ExpanderCode, certificate, harness, lp_core, lp_decoder, ml_oracle,
+                        orientation)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -164,3 +165,11 @@ def test_peel_counter_reads_real_traces(k66_rep2, four_cycle_rep3):
                                                   {"peels": 1, "peel_rounds": 2, "cores": 1}]
     for trace in (emptied, stagnated):
         assert count(trace)["peel_rounds"] == len(trace.edge_sets) - 1
+
+
+def test_ml_decode_counter_reads_a_real_result(k33_parity2):
+    # codewords_scanned per ml_decode is the size of the code's codeword table
+    result = ml_oracle.ml_decode(k33_parity2, [1, 0, 0, 0, 0, 0, 0, 0, 0])
+    assert workloads.COUNTERS["ml_oracle.ml_decode"](result) == {
+        "ml_decodes": 1, "codewords_scanned": 16}
+    assert len(k33_parity2.enumerate_codewords()) == 16
