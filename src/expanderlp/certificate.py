@@ -15,6 +15,9 @@ costs cost[e][alpha] (-1 at the received symbol, +1 elsewhere):
             >= -Delta/2 + dist(y|_v, c|_v)
             for every vertex v and every local codeword b at v.
 
+A vertex's bound is fixed by c and y, so a witness is its tau values and
+eps alone.
+
 Witnesses are built two ways.  The peeling route iteratively discards
 vertices with few remaining error edges, on boolean masks: one row over the
 edges and one over the round's side per round.  If the error set peels
@@ -25,9 +28,9 @@ fraction of error edges.  The orientation route directs the error edges so
 that every vertex has small in-degree, and in-edges take the role of the
 peeled edges.  Either way the witness comes down to one array over the
 edges, the side that released each error edge (0 for A, 1 for B, -1 off the
-error edges), and one writer turns that into tau and sigma.  The two sides
-share one code path: a side index selects the local code, the
-incident-edge array and the edges' endpoints.
+error edges), and one writer turns that into tau.  The two sides share one
+code path: a side index selects the local code, the incident-edge array
+and the edges' endpoints.
 Everything here is exact rational arithmetic; nothing floats.
 Witnesses hold Fraction values, and the check compares them exactly as
 integers: every value is scaled by one common denominator, so each
@@ -37,7 +40,8 @@ the scaled arrays first and renders the Fraction lists from the same
 integers, and find_witness checks those arrays directly.  check_witness
 takes any witness, so it reads the integers back from the lists; the
 writer shares a few value objects among all rows, and it reads each
-distinct object once.  Both feed one check core.
+distinct object once.  Both feed one check core, which reads nothing but
+those integers, c and y.
 
 One eps is enough.  A built witness's values are the half-integers -1/2,
 1/2, -5/2 and 3/2, some less eps, and its edge constraints hold for every
@@ -108,12 +112,12 @@ class DualWitness:
     """tau values per (endpoint, edge, symbol), plus the strictness margin eps.
 
     tau_a[e][alpha] belongs to the A endpoint of edge e, tau_b to the B
-    endpoint.  sigma[v] = Delta/2 - dist(y|_v, c|_v) over global vertex ids.
+    endpoint.  Vertex v's bound, -Delta/2 + dist(y|_v, c|_v), comes from c
+    and y, so the witness holds no value for it.
     """
 
     tau_a: list[list[Fraction]]
     tau_b: list[list[Fraction]]
-    sigma: list[Fraction]
     epsilon: Fraction
 
 
@@ -144,11 +148,6 @@ class CertifyResult:
 def _sides(code: ExpanderCode):
     """Per side: its local code and its (n, Delta) incident-edge array."""
     return ((code.code_a, code.graph.a_edges), (code.code_b, code.graph.b_edges))
-
-
-def _local_distances(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray) -> list[np.ndarray]:
-    """dist(y|_v, c|_v) for every vertex v, one array per side."""
-    return [np.count_nonzero(yw[inc] != cw[inc], axis=1) for _, inc in _sides(code)]
 
 
 def _checked(code: ExpanderCode, c, y) -> tuple[np.ndarray, np.ndarray]:
@@ -240,13 +239,11 @@ def find_error_core(graph: TannerGraph, trace: PeelingTrace,
 
 class _Scaled(NamedTuple):
     """A witness's values as integers over one common denominator den: tau
-    as a (2, E, q) array of tau_a, tau_b times den, eps times den, and per
-    global vertex the local distance its sigma stands for (-1 for none)."""
+    as a (2, E, q) array of tau_a, tau_b times den, and eps times den."""
 
     tau: np.ndarray
     den: int
     eps: int
-    dist: np.ndarray
 
 
 def _write_witness(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
@@ -260,8 +257,8 @@ def _write_witness(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
     1/2-eps elsewhere, and an error edge +1/2 at the codeword symbol.  At
     the other symbols of an error edge, the endpoint that released it takes
     -5/2-eps and the other endpoint +3/2.  Every tau row is a list of its
-    own.  sigma[v] = Delta/2 - dist(y|_v, c|_v) over global vertex ids.
-    The lists are rendered from the scaled integers, so the two are equal.
+    own.  The lists are rendered from the scaled integers, so the two are
+    equal.
     """
     q = code.field.q
     num_edges = code.num_edges
@@ -290,12 +287,8 @@ def _write_witness(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
                  for symbol in range(q)]
     tau_a, tau_b = (list(map(list, map(templates.__getitem__, index)))
                     for index in (kinds * q + cw).tolist())
-    dist = np.concatenate(_local_distances(code, cw, yw))
-    half_delta = Fraction(delta, 2)
-    sigma_of = [half_delta - d for d in range(delta + 1)]
-    sigma = list(map(sigma_of.__getitem__, dist.tolist()))
-    return (DualWitness(tau_a=tau_a, tau_b=tau_b, sigma=sigma, epsilon=epsilon),
-            _Scaled(tau, den, eps_scaled, dist))
+    return (DualWitness(tau_a=tau_a, tau_b=tau_b, epsilon=epsilon),
+            _Scaled(tau, den, eps_scaled))
 
 
 def build_witness_from_peeling(code: ExpanderCode, c, y, trace: PeelingTrace,
@@ -345,9 +338,7 @@ def _released_by_orientation(code: ExpanderCode, orientation: OrientedEdgeSet) -
     """Each oriented edge's head side (0 = A, 1 = B), -1 elsewhere;
     ValueError unless every in-degree is below delta*Delta/4 on its side."""
     graph = code.graph
-    edges = list(orientation.edges)     # sorted
-    if edges and not 0 <= edges[0] <= edges[-1] < graph.num_edges:
-        raise ValueError("orientation must cover exactly the error edges")
+    edges = list(orientation.edges)
     released = np.full(graph.num_edges, -1)
     released[edges] = list(map("ab".index, map(orientation.head_side.get, edges)))
     indegree = np.bincount(graph.ends[released[edges], edges],
@@ -366,15 +357,12 @@ def _released_by_orientation(code: ExpanderCode, orientation: OrientedEdgeSet) -
 _INT64_SAFE = 2 ** 62
 
 
-def _check_shape(witness: DualWitness, num_edges: int, q: int, num_vertices: int) -> None:
-    """E rows of q values per side and one sigma per vertex, or ValueError."""
+def _check_shape(witness: DualWitness, num_edges: int, q: int) -> None:
+    """E rows of q values per side, or ValueError."""
     for name in ("tau_a", "tau_b"):
         rows = getattr(witness, name)
         if len(rows) != num_edges or set(map(len, rows)) != {q}:
             raise ValueError(f"witness {name} must be {num_edges} rows of {q} values")
-    if len(witness.sigma) != num_vertices:
-        raise ValueError(f"witness sigma must hold {num_vertices} values, "
-                         f"not {len(witness.sigma)}")
 
 
 def _distinct_ratios(values: list) -> tuple[list[tuple[int, int]], np.ndarray]:
@@ -402,14 +390,13 @@ def _exact_dtype(scaled: list[int], den: int, eps_scaled: int, delta: int):
     return np.int64 if largest * (delta + 2) < _INT64_SAFE else object
 
 
-def _scaled_taus(witness: DualWitness, shape: tuple[int, int],
-                 delta: int) -> tuple[np.ndarray, int, int]:
+def _scaled_taus(witness: DualWitness, shape: tuple[int, int], delta: int) -> _Scaled:
     """The witness's tau values times one common denominator, as integers.
 
     den is the lcm of 2, eps's denominator and every tau denominator, so
     tau*den, eps*den and the vertex bounds (2*dist - Delta)*den/2 are all
-    integers.  Returns the (2, E, q) array of tau_a, tau_b scaled by den,
-    of _exact_dtype, then den and eps*den.
+    integers.  The (2, E, q) array of tau_a, tau_b scaled by den is of
+    _exact_dtype.
     """
     ratios, inverse = _distinct_ratios(
         list(chain.from_iterable(chain(witness.tau_a, witness.tau_b))))
@@ -418,18 +405,8 @@ def _scaled_taus(witness: DualWitness, shape: tuple[int, int],
     scaled = [num * (den // d) for num, d in ratios]
     eps_scaled = eps_num * (den // eps_den)
     dtype = _exact_dtype(scaled, den, eps_scaled, delta)
-    return np.array(scaled, dtype=dtype)[inverse].reshape((2,) + shape), den, eps_scaled
-
-
-def _sigma_distances(witness: DualWitness, delta: int) -> np.ndarray:
-    """Per vertex, the local distance its sigma stands for (sigma = Delta/2 -
-    dist), or -1 where it stands for no integer in 0..Delta."""
-    ratios, inverse = _distinct_ratios(witness.sigma)
-    implied = []
-    for num, d in ratios:
-        dist, rest = divmod(delta * d - 2 * num, 2 * d)
-        implied.append(dist if rest == 0 and 0 <= dist <= delta else -1)
-    return np.array(implied, dtype=np.int64)[inverse]
+    return _Scaled(np.array(scaled, dtype=dtype)[inverse].reshape((2,) + shape), den,
+                   eps_scaled)
 
 
 def check_witness(code: ExpanderCode, c, y, witness: DualWitness) -> WitnessCheck:
@@ -438,44 +415,37 @@ def check_witness(code: ExpanderCode, c, y, witness: DualWitness) -> WitnessChec
     The witness's values are read back from its lists as integers over their
     common denominator (each distinct value object once), and every
     constraint is an integer comparison.  The order is every edge by
-    (e, alpha), then side a before side b, vertex by vertex, the sigma check
-    before that vertex's local codewords; the message quotes the witness's
-    own values.  A witness without E rows of q values per side and 2n sigma
-    values is a ValueError.
+    (e, alpha), then side a before side b, vertex by vertex.  A witness
+    without E rows of q values per side is a ValueError.
     """
     cw, yw = _checked(code, c, y)
     graph = code.graph
-    _check_shape(witness, graph.num_edges, code.field.q, 2 * graph.n)
+    _check_shape(witness, graph.num_edges, code.field.q)
     if witness.epsilon <= 0:
         return WitnessCheck(ok=False, violation="epsilon must be positive")
-    tau, den, eps_scaled = _scaled_taus(witness, (graph.num_edges, code.field.q),
-                                        graph.delta)
-    return _check_scaled(code, cw, yw, witness, _Scaled(
-        tau, den, eps_scaled, _sigma_distances(witness, graph.delta)))
+    return _check_scaled(code, cw, yw, _scaled_taus(
+        witness, (graph.num_edges, code.field.q), graph.delta))
 
 
 def _check_scaled(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
-                  witness: DualWitness, scaled: _Scaled) -> WitnessCheck:
+                  scaled: _Scaled) -> WitnessCheck:
     """The check of a witness's scaled integers, on a checked codeword and
-    received word; the witness's lists are read only to quote values in a
-    violation message."""
-    graph = code.graph
+    received word.  A violation quotes the offending total as the Fraction
+    total/den, the value the witness's own values sum to."""
     q = code.field.q
-    num_edges = graph.num_edges
-    delta = graph.delta
-    n = graph.n
+    delta = code.graph.delta
     tau, den = scaled.tau, scaled.den
 
     # cost*den, less eps*den except at the codeword symbol (the weak constraint)
     symbols = np.arange(q)
-    limit = np.full((num_edges, q), den, dtype=tau.dtype)
+    limit = np.full((code.num_edges, q), den, dtype=tau.dtype)
     limit[symbols == yw[:, None]] = -den
     limit[symbols != cw[:, None]] -= scaled.eps
     bad = np.flatnonzero(tau[0] + tau[1] > limit)
     if bad.size:
         e, alpha = divmod(int(bad[0]), q)
         cost = Fraction(-1 if alpha == yw[e] else 1)
-        total = witness.tau_a[e][alpha] + witness.tau_b[e][alpha]
+        total = Fraction(int(tau[0, e, alpha] + tau[1, e, alpha]), den)
         if alpha == cw[e]:
             return WitnessCheck(
                 ok=False,
@@ -486,33 +456,20 @@ def _check_scaled(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
             violation=f"strict edge constraint at edge {e}, symbol {alpha}: "
                       f"{total} > {cost} - eps")
 
-    half_delta = Fraction(delta, 2)
-    distances = _local_distances(code, cw, yw)
-    sigma_off = (scaled.dist != np.concatenate(distances)).reshape(2, n)
     for s, (local, inc) in enumerate(_sides(code)):
-        side, taus, dist = "ab"[s], (witness.tau_a, witness.tau_b)[s], distances[s]
         codewords = local.codewords()
         # totals[v, k]: the sum over v's edges of tau at local codeword k's symbol
         totals = tau[s].reshape(-1)[inc[:, None, :] * q + codewords[None]].sum(axis=2)
+        dist = np.count_nonzero(yw[inc] != cw[inc], axis=1)
         rhs = (2 * dist - delta).astype(tau.dtype) * (den // 2)
         bad = np.flatnonzero(totals < rhs[:, None])
-        first = int(bad[0]) // len(codewords) if bad.size else n
-        dist = dist.tolist()
-        # the sigma check of a vertex comes before its codewords
-        off = np.flatnonzero(sigma_off[s, :first + 1])
-        if off.size:
-            v = int(off[0])
-            return WitnessCheck(
-                ok=False,
-                violation=f"sigma mismatch at {side}{v}: "
-                          f"{witness.sigma[s * n + v]} != {half_delta - dist[v]}")
         if bad.size:
-            b = codewords[int(bad[0]) % len(codewords)]
-            total = sum(taus[int(e)][int(sym)] for e, sym in zip(inc[first], b))
+            v, k = divmod(int(bad[0]), len(codewords))
             return WitnessCheck(
                 ok=False,
-                violation=f"vertex constraint at {side}{first}, local codeword "
-                          f"{b.tolist()}: {total} < {-half_delta + dist[first]}")
+                violation=f"vertex constraint at {'ab'[s]}{v}, local codeword "
+                          f"{codewords[k].tolist()}: {Fraction(int(totals[v, k]), den)} < "
+                          f"{Fraction(2 * int(dist[v]) - delta, 2)}")
     return WitnessCheck(ok=True)
 
 
@@ -568,7 +525,7 @@ def find_witness(code: ExpanderCode, c, y, mode: str = "peel",
         raise ValueError(f"unknown mode {mode!r}")
 
     witness, scaled = _write_witness(code, cw, yw, released, epsilon, source)
-    result = _check_scaled(code, cw, yw, witness, scaled)
+    result = _check_scaled(code, cw, yw, scaled)
     if not result.ok:
         return CertifyResult(witness_found=False, mode=mode,
                              reason=f"witness fails the exact check: {result.violation}")

@@ -143,6 +143,8 @@ class ExperimentConfig:
         for w in self.weights:
             if not 0 <= w <= code.graph.num_edges:
                 raise DomainError(f"weight {w} outside [0, {code.graph.num_edges}]")
+        if len(set(self.weights)) != len(self.weights):
+            raise DomainError(f"weights {list(self.weights)} repeat a weight")
 
 
 @dataclass

@@ -69,6 +69,21 @@ DEFAULT_FEAS_TOL = 1e-8
 DEFAULT_OPT_TOL = 1e-9
 
 
+def _checked_constraints(eq_coeffs, eq_rhs) -> tuple[np.ndarray, np.ndarray]:
+    """eq_coeffs and eq_rhs as float arrays, or ValueError unless they are a
+    matrix and one right-hand side per row, all finite."""
+    A = np.asarray(eq_coeffs, dtype=float)
+    b = np.asarray(eq_rhs, dtype=float)
+    if A.ndim != 2:
+        raise ValueError("eq_coeffs must be a matrix")
+    if b.shape != A.shape[:1]:
+        raise ValueError(f"eq_rhs must have length {len(A)}")
+    for arr, name in ((A, "eq_coeffs"), (b, "eq_rhs")):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} contains non-finite entries")
+    return A, b
+
+
 @dataclass
 class LpProblem:
     """maximize objective . x  s.t.  eq_coeffs @ x = eq_rhs,  x >= 0."""
@@ -78,21 +93,13 @@ class LpProblem:
     eq_rhs: np.ndarray
 
     def __post_init__(self) -> None:
+        self.eq_coeffs, self.eq_rhs = _checked_constraints(self.eq_coeffs, self.eq_rhs)
         self.objective = np.asarray(self.objective, dtype=float)
-        self.eq_coeffs = np.asarray(self.eq_coeffs, dtype=float)
-        self.eq_rhs = np.asarray(self.eq_rhs, dtype=float)
-        if self.eq_coeffs.ndim != 2:
-            raise ValueError("eq_coeffs must be a matrix")
-        m, n = self.eq_coeffs.shape
+        n = self.eq_coeffs.shape[1]
         if self.objective.shape != (n,):
             raise ValueError(f"objective must have length {n}")
-        if self.eq_rhs.shape != (m,):
-            raise ValueError(f"eq_rhs must have length {m}")
-        for arr, name in ((self.objective, "objective"),
-                          (self.eq_coeffs, "eq_coeffs"),
-                          (self.eq_rhs, "eq_rhs")):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} contains non-finite entries")
+        if not np.isfinite(self.objective).all():
+            raise ValueError("objective contains non-finite entries")
 
     @property
     def num_vars(self) -> int:
@@ -266,9 +273,10 @@ class Phase1:
 
 def phase1(eq_coeffs: np.ndarray, eq_rhs: np.ndarray,
            opt_tol: float = DEFAULT_OPT_TOL) -> Phase1:
-    """Phase 1 of solve() for the constraints eq_coeffs @ x = eq_rhs, x >= 0."""
-    A0 = np.asarray(eq_coeffs, dtype=float)
-    b0 = np.asarray(eq_rhs, dtype=float)
+    """Phase 1 of solve() for the constraints eq_coeffs @ x = eq_rhs, x >= 0;
+    ValueError unless they are a matrix and one right-hand side per row, all
+    finite."""
+    A0, b0 = _checked_constraints(eq_coeffs, eq_rhs)
     m, n = A0.shape
 
     # sign-normalize so b >= 0; aux block starts as the identity; the last
@@ -307,14 +315,14 @@ def phase1(eq_coeffs: np.ndarray, eq_rhs: np.ndarray,
 
 def _checked_start(A0: np.ndarray, b0: np.ndarray, start: Phase1 | None,
                    opt_tol: float) -> Phase1:
-    """start, after checking it is for (m, n) at opt_tol, or phase 1 run here."""
-    m, n = A0.shape
+    """start, after checking it is for A0's shape at opt_tol, or phase 1 run
+    here, which checks the constraints."""
     if start is None:
         return phase1(A0, b0, opt_tol)
-    if start.shape != (m, n) or start.opt_tol != opt_tol:
+    if start.shape != A0.shape or start.opt_tol != opt_tol:
         raise ValueError(
             f"phase-1 start is for a {start.shape} problem at opt_tol "
-            f"{start.opt_tol}, not {(m, n)} at {opt_tol}")
+            f"{start.opt_tol}, not {A0.shape} at {opt_tol}")
     return start
 
 
@@ -373,17 +381,18 @@ def solve_many(objectives, eq_coeffs, eq_rhs, start: Phase1 | None = None,
     eq_coeffs, eq_rhs), feas_tol, opt_tol, start) returns: phase 2 runs on
     a stack of tableaux, one per problem, and a problem leaves the stack
     when it is optimal or unbounded.  A NumericError that some problem
-    meets is raised in the round it occurs.
+    meets is raised in the round it occurs.  Without a start, phase 1
+    checks the constraints; with one, the caller vouches for them.
     """
     A0 = np.asarray(eq_coeffs, dtype=float)
     b0 = np.asarray(eq_rhs, dtype=float)
+    start = _checked_start(A0, b0, start, opt_tol)
+    n = start.shape[1]
     C = np.asarray(objectives, dtype=float)
-    m, n = A0.shape
     if C.ndim != 2 or C.shape[1] != n:
         raise ValueError(f"objectives must be a (k, {n}) array")
     if not np.isfinite(C).all():
         raise ValueError("objectives contain non-finite entries")
-    start = _checked_start(A0, b0, start, opt_tol)
     if start.infeasibility > feas_tol:
         return [LpSolution(status="infeasible", iterations=start.search_iterations,
                            phase1_iterations=start.search_iterations) for _ in C]

@@ -27,13 +27,14 @@ from .errors import DomainError, InternalInvariantError
 from .tanner_graph import TannerGraph
 
 
-@dataclass
+@dataclass(frozen=True)
 class OrientedEdgeSet:
     """A direction for each edge of a subset, with per-side in-degree caps.
 
     head_side[e] is "a" or "b": the endpoint the edge points at.  Vertices
     are global ids, as in TannerGraph.ends (A-side vertex v is v, B-side
-    vertex v is n + v).
+    vertex v is n + v).  The set is frozen, so its edge ids stay the ones
+    checked against the graph when it was made.
     """
 
     graph: TannerGraph
@@ -43,7 +44,7 @@ class OrientedEdgeSet:
     cap_b: int
 
     def __post_init__(self) -> None:
-        self.edges = tuple(sorted(int(e) for e in self.edges))
+        object.__setattr__(self, "edges", tuple(sorted(int(e) for e in self.edges)))
         for e in self.edges[:1] + self.edges[-1:]:   # sorted, so any id off the graph is an end
             if not 0 <= e < self.graph.num_edges:
                 raise ValueError(f"edge id {e} out of range")

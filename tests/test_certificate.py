@@ -1,7 +1,11 @@
 """Peeling, error cores, and exact dual witnesses."""
 
 import copy
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -185,13 +189,8 @@ def test_peeling_witness_tau_values(k66_rep2):
     assert w.tau_b[0][0] == Fraction(-1, 2)
     assert w.tau_a[0][1] == Fraction(1, 2) - EPS
 
-    # sigma = Delta/2 - local error count
-    a5 = int(k66_rep2.graph.a_of[5])
-    b5 = int(k66_rep2.graph.b_of[5])
-    assert w.sigma[a5] == Fraction(2)
-    assert w.sigma[6 + b5] == Fraction(2)
-    clean = next(v for v in range(6) if v != a5)
-    assert w.sigma[clean] == Fraction(3)
+    # the vertex bounds come from c and y: a witness is its tau values and eps
+    assert [f.name for f in dataclasses.fields(w)] == ["tau_a", "tau_b", "epsilon"]
 
     assert check_witness(k66_rep2, c, y, w).ok
 
@@ -235,15 +234,6 @@ def test_checker_flags_weak_edge_violation(k66_rep2):
     assert result.violation.startswith("weak edge constraint at edge 0")
 
 
-def test_checker_flags_sigma_mismatch(k66_rep2):
-    c, y, w = valid_single_error_witness(k66_rep2)
-    w = copy.deepcopy(w)
-    w.sigma[0] += 1
-    result = check_witness(k66_rep2, c, y, w)
-    assert not result.ok
-    assert "sigma mismatch" in result.violation
-
-
 def test_checker_flags_vertex_violation(k66_rep2):
     c, y, w = valid_single_error_witness(k66_rep2)
     w = copy.deepcopy(w)
@@ -264,8 +254,7 @@ def test_checker_rejects_nonpositive_epsilon(k66_rep2):
 
 def test_all_zero_witness_fails(four_cycle_rep3):
     zeros = [[Fraction(0)] * 3 for _ in range(4)]
-    w = DualWitness(tau_a=copy.deepcopy(zeros), tau_b=copy.deepcopy(zeros),
-                    sigma=[Fraction(0)] * 4, epsilon=EPS)
+    w = DualWitness(tau_a=copy.deepcopy(zeros), tau_b=copy.deepcopy(zeros), epsilon=EPS)
     result = check_witness(four_cycle_rep3, [0, 0, 0, 0], [0, 0, 0, 0], w)
     assert not result.ok
 
@@ -312,20 +301,15 @@ def test_witness_builders_need_exactly_the_error_edges(k66_rep2):
         build_witness_from_peeling(k66_rep2, c, other, peel(k66_rep2, c, y), EPS)
     with pytest.raises(ValueError, match="orientation must cover exactly"):
         build_witness_from_orientation(k66_rep2, c, other, oriented, EPS)
-    # the set refuses an edge id off the graph when it is made; one whose
-    # edges were reassigned afterwards is no error edge to the builder, even
-    # where -1 would index the last edge, which is y's one error
-    last = c.copy()
-    last[35] = 1
+    # the set refuses an edge id off the graph when it is made, and it is
+    # frozen, so no edge id reaches the builder unchecked
     for edge in (-1, 36):
         with pytest.raises(ValueError, match=f"edge id {edge} out of range"):
             OrientedEdgeSet(graph=k66_rep2.graph, edges=(edge,), head_side={edge: "b"},
                             cap_a=1, cap_b=1)
-        off_graph = OrientedEdgeSet(graph=k66_rep2.graph, edges=(35,), head_side={35: "b"},
-                                    cap_a=1, cap_b=1)
-        off_graph.edges, off_graph.head_side = (edge,), {edge: "b"}
-        with pytest.raises(ValueError, match="orientation must cover exactly"):
-            build_witness_from_orientation(k66_rep2, c, last, off_graph, EPS)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            oriented.edges = (edge,)
+    assert oriented.edges == (3,)
 
 
 def test_orient_mode_needs_theta(four_cycle_rep3):
@@ -527,22 +511,19 @@ def _built_witnesses(code, rng, patterns):
 
 
 def _tampered(code, c, witness, rng):
-    """One to three random edits of tau values, sigma or eps."""
+    """One to three random edits of tau values or eps."""
     w = copy.deepcopy(witness)
     eps = w.epsilon
     steps = [Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(-3), eps, -eps,
              Fraction(1, 3), Fraction(-7, 5), TINY, -TINY]
     for _ in range(int(rng.integers(1, 4))):
-        kind = int(rng.integers(5))
+        kind = int(rng.integers(4))
         if kind < 3:
             taus = w.tau_a if kind == 0 else w.tau_b
             e = int(rng.integers(code.num_edges))
             # the codeword symbol half the time, so weak constraints get hit
             alpha = int(c[e]) if kind == 2 else int(rng.integers(code.field.q))
             taus[e][alpha] += steps[int(rng.integers(len(steps)))]
-        elif kind == 3:
-            v = int(rng.integers(2 * code.graph.n))
-            w.sigma[v] += [Fraction(1), Fraction(-1), Fraction(1, 2), TINY][int(rng.integers(4))]
         else:
             w.epsilon = [Fraction(0), -eps, 2 * eps, eps / 3, TINY, Fraction(5),
                          Fraction(1, 4)][int(rng.integers(7))]
@@ -562,7 +543,7 @@ def test_checker_matches_fraction_reference(fixture, request):
             verdict = _same_verdict(code, c, y, _tampered(code, c, witness, rng))
             kinds.add("ok" if verdict.ok else verdict.violation.split(" at ")[0])
     assert kinds >= {"ok", "strict edge constraint", "weak edge constraint",
-                     "sigma mismatch", "vertex constraint", "epsilon must be positive"}
+                     "vertex constraint", "epsilon must be positive"}
 
 
 def test_checker_exact_beyond_int64(k66_grs):
@@ -646,9 +627,6 @@ def test_checker_sees_one_shared_value_replaced(k66_rep2):
         bad = copy.deepcopy(w)
         bad.tau_a[e][1] = value
         _same_verdict(k66_rep2, c, y, bad)
-    bad = copy.deepcopy(w)
-    bad.sigma[7] = Fraction(bad.sigma[7]) + Fraction(1, 2)
-    assert "sigma mismatch at b1" in _same_verdict(k66_rep2, c, y, bad).violation
 
 
 def test_checker_reads_equal_but_distinct_values(k66_grs):
@@ -659,7 +637,7 @@ def test_checker_reads_equal_but_distinct_values(k66_grs):
     fresh = DualWitness(
         tau_a=[[Fraction(x.numerator, x.denominator) for x in row] for row in w.tau_a],
         tau_b=[[Fraction(x.numerator, x.denominator) for x in row] for row in w.tau_b],
-        sigma=[Fraction(x.numerator, x.denominator) for x in w.sigma], epsilon=w.epsilon)
+        epsilon=w.epsilon)
     assert fresh.tau_a[0][0] is not fresh.tau_a[1][0]
     assert _same_verdict(k66_grs, c, y, fresh).ok
     fresh.tau_b[20][int(y[20])] += EPS
@@ -674,22 +652,21 @@ def test_checker_reads_int_and_float_values(k66_rep2):
     y[5] = 1
     w = build_witness_from_peeling(k66_rep2, c, y, peel(k66_rep2, c, y), Fraction(1, 4))
     mixed = DualWitness(tau_a=[[float(x) for x in row] for row in w.tau_a],
-                        tau_b=[list(row) for row in w.tau_b],
-                        sigma=[int(x) for x in w.sigma], epsilon=w.epsilon)
+                        tau_b=[list(row) for row in w.tau_b], epsilon=w.epsilon)
     assert _same_verdict(k66_rep2, c, y, mixed).ok
     mixed.tau_a[0][1] = 1            # int: 1 + 1/4 > 1 - eps
     assert _same_verdict(k66_rep2, c, y, mixed).violation.startswith(
         "strict edge constraint at edge 0")
     mixed.tau_a[0][1] = 0.25
-    mixed.sigma[3] = 2.5
-    assert "sigma mismatch at a3" in _same_verdict(k66_rep2, c, y, mixed).violation
+    mixed.tau_a[0][0] = -10.5        # float: a0's total falls below its bound
+    assert _same_verdict(k66_rep2, c, y, mixed).violation == (
+        "vertex constraint at a0, local codeword [0, 0, 0, 0, 0, 0]: -12 < -2")
 
 
 def test_checker_reads_rows_given_as_tuples(k66_rep2):
     c, y, w = valid_single_error_witness(k66_rep2)
     rows = DualWitness(tau_a=[tuple(row) for row in w.tau_a],
-                       tau_b=[tuple(row) for row in w.tau_b],
-                       sigma=tuple(w.sigma), epsilon=w.epsilon)
+                       tau_b=[tuple(row) for row in w.tau_b], epsilon=w.epsilon)
     assert _same_verdict(k66_rep2, c, y, rows).ok
     rows.tau_b[9] = (Fraction(0), Fraction(0))
     assert _same_verdict(k66_rep2, c, y, rows).violation.startswith(
@@ -701,18 +678,18 @@ def _ragged_rows(w):
     w.tau_a[1].insert(0, w.tau_a[0].pop())
 
 
-def _extra_sigma(w):
-    w.sigma.append(Fraction(3))
+def _missing_row(w):
+    w.tau_b.pop()
 
 
-def _short_sigma(w):
-    w.sigma.pop()
+def _extra_row(w):
+    w.tau_b.append(list(w.tau_b[0]))
 
 
 @pytest.mark.parametrize("malform, message", [
     pytest.param(_ragged_rows, "tau_a must be 36 rows of 2 values", id="ragged-rows"),
-    pytest.param(_extra_sigma, "sigma must hold 12 values, not 13", id="extra-sigma"),
-    pytest.param(_short_sigma, "sigma must hold 12 values, not 11", id="short-sigma"),
+    pytest.param(_missing_row, "tau_b must be 36 rows of 2 values", id="missing-row"),
+    pytest.param(_extra_row, "tau_b must be 36 rows of 2 values", id="extra-row"),
 ])
 def test_checker_rejects_malformed_witness(k66_rep2, malform, message):
     c, y, w = valid_single_error_witness(k66_rep2)
@@ -867,7 +844,7 @@ GOLDEN_WITNESSES = json.loads(
 def _as_strings(witness):
     return {"tau_a": [[str(x) for x in row] for row in witness.tau_a],
             "tau_b": [[str(x) for x in row] for row in witness.tau_b],
-            "sigma": [str(x) for x in witness.sigma], "epsilon": str(witness.epsilon)}
+            "epsilon": str(witness.epsilon)}
 
 
 @pytest.mark.parametrize("fixture", ["k66_rep2", "k66_grs", "four_cycle_rep3"])
@@ -922,30 +899,21 @@ def test_writer_integers_equal_the_read_back(fixture, epsilon, dtype, request):
             assert tau.dtype == scaled.tau.dtype == dtype
             assert np.array_equal(tau, scaled.tau)
             assert (den, eps_scaled) == (scaled.den, scaled.eps)
-            assert np.array_equal(certificate._sigma_distances(witness, delta), scaled.dist)
 
 
 def _edit_both(code, c, witness, scaled, rng):
     """One to three random edits, made alike to a witness's lists and to
     its scaled integers."""
-    delta = code.graph.delta
     steps = [Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(-3),
              witness.epsilon, -witness.epsilon]
     for _ in range(int(rng.integers(1, 4))):
-        kind = int(rng.integers(4))
-        if kind < 3:
-            side = int(rng.integers(2))
-            e = int(rng.integers(code.num_edges))
-            # the codeword symbol a third of the time, so weak constraints get hit
-            alpha = int(c[e]) if kind == 2 else int(rng.integers(code.field.q))
-            step = steps[int(rng.integers(len(steps)))]
-            (witness.tau_a, witness.tau_b)[side][e][alpha] += step
-            scaled.tau[side, e, alpha] += int(step * scaled.den)
-        else:
-            v = int(rng.integers(2 * code.graph.n))
-            witness.sigma[v] += [Fraction(1), Fraction(-1), Fraction(1, 2)][int(rng.integers(3))]
-            dist = Fraction(delta, 2) - witness.sigma[v]
-            scaled.dist[v] = int(dist) if dist.denominator == 1 and 0 <= dist <= delta else -1
+        side = int(rng.integers(2))
+        e = int(rng.integers(code.num_edges))
+        # the codeword symbol a third of the time, so weak constraints get hit
+        alpha = int(c[e]) if rng.integers(3) == 2 else int(rng.integers(code.field.q))
+        step = steps[int(rng.integers(len(steps)))]
+        (witness.tau_a, witness.tau_b)[side][e][alpha] += step
+        scaled.tau[side, e, alpha] += int(step * scaled.den)
 
 
 @pytest.mark.parametrize("epsilon", [EPS, Fraction(1, 10**30)], ids=["int64", "object"])
@@ -991,7 +959,7 @@ def test_find_witness_verdict_matches_fraction_reference(fixture, epsilon, reque
                     kinds.add(slow.violation.split(" at ")[0])
                 _same_verdict(code, c, y, built[0])
     assert kinds == {"ok", "strict edge constraint", "weak edge constraint",
-                     "sigma mismatch", "vertex constraint"}
+                     "vertex constraint"}
 
 
 def test_find_witness_reads_no_value_objects(k66_rep2, k66_grs, four_cycle_rep3, monkeypatch):
@@ -1008,3 +976,41 @@ def test_find_witness_reads_no_value_objects(k66_rep2, k66_grs, four_cycle_rep3,
                 assert case[f"find_{mode}"] == {"found": result.witness_found,
                                                 "reason": result.reason,
                                                 "epsilon": str(result.epsilon)}
+
+
+# -- no numpy.ma ------------------------------------------------------------------
+
+_NO_MASKED_ARRAYS = """
+import sys
+import numpy as np
+from expanderlp import certificate, decode
+from expanderlp.harness import resolve_instance, sample_error_pattern
+
+for spec, weight, decodes in ((("random:40:6:1", "repetition:2:6", "repetition:2:6"), 6, True),
+                              (("random:100:6:1", "grs:7:6:2", "grs:7:6:2"), 20, False)):
+    code = resolve_instance(*spec)
+    rng = np.random.default_rng(1)
+    c = code.random_codeword(rng)
+    y = sample_error_pattern(code, c, weight, rng)
+    if decodes:
+        assert decode(code, y).status == "codeword"
+    for mode in ("peel", "orient"):
+        result = certificate.find_witness(code, c, y, mode=mode)
+        assert result.witness_found, (spec, mode, result.reason)
+        assert certificate.check_witness(code, c, y, result.witness).ok
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_decode_and_certify_leave_numpy_ma_unimported():
+    # a plain np.unique(arr) imports numpy.ma, ~1.3 MB of peak RSS; the
+    # decode, both witness routes and check_witness on the sweep and
+    # certify codes must not, so this runs them in a fresh process
+    import expanderlp
+    src = str(Path(expanderlp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False"]

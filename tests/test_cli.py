@@ -235,6 +235,15 @@ def test_sweep_seed_changes_samples(tmp_path, capsys):
     assert out_a != out_b
 
 
+def test_sweep_repeated_weight_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--graph", "complete:3",
+                             "--code-a", "parity:2:3", "--code-b", "parity:2:3",
+                             "--weights", "1,1", "--trials", "2")
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert "repeat" in err
+
+
 def test_tables_bad_step_is_input_error(capsys):
     code, out, err = run_cli(capsys, "tables", "--step", "1.5")
     assert code == EXIT_INPUT_ERROR

@@ -171,6 +171,17 @@ def test_sweep_validates_weights():
         run_sweep(small_config(trials=0))
 
 
+def test_sweep_rejects_repeated_weights(tmp_path):
+    # [1, 1] once ran every trial twice: the summary reported 4 trials at
+    # weight 1 and the CSV held four rows
+    csv_path = tmp_path / "out.csv"
+    with pytest.raises(DomainError, match="repeat"):
+        run_sweep(small_config(weights=(1, 1), trials=2, out_csv=str(csv_path)))
+    with pytest.raises(DomainError, match="repeat"):
+        run_sweep(small_config(weights=(0, 1, 0)))
+    assert not csv_path.exists()
+
+
 def test_runtime_stays_out_of_csv():
     result = run_sweep(small_config())
     assert "runtime" not in result.csv_text

@@ -150,6 +150,24 @@ def test_problem_validation():
         LpProblem(objective=[np.nan, 1.0], eq_coeffs=[[1.0, 2.0]], eq_rhs=[1.0])
 
 
+# constraints LpProblem refuses reach phase 1 through solve_many without a
+# start: an infinite right-hand side once came back "optimal" with values
+# [nan, inf], a NaN coefficient raised phase 1's "cannot happen" NumericError,
+# and a short right-hand side a numpy broadcast error
+@pytest.mark.parametrize("eq_coeffs, eq_rhs, message", [
+    pytest.param(np.eye(2), [1.0, np.inf], "eq_rhs contains non-finite", id="inf-rhs"),
+    pytest.param([[1.0, np.nan], [0.0, 1.0]], [1.0, 1.0], "eq_coeffs contains non-finite",
+                 id="nan-coeff"),
+    pytest.param(np.eye(2), [1.0], "eq_rhs must have length 2", id="short-rhs"),
+])
+def test_bad_constraints_rejected_before_phase1(eq_coeffs, eq_rhs, message):
+    for call in (lambda: lp_core.solve_many(np.ones((1, 2)), eq_coeffs, eq_rhs),
+                 lambda: lp_core.phase1(eq_coeffs, eq_rhs),
+                 lambda: LpProblem(objective=[1.0, 1.0], eq_coeffs=eq_coeffs, eq_rhs=eq_rhs)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_iteration_budget_is_finite():
     rng = np.random.default_rng(12)
     problem = make_bounded_problem(rng, 5, 9)
