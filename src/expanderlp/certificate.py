@@ -36,12 +36,15 @@ Witnesses hold Fraction values, and the check compares them exactly as
 integers: every value is scaled by one common denominator, so each
 constraint becomes an integer comparison done on whole numpy arrays.  The
 writer knows each value as one of a few integers per edge kind: it builds
-the scaled arrays first and renders the Fraction lists from the same
-integers, and find_witness checks those arrays directly.  check_witness
-takes any witness, so it reads the integers back from the lists; the
-writer shares a few value objects among all rows, and it reads each
-distinct object once.  Both feed one check core, which reads nothing but
-those integers, c and y.
+the scaled arrays, and find_witness checks those arrays directly.  The
+witness it returns keeps only each row's kind and codeword symbol and the
+few shared value objects, and builds its Fraction lists the first time
+they are read.  check_witness takes any witness, so it reads the integers
+back from the lists, each distinct value object once.  Both feed one check
+core, which reads nothing but those integers, c and y.  What depends on
+the code alone (each vertex's flat cells per local codeword, the peel
+threshold, the orientation caps) is one plan per code, built by the first
+search and kept while the code lives.
 
 One eps is enough.  A built witness's values are the half-integers -1/2,
 1/2, -5/2 and 3/2, some less eps, and its edge constraints hold for every
@@ -58,6 +61,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -114,11 +118,28 @@ class DualWitness:
     tau_a[e][alpha] belongs to the A endpoint of edge e, tau_b to the B
     endpoint.  Vertex v's bound, -Delta/2 + dist(y|_v, c|_v), comes from c
     and y, so the witness holds no value for it.
+
+    A witness from find_witness or a builder builds both lists on the first
+    read of either.  ==, repr, asdict, copy and pickle read the fields.
     """
 
     tau_a: list[list[Fraction]]
     tau_b: list[list[Fraction]]
     epsilon: Fraction
+
+    def __getattr__(self, name):
+        # reached only when normal lookup fails: a written witness's first
+        # read of tau_a or tau_b; a field assigned before it is kept
+        rows = self.__dict__.get("_rows")
+        if rows is None or name not in ("tau_a", "tau_b"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        del self.__dict__["_rows"]
+        for field_name, lists in zip(("tau_a", "tau_b"), _render(*rows)):
+            self.__dict__.setdefault(field_name, lists)
+        return self.__dict__[name]
+
+    def __getstate__(self):
+        return {"tau_a": self.tau_a, "tau_b": self.tau_b, "epsilon": self.epsilon}
 
 
 @dataclass
@@ -148,6 +169,42 @@ class CertifyResult:
 def _sides(code: ExpanderCode):
     """Per side: its local code and its (n, Delta) incident-edge array."""
     return ((code.code_a, code.graph.a_edges), (code.code_b, code.graph.b_edges))
+
+
+class _Plan(NamedTuple):
+    """What a search needs of the code alone.  Per side: the read-only
+    (Delta, n, K) cells inc[v, t]*q + cw[k, t] into its flattened tau, and
+    the local distance d, which 4 * (edges held) is compared with to peel
+    and to limit in-degrees.  The caps theta*Delta/4, or why none exist."""
+
+    cells: tuple[np.ndarray, np.ndarray]
+    need: tuple[int, int]
+    caps: tuple[int, int] | None
+    no_theta: str | None
+
+
+# one entry per live code; it goes when the code is garbage collected
+_PLANS: weakref.WeakKeyDictionary[ExpanderCode, _Plan] = weakref.WeakKeyDictionary()
+
+
+def _plan(code: ExpanderCode) -> _Plan:
+    """The code's plan, built on first use."""
+    if code not in _PLANS:
+        q, delta = code.field.q, code.graph.delta
+        sides = _sides(code)
+        cells = tuple(inc.T[:, :, None] * q + local.codewords().T[:, None, :]
+                      for local, inc in sides)
+        for side in cells:
+            side.flags.writeable = False
+        try:
+            caps = tuple(int(compute_theta(local.relative_distance, delta) * delta / 4)
+                         for local, _ in sides)
+            no_theta = None
+        except NoValidThetaError as exc:
+            caps, no_theta = None, str(exc)
+        _PLANS[code] = _Plan(cells, tuple(local.min_distance()[0] for local, _ in sides),
+                             caps, no_theta)
+    return _PLANS[code]
 
 
 def _checked(code: ExpanderCode, c, y) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +243,7 @@ def _peel(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray) -> PeelingTrace:
     graph = code.graph
     ends = (graph.a_of, graph.b_of)
     # survive if 4 * (edges still held) >= d_side, i.e. degree >= delta*Delta/4
-    need = [local.min_distance()[0] for local, _ in _sides(code)]
+    need = _plan(code).need
     alive = cw != yw
     esets = [alive]
     vsets = [np.bincount(side[alive], minlength=graph.n) > 0 for side in ends]
@@ -256,9 +313,10 @@ def _write_witness(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
     On both sides a correct edge takes -1/2 at the codeword symbol and
     1/2-eps elsewhere, and an error edge +1/2 at the codeword symbol.  At
     the other symbols of an error edge, the endpoint that released it takes
-    -5/2-eps and the other endpoint +3/2.  Every tau row is a list of its
-    own.  The lists are rendered from the scaled integers, so the two are
-    equal.
+    -5/2-eps and the other endpoint +3/2.  The witness keeps the (2, E)
+    index kind*q + c_e of each row and the per-kind values, and renders
+    its lists from them on first read (_render), so they equal the scaled
+    integers.
     """
     q = code.field.q
     num_edges = code.num_edges
@@ -278,17 +336,22 @@ def _write_witness(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
     at_c = np.arange(q) == cw[:, None]
     tau = np.where(at_c, np.array(match, dtype=dtype)[kinds][..., None],
                    np.array(off, dtype=dtype)[kinds][..., None])
+    witness = object.__new__(DualWitness)
+    witness.epsilon = epsilon
+    witness._rows = (kinds * q + cw, match, off, den, q)
+    return witness, _Scaled(tau, den, eps_scaled)
 
-    # templates[kind * q + symbol]: the row of an edge of that kind whose
-    # codeword symbol is symbol
+
+def _render(index: np.ndarray, match: list[int], off: list[int], den: int,
+            q: int) -> list[list[list[Fraction]]]:
+    """A written witness's tau_a and tau_b.  Row e is its own list, copied
+    from the template index[s, e]: kind*q + codeword symbol.  All rows share
+    the six value objects."""
     templates = [[m if alpha == symbol else o for alpha in range(q)]
                  for m, o in zip((Fraction(v, den) for v in match),
                                  (Fraction(v, den) for v in off))
                  for symbol in range(q)]
-    tau_a, tau_b = (list(map(list, map(templates.__getitem__, index)))
-                    for index in (kinds * q + cw).tolist())
-    return (DualWitness(tau_a=tau_a, tau_b=tau_b, epsilon=epsilon),
-            _Scaled(tau, den, eps_scaled))
+    return [list(map(list, map(templates.__getitem__, row))) for row in index.tolist()]
 
 
 def build_witness_from_peeling(code: ExpanderCode, c, y, trace: PeelingTrace,
@@ -343,7 +406,7 @@ def _released_by_orientation(code: ExpanderCode, orientation: OrientedEdgeSet) -
     released[edges] = list(map("ab".index, map(orientation.head_side.get, edges)))
     indegree = np.bincount(graph.ends[released[edges], edges],
                            minlength=2 * graph.n).reshape(2, graph.n)
-    limits = np.array([local.min_distance()[0] for local, _ in _sides(code)])
+    limits = np.array(_plan(code).need)
     over = np.argwhere(4 * indegree >= limits[:, None])   # need deg < delta*Delta/4 strictly
     if over.size:
         s, v = over[0].tolist()
@@ -456,10 +519,13 @@ def _check_scaled(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
             violation=f"strict edge constraint at edge {e}, symbol {alpha}: "
                       f"{total} > {cost} - eps")
 
-    for s, (local, inc) in enumerate(_sides(code)):
+    for s, ((local, inc), cells) in enumerate(zip(_sides(code), _plan(code).cells)):
         codewords = local.codewords()
         # totals[v, k]: the sum over v's edges of tau at local codeword k's symbol
-        totals = tau[s].reshape(-1)[inc[:, None, :] * q + codewords[None]].sum(axis=2)
+        flat = tau[s].reshape(-1)
+        totals = flat.take(cells[0])
+        for at_t in cells[1:]:
+            totals += flat.take(at_t)
         dist = np.count_nonzero(yw[inc] != cw[inc], axis=1)
         rhs = (2 * dist - delta).astype(tau.dtype) * (den // 2)
         bad = np.flatnonzero(totals < rhs[:, None])
@@ -509,13 +575,10 @@ def find_witness(code: ExpanderCode, c, y, mode: str = "peel",
                                  reason="peeling stagnated on an error core")
         released, source = _released_by_peeling(trace), "peeling trace"
     elif mode == "orient":
-        delta = code.graph.delta
-        try:
-            caps = [int(compute_theta(local.relative_distance, delta) * delta / 4)
-                    for local in (code.code_a, code.code_b)]
-        except NoValidThetaError as exc:
-            return CertifyResult(witness_found=False, mode=mode, reason=str(exc))
-        oriented = orient(code.graph, np.flatnonzero(cw != yw).tolist(), *caps)
+        plan = _plan(code)
+        if plan.caps is None:
+            return CertifyResult(witness_found=False, mode=mode, reason=plan.no_theta)
+        oriented = orient(code.graph, np.flatnonzero(cw != yw).tolist(), *plan.caps)
         if isinstance(oriented, OrientationFailure):
             return CertifyResult(witness_found=False, mode=mode,
                                  reason=f"no orientation within caps "

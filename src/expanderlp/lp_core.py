@@ -315,14 +315,19 @@ def phase1(eq_coeffs: np.ndarray, eq_rhs: np.ndarray,
 
 def _checked_start(A0: np.ndarray, b0: np.ndarray, start: Phase1 | None,
                    opt_tol: float) -> Phase1:
-    """start, after checking it is for A0's shape at opt_tol, or phase 1 run
-    here, which checks the constraints."""
+    """start, after checking it is for A0's shape at opt_tol and that b0
+    has one finite entry per row, or phase 1 run here, which checks the
+    constraints."""
     if start is None:
         return phase1(A0, b0, opt_tol)
     if start.shape != A0.shape or start.opt_tol != opt_tol:
         raise ValueError(
             f"phase-1 start is for a {start.shape} problem at opt_tol "
             f"{start.opt_tol}, not {A0.shape} at {opt_tol}")
+    if b0.shape != start.shape[:1]:
+        raise ValueError(f"eq_rhs must have length {start.shape[0]}")
+    if not np.isfinite(b0).all():
+        raise ValueError("eq_rhs contains non-finite entries")
     return start
 
 
@@ -382,7 +387,8 @@ def solve_many(objectives, eq_coeffs, eq_rhs, start: Phase1 | None = None,
     a stack of tableaux, one per problem, and a problem leaves the stack
     when it is optimal or unbounded.  A NumericError that some problem
     meets is raised in the round it occurs.  Without a start, phase 1
-    checks the constraints; with one, the caller vouches for them.
+    checks the constraints; with one, eq_rhs is checked against it (one
+    finite entry per row) and the caller vouches for eq_coeffs.
     """
     A0 = np.asarray(eq_coeffs, dtype=float)
     b0 = np.asarray(eq_rhs, dtype=float)

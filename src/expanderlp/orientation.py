@@ -20,8 +20,10 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter, deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import DomainError, InternalInvariantError
 from .tanner_graph import TannerGraph
@@ -33,18 +35,20 @@ class OrientedEdgeSet:
 
     head_side[e] is "a" or "b": the endpoint the edge points at.  Vertices
     are global ids, as in TannerGraph.ends (A-side vertex v is v, B-side
-    vertex v is n + v).  The set is frozen, so its edge ids stay the ones
-    checked against the graph when it was made.
+    vertex v is n + v).  The set is frozen and head_side is a read-only
+    view of its own copy, so the edge ids and heads stay the ones checked
+    when it was made.
     """
 
     graph: TannerGraph
     edges: tuple[int, ...]
-    head_side: dict[int, str]
+    head_side: Mapping[int, str]
     cap_a: int
     cap_b: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", tuple(sorted(int(e) for e in self.edges)))
+        object.__setattr__(self, "head_side", MappingProxyType(dict(self.head_side)))
         for e in self.edges[:1] + self.edges[-1:]:   # sorted, so any id off the graph is an end
             if not 0 <= e < self.graph.num_edges:
                 raise ValueError(f"edge id {e} out of range")
@@ -53,6 +57,10 @@ class OrientedEdgeSet:
         for e, side in self.head_side.items():
             if side not in ("a", "b"):
                 raise ValueError(f"bad head side {side!r} for edge {e}")
+
+    def __reduce__(self):
+        # a read-only view does not pickle; the dict it views does
+        return type(self), (self.graph, self.edges, dict(self.head_side), self.cap_a, self.cap_b)
 
     def indegrees(self) -> Counter[int]:
         """In-edge counts by global vertex id, in order of first appearance;

@@ -2,10 +2,14 @@
 
 import copy
 import dataclasses
+import functools
+import gc
 import json
 import os
+import pickle
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -976,6 +980,82 @@ def test_find_witness_reads_no_value_objects(k66_rep2, k66_grs, four_cycle_rep3,
                 assert case[f"find_{mode}"] == {"found": result.witness_found,
                                                 "reason": result.reason,
                                                 "epsilon": str(result.epsilon)}
+
+
+# -- witness lists built on first read ----------------------------------------------
+
+
+def _found_witnesses(code, fixture):
+    """(c, y, a search that finds a witness, an eager witness equal to the
+    one it finds) per golden pattern and mode where find_witness finds one."""
+    for case in GOLDEN_WITNESSES[fixture]:
+        c, y = np.array(case["c"]), np.array(case["y"])
+        for mode in ("peel", "orient"):
+            if case[f"find_{mode}"]["found"]:
+                search = functools.partial(find_witness, code, c, y, mode=mode)
+                read = search().witness
+                yield c, y, search, DualWitness(tau_a=copy.deepcopy(read.tau_a),
+                                                tau_b=copy.deepcopy(read.tau_b),
+                                                epsilon=read.epsilon)
+
+
+@pytest.mark.parametrize("fixture", ["k66_rep2", "k66_grs", "four_cycle_rep3"])
+def test_tamper_of_an_unread_witness_is_seen(fixture, request):
+    # perfbench's tamper: deepcopy a found witness no one has read and add 3
+    # to tau_a[0][0]; check_witness reads the edited lists
+    code = request.getfixturevalue(fixture)
+    strict = 0
+    for c, y, search, eager in _found_witnesses(code, fixture):
+        unread = search().witness
+        bad = copy.deepcopy(unread)
+        bad.tau_a[0][0] += 3
+        eager.tau_a[0][0] += 3
+        verdict = check_witness(code, c, y, bad)
+        assert not verdict.ok and verdict == check_witness(code, c, y, eager)
+        if c[0] != 0:
+            assert verdict.violation.startswith("strict edge constraint at edge 0, symbol 0:")
+            strict += 1
+        assert check_witness(code, c, y, unread).ok
+    assert strict
+
+
+@pytest.mark.parametrize("fixture", ["k66_rep2", "k66_grs", "four_cycle_rep3"])
+def test_unread_witness_equals_an_eager_one(fixture, request):
+    # asdict, ==, repr, copies and a pickle round trip read the fields, so a
+    # witness no one has read looks like one built from its lists
+    code = request.getfixturevalue(fixture)
+    views = [dataclasses.asdict, repr, copy.copy, copy.deepcopy,
+             lambda w: pickle.loads(pickle.dumps(w))]
+    for _, _, search, eager in _found_witnesses(code, fixture):
+        assert search().witness == eager and eager == search().witness
+        for view in views:
+            assert view(search().witness) == view(eager)
+        # a shallow copy shares the lists, and a pickle holds only the fields
+        unread = search().witness
+        assert copy.copy(unread).tau_b is unread.tau_b
+        assert vars(pickle.loads(pickle.dumps(search().witness))).keys() == {
+            "tau_a", "tau_b", "epsilon"}
+        # a field assigned before the first read is kept
+        unread = search().witness
+        unread.tau_a = eager.tau_a
+        assert unread == eager and unread.tau_a is eager.tau_a
+
+
+def test_plan_entry_goes_with_its_code(k66_rep2):
+    code = ExpanderCode(k66_rep2.graph, k66_rep2.code_a, k66_rep2.code_b)
+    c = np.zeros(36, dtype=np.int64)
+    y = c.copy()
+    y[0] = 1
+    assert find_witness(code, c, y, mode="orient").witness_found
+    plan = certificate._PLANS[code]
+    assert [cells.shape for cells in plan.cells] == [(6, 6, 2)] * 2
+    assert not any(cells.flags.writeable for cells in plan.cells)
+    entries = len(certificate._PLANS)
+    ref = weakref.ref(code)
+    del code
+    gc.collect()
+    assert ref() is None
+    assert len(certificate._PLANS) == entries - 1
 
 
 # -- no numpy.ma ------------------------------------------------------------------

@@ -168,6 +168,18 @@ def test_bad_constraints_rejected_before_phase1(eq_coeffs, eq_rhs, message):
             call()
 
 
+# with a start, solve_many checks eq_rhs against it: a short one used to raise
+# a residual NumericError, and an infinite one came back "optimal"
+@pytest.mark.parametrize("eq_rhs, message", [
+    pytest.param([1.0], "eq_rhs must have length 2", id="short-rhs"),
+    pytest.param([1.0, np.inf], "eq_rhs contains non-finite", id="inf-rhs"),
+])
+def test_rhs_checked_against_the_start(eq_rhs, message):
+    start = lp_core.phase1(np.eye(2), [1.0, 2.0])
+    with pytest.raises(ValueError, match=message):
+        lp_core.solve_many(np.ones((1, 2)), np.eye(2), eq_rhs, start)
+
+
 def test_iteration_budget_is_finite():
     rng = np.random.default_rng(12)
     problem = make_bounded_problem(rng, 5, 9)

@@ -1,7 +1,9 @@
 """Bounded-in-degree orientation by path reversal, vs brute force."""
 
+import copy
 import itertools
 import json
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -148,6 +150,27 @@ def test_oriented_set_validates_head_side():
         OrientedEdgeSet(graph=g, edges=(0, 1), head_side={0: "a"}, cap_a=1, cap_b=1)
     with pytest.raises(ValueError):
         OrientedEdgeSet(graph=g, edges=(0,), head_side={0: "up"}, cap_a=1, cap_b=1)
+
+
+def test_head_side_is_read_only():
+    # a deleted head once reached the witness builder as a TypeError from
+    # "ab".index(None); now the edit itself fails, and the set keeps its
+    # own copy of the heads it checked
+    g = complete_bipartite(6)
+    heads = {3: "b"}
+    oriented = OrientedEdgeSet(graph=g, edges=(3,), head_side=heads, cap_a=1, cap_b=1)
+    with pytest.raises(TypeError):
+        del oriented.head_side[3]
+    with pytest.raises(TypeError):
+        oriented.head_side[3] = "up"
+    heads[3] = "a"
+    assert oriented.head_side == {3: "b"}
+    for copied in (copy.copy(oriented), copy.deepcopy(oriented),
+                   pickle.loads(pickle.dumps(oriented))):
+        assert (copied.edges, copied.head_side, copied.cap_a, copied.cap_b) == (
+            (3,), {3: "b"}, 1, 1)
+        with pytest.raises(TypeError):
+            del copied.head_side[3]
 
 
 def test_verify_orientation_reports_violations():
