@@ -499,11 +499,11 @@ def _check_scaled(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
     delta = code.graph.delta
     tau, den = scaled.tau, scaled.den
 
-    # cost*den, less eps*den except at the codeword symbol (the weak constraint)
+    # cost*den, less eps*den except at the codeword symbol (the weak
+    # constraint): entry (alpha == y_e) + 2*(alpha != c_e) of the four limits
     symbols = np.arange(q)
-    limit = np.full((code.num_edges, q), den, dtype=tau.dtype)
-    limit[symbols == yw[:, None]] = -den
-    limit[symbols != cw[:, None]] -= scaled.eps
+    limits = np.array([den, -den, den - scaled.eps, -den - scaled.eps], dtype=tau.dtype)
+    limit = limits.take((symbols == yw[:, None]) + 2 * (symbols != cw[:, None]))
     bad = np.flatnonzero(tau[0] + tau[1] > limit)
     if bad.size:
         e, alpha = divmod(int(bad[0]), q)

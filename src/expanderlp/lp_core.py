@@ -34,14 +34,22 @@ one rank-1 update and one loop.  phase1 runs it on a stack of one, solve
 is solve_many of one objective, and solve_many runs phase 2 for many
 objectives over one set of constraints: the problems share the
 constraints, the phase-1 start and the Python work of each round, and a
-problem leaves the stack when it is optimal or unbounded.  The starting
-reduced costs, residuals and c.x are matmuls over a singleton axis, which
-run item by item the kernel of the one-problem product: (k, 1, m) @ (m, p)
-the vector-matrix call of cb @ M, (m, n) @ (k, n, 1) the matrix-vector
-call of A0 @ x, (k, 1, n) @ (k, n, 1) the dot of c @ x.  So a problem's
-pivots and outputs do not depend on the rest of the stack.  A 2-D
-(k, m) @ (m, p) product (a matrix-matrix kernel) breaks this, and so does
-slicing the product: (cb @ T0)[:n] is not bit-equal to cb @ T0[:, :n].
+problem leaves the stack when it is optimal or unbounded.  The problems
+left move to the front of the same tableau array, and the dense update
+writes its products into one buffer per stack that holds half of it (in
+two chunks while the stack is larger), so a stack of k tableaux works in
+about 1.5 k tableaux of memory.  An engine error (the iteration cap, an
+unseparable tie) is raised in the round it occurs; the solutions, with
+their sign and residual checks, are built once the whole stack has
+stopped, so such a check raises on the first failing problem in stack
+order.  The starting reduced costs, residuals and c.x are matmuls over a
+singleton axis, which run item by item the kernel of the one-problem
+product: (k, 1, m) @ (m, p) the vector-matrix call of cb @ M, (m, n) @
+(k, n, 1) the matrix-vector call of A0 @ x, (k, 1, n) @ (k, n, 1) the dot
+of c @ x.  So a problem's pivots and outputs do not depend on the rest of
+the stack.  A 2-D (k, m) @ (m, p) product (a matrix-matrix kernel) breaks
+this, and so does slicing the product: (cb @ T0)[:n] is not bit-equal to
+cb @ T0[:, :n].
 
 Two shortcuts make each pivot cheaper without changing which pivot is
 taken.  The tie-break sorts only the tied rows' keys and skips the columns
@@ -50,10 +58,9 @@ quarter of the stack's rows, the update touches only the block of rows
 where some pivot column is nonzero and columns where some pivot row is.
 The update adds each product to zero, as einsum does, so a zero product
 is +0.0 and the entries outside the block, and the sign of every zero, are
-what the full update leaves; the full update writes its products into one
-buffer per stack.  tests/oracles.py keeps the one-tableau loop with the
-plain outer-product update and the column-by-column tie-break as the
-reference.
+what the full update leaves, in one chunk or two.  tests/oracles.py keeps
+the one-tableau loop with the plain outer-product update and the
+column-by-column tie-break as the reference.
 """
 
 from __future__ import annotations
@@ -138,7 +145,9 @@ class _Simplex:
 
     Each problem has its own pivot row and column, so they are read and
     written through flat indices into the stack: one gather or scatter
-    each, however many problems the stack holds.
+    each, however many problems the stack holds.  T and basis are the
+    arrays the engine was given, C-contiguous: keep() compacts the live
+    problems into their first slots, and T is a view of those.
     """
 
     def __init__(self, T: np.ndarray, basis: np.ndarray, n_real: int, opt_tol: float,
@@ -148,26 +157,55 @@ class _Simplex:
         self.iterations = iterations
         k, height, width = T.shape
         self.max_iters = 500 * (width - 1) + 2000
-        self._outer = np.empty_like(T)   # the dense update's outer products
+        # the dense update's products, for half the stack at a time
+        self._outer = np.empty(((k + 1) // 2, height, width))
         # flat offsets: problem s's first row among all rows, and the first
-        # cell of its row r among all cells.  keep() compacts the stack, so
-        # the first k' entries serve a stack of k' problems.
+        # cell of its row r among all cells.  keep() compacts the stack into
+        # its first slots, so the first k' entries serve a stack of k'.
         self._all_slots = np.arange(k)
         self._all_first_rows = self._all_slots * height
         self._all_row_starts = np.arange(k * height).reshape(k, height) * width
-        self.T, self.basis = T, basis
-        self.keep(slice(None))
+        self._all_T, self._all_basis = T, basis
+        self._all_cells = T.reshape(-1)
+        self._view(k)
 
-    def keep(self, going) -> None:
-        """Keep only the problems that going selects in the stack."""
-        self.T, self.basis = self.T[going], self.basis[going]
-        k, height, width = self.T.shape
-        self._slots, self._update = self._all_slots[:k], self._outer[:k]
+    def _view(self, k: int) -> None:
+        """Work on the stack's first k slots."""
+        self.T, self.basis = self._all_T[:k], self._all_basis[:k]
+        width = self.T.shape[2]
+        self._slots = self._all_slots[:k]
         self._each_slot = list(range(k))
         self._first_row, self._row_start = self._all_first_rows[:k], self._all_row_starts[:k]
         self._cells, self._rows = self.T.reshape(-1), self.T.reshape(-1, width)
         self._basic = self.basis.reshape(-1)
         self._costs, self._rhs = self.T[:, -1, :self.n], self.T[:, :-1, -1]
+        # (part of the stack, its slots, its products) per chunk of the
+        # dense update, when the stack is larger than the buffer
+        half = len(self._outer)
+        self._update = self._outer[:k]
+        self._halves = None if k <= half else (
+            (self.T[:half], slice(0, half), self._outer),
+            (self.T[half:], slice(half, k), self._outer[:k - half]))
+
+    def keep(self, going: np.ndarray) -> None:
+        """Keep only the problems where the mask going is set, at least one:
+        they move, in slot order, to the front of the same arrays.
+
+        Each run of kept slots moves as one block of cells; a 1-D copy
+        onto a lower offset of the same array needs no temporary, so the
+        stack never holds a second copy of itself.
+        """
+        kept = np.flatnonzero(going)
+        size = self._all_T[0].size
+        # kept[lo:hi] is a run of consecutive slots, moved to slots lo..hi-1
+        breaks = (np.flatnonzero(kept[1:] - kept[:-1] != 1) + 1).tolist()
+        for lo, hi in zip([0] + breaks, breaks + [len(kept)]):
+            src = int(kept[lo])
+            if src != lo:
+                self._all_cells[lo * size:hi * size] = \
+                    self._all_cells[src * size:(src + hi - lo) * size]
+        self._all_basis[:len(kept)] = self.basis[kept]
+        self._view(len(kept))
 
     def pivot(self, rows: np.ndarray, cols: np.ndarray) -> None:
         """Pivot problem s on (rows[s], cols[s]), for every s."""
@@ -189,8 +227,13 @@ class _Simplex:
             used = piv_rows.any(axis=0).nonzero()[0]
             T[np.ix_(self._slots, nonzero, used)] -= np.einsum(
                 "si,sj->sij", col[:, nonzero], piv_rows[:, used])
-        else:
+        elif self._halves is None:
             T -= np.einsum("si,sj->sij", col, piv_rows, out=self._update)
+        else:
+            # a stack larger than the buffer updates in two chunks; each
+            # entry gets the same product and subtraction either way
+            for part, slots, out in self._halves:
+                part -= np.einsum("si,sj->sij", col[slots], piv_rows[slots], out=out)
         self._cells[col_cells] = 0.0
         self._rows[at] = piv_rows
         self._basic[at - self._slots] = cols[:, 0]   # basis has no cost row
@@ -340,10 +383,12 @@ def _phase2_basis(start: Phase1, n: int) -> np.ndarray:
 
 
 def _optimal(A0: np.ndarray, b0: np.ndarray, C: np.ndarray, basis: np.ndarray,
-             rhs: np.ndarray, iterations: int, start: Phase1,
+             rhs: np.ndarray, iterations: np.ndarray, start: Phase1,
              feas_tol: float) -> list[LpSolution]:
     """The solutions at a stack of optimal bases, one per row of C: in
-    problem i, basic variable basis[i, r] takes rhs[i, r]."""
+    problem i, basic variable basis[i, r] takes rhs[i, r], after
+    iterations[i] pivots.  A sign or residual check raises on the first
+    failing problem in stack order."""
     X = np.zeros((len(C), A0.shape[1]))
     X[np.arange(len(C))[:, None], basis] = rhs
     lowest = X.min(axis=1)
@@ -358,8 +403,8 @@ def _optimal(A0: np.ndarray, b0: np.ndarray, C: np.ndarray, basis: np.ndarray,
         raise NumericError(f"constraint residual {resid[over[0]]} exceeds tolerance")
     values = (C[:, None] @ X[:, :, None])[:, 0, 0].tolist()
     return [LpSolution(status="optimal", values=x, objective_value=value,
-                       iterations=iterations, phase1_iterations=start.iterations)
-            for x, value in zip(X, values)]
+                       iterations=count, phase1_iterations=start.iterations)
+            for x, value, count in zip(X, values, iterations.tolist())]
 
 
 def solve(problem: LpProblem,
@@ -385,8 +430,12 @@ def solve_many(objectives, eq_coeffs, eq_rhs, start: Phase1 | None = None,
     The result at index i is the one solve(LpProblem(objectives[i],
     eq_coeffs, eq_rhs), feas_tol, opt_tol, start) returns: phase 2 runs on
     a stack of tableaux, one per problem, and a problem leaves the stack
-    when it is optimal or unbounded.  A NumericError that some problem
-    meets is raised in the round it occurs.  Without a start, phase 1
+    when it is optimal or unbounded.  Each problem's basis, right-hand side
+    and pivot count are kept when it stops, and the solutions are built in
+    one pass at the end.  So an engine error is raised in the round it
+    occurs, and a failed sign or residual check once the stack has
+    stopped, on the first failing problem in stack order; either is an
+    error that problem's own solve raises.  Without a start, phase 1
     checks the constraints; with one, eq_rhs is checked against it (one
     finite entry per row) and the caller vouches for eq_coeffs.
     """
@@ -414,18 +463,28 @@ def solve_many(objectives, eq_coeffs, eq_rhs, start: Phase1 | None = None,
     T[:, -1:, -1:] = -(cb @ T0[:, -1:])
     tab = _Simplex(T, np.repeat(basis0[None], len(C), axis=0), n, opt_tol, start.iterations)
     live = np.arange(len(C))            # the problem in each stack slot
-    solutions: list[LpSolution | None] = [None] * len(C)
+    # where each problem stopped: its basis, right-hand side and pivot count
+    basis, rhs = np.empty_like(tab.basis), np.empty(tab.basis.shape)
+    iterations = np.empty(len(C), dtype=np.int64)
+    is_unbounded = np.zeros(len(C), dtype=bool)
     while len(live):
         optimal, unbounded = tab.run()
-        done = live[optimal]
-        for i, sol in zip(done.tolist(),
-                          _optimal(A0, b0, C[done], tab.basis[optimal], tab.T[optimal, :-1, -1],
-                                   tab.iterations, start, feas_tol)):
-            solutions[i] = sol
-        for i in live[unbounded].tolist():
-            solutions[i] = LpSolution(status="unbounded", iterations=tab.iterations,
-                                      phase1_iterations=start.iterations)
         going = ~(optimal | unbounded)
-        tab.keep(going)
+        done = live[optimal]
+        basis[done], rhs[done] = tab.basis[optimal], tab.T[optimal, :-1, -1]
+        iterations[live[~going]] = tab.iterations
+        is_unbounded[live[unbounded]] = True
         live = live[going]
+        if len(live):
+            tab.keep(going)
+    del T, tab                          # the stack goes before the solutions are built
+
+    solutions: list[LpSolution | None] = [None] * len(C)
+    for i in np.flatnonzero(is_unbounded).tolist():
+        solutions[i] = LpSolution(status="unbounded", iterations=int(iterations[i]),
+                                  phase1_iterations=start.iterations)
+    done = np.flatnonzero(~is_unbounded)
+    for i, sol in zip(done.tolist(), _optimal(A0, b0, C[done], basis[done], rhs[done],
+                                              iterations[done], start, feas_tol)):
+        solutions[i] = sol
     return solutions

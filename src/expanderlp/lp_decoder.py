@@ -31,17 +31,22 @@ once, so each worker's cache stays warm across its jobs.
 
 decode_many decodes a stack of received words.  Their LPs share the
 constraints and the phase-1 start, so lp_core.solve_many solves them in
-lockstep, as many per stack as fit in STACK_BYTES (256 KiB) of tableau;
+lockstep, as many per stack as fit in STACK_BYTES (512 KiB) of tableau;
 the objectives are built with one gather, and the optima lifted, rounded
 and checked as codewords, a stack at a time, by the code decode uses.  The
-budget bounds the stack's memory: the scan's ~20-row LPs fit ~50 to a
-stack, and an LP whose tableau alone fills it (the sweep's 320 x 160, the
-96 x 768 of a 12-vertex parity code) is solved in stacks of one, by the
-same engine decode's solve runs.
+budget bounds the stack's memory, which the engine holds to about 1.5
+times the tableaux (the stack and a product buffer for half of it): the
+scan's ~16-row LPs fit ~110 to a stack, and an LP whose tableau alone
+fills it (the sweep's 320 x 160, the 96 x 768 of a 12-vertex parity code)
+is solved in stacks of one, by the same engine decode's solve runs.
+
+build_reduced hands each decode a copy of one cached LpProblem, so the
+constraints it shares are checked once per code, not once per decode.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import multiprocessing
 import weakref
@@ -58,7 +63,7 @@ from .lp_core import LpProblem, LpSolution
 DEFAULT_INT_TOL = 1e-6
 
 # decode_many's tableau memory per stack of LPs
-STACK_BYTES = 256 * 1024
+STACK_BYTES = 512 * 1024
 
 
 def embed(word, q: int) -> np.ndarray:
@@ -91,12 +96,12 @@ def cost_from_received(y, q: int) -> np.ndarray:
 
 @dataclass
 class _Polytope:
-    """The y-independent part of one code's reduced LP: its constraints as
+    """The y-independent part of one code's reduced LP: the LP with a zero
+    objective, whose constraints LpProblem checked once and holds as
     read-only arrays, its first B-side column, and phase 1's result at each
     opt_tol a decode asked for."""
 
-    eq_coeffs: np.ndarray
-    eq_rhs: np.ndarray
+    problem: LpProblem
     first_b: int
     starts: dict[float, lp_core.Phase1] = field(default_factory=dict)
 
@@ -139,7 +144,8 @@ def _polytope(code: ExpanderCode) -> _Polytope:
         A[marginal_rows[keep], np.broadcast_to(cols[:, :, None], symbols.shape)[keep]] = sign
     A.flags.writeable = False
     b.flags.writeable = False
-    entry = _POLYTOPES[code] = _Polytope(eq_coeffs=A, eq_rhs=b, first_b=first_b)
+    entry = _POLYTOPES[code] = _Polytope(
+        problem=LpProblem(objective=np.zeros(num_w), eq_coeffs=A, eq_rhs=b), first_b=first_b)
     return entry
 
 
@@ -159,8 +165,10 @@ def build_reduced(code: ExpanderCode, y) -> tuple[LpProblem, int]:
     """
     w = check_word(y, code.field.q, code.num_edges)
     poly = _polytope(code)
-    return LpProblem(objective=_objectives(code, w[None])[0], eq_coeffs=poly.eq_coeffs,
-                     eq_rhs=poly.eq_rhs), poly.first_b
+    # a copy of the cached problem shares its constraints, checked once
+    problem = copy.copy(poly.problem)
+    problem.objective = _objectives(code, w[None])[0]
+    return problem, poly.first_b
 
 
 def _objectives(code: ExpanderCode, words: np.ndarray) -> np.ndarray:
@@ -172,7 +180,7 @@ def _objectives(code: ExpanderCode, words: np.ndarray) -> np.ndarray:
     negc = np.where(words[:, :, None] == np.arange(q), 1.0, -1.0)
     # [i, v, j, t]: local codeword j at A vertex v puts cw_a[j, t] on edge a_edges[v, t]
     gains = negc[:, code.graph.a_edges[:, None, :], code.code_a.codewords()[None]]
-    objectives = np.zeros((len(words), poly.eq_coeffs.shape[1]))
+    objectives = np.zeros((len(words), poly.problem.num_vars))
     objectives[:, :poly.first_b] = gains.sum(axis=3).reshape(len(words), -1)
     return objectives
 
@@ -182,7 +190,8 @@ def _phase1_start(code: ExpanderCode, opt_tol: float) -> lp_core.Phase1:
     poly = _polytope(code)
     start = poly.starts.get(opt_tol)
     if start is None:
-        start = poly.starts[opt_tol] = lp_core.phase1(poly.eq_coeffs, poly.eq_rhs, opt_tol)
+        start = poly.starts[opt_tol] = lp_core.phase1(poly.problem.eq_coeffs,
+                                                      poly.problem.eq_rhs, opt_tol)
     return start
 
 
@@ -237,8 +246,8 @@ def decode_many(code: ExpanderCode, ys,
 
     The LPs share their constraints and phase-1 start, so they are solved
     in stacks by lp_core.solve_many, as many per stack as fit in
-    STACK_BYTES of tableau and at least one; the objectives are built, and
-    the optima lifted and rounded, a stack at a time.
+    STACK_BYTES (512 KiB) of tableau and at least one; the objectives are
+    built, and the optima lifted and rounded, a stack at a time.
     """
     q, num_edges = code.field.q, code.num_edges
     words = np.asarray(ys)
@@ -254,7 +263,7 @@ def decode_many(code: ExpanderCode, ys,
     results: list[DecodeResult] = []
     for first in range(0, len(words), per_stack):
         sols = lp_core.solve_many(_objectives(code, words[first:first + per_stack]),
-                                  poly.eq_coeffs, poly.eq_rhs, start,
+                                  poly.problem.eq_coeffs, poly.problem.eq_rhs, start,
                                   feas_tol=feas_tol, opt_tol=opt_tol)
         results += _decoded(code, sols, poly.first_b, int_tol)
     return results

@@ -966,6 +966,46 @@ def test_find_witness_verdict_matches_fraction_reference(fixture, epsilon, reque
                      "vertex constraint"}
 
 
+@pytest.mark.parametrize("epsilon, dtype", [(EPS, np.int64), (Fraction(1, 10**30), object)],
+                         ids=["int64", "object"])
+def test_edge_limits_are_tight_at_every_cell(k66_grs, epsilon, dtype):
+    # tau_a at an edge constraint's limit in every cell passes the edge
+    # checks; one more at any cell is that cell's violation, with the
+    # message the Fraction reference gives
+    code = k66_grs
+    num_edges, q = code.num_edges, code.field.q
+    rng = np.random.default_rng(606)
+    c = code.random_codeword(rng)
+    y = c.copy()
+    errors = rng.choice(num_edges, size=4, replace=False)
+    y[errors] = (y[errors] + rng.integers(1, q, size=4)) % q
+    den = 2 * epsilon.denominator
+    limit = [[(-1 if alpha == y[e] else 1) - (0 if alpha == c[e] else epsilon)
+              for alpha in range(q)] for e in range(num_edges)]
+    tau = np.zeros((2, num_edges, q), dtype=dtype)
+    tau[0] = [[int(v * den) for v in row] for row in limit]
+    assert tau.dtype == dtype
+    verdict = certificate._check_scaled(code, c, y, certificate._Scaled(tau, den,
+                                                                        int(epsilon * den)))
+    assert verdict.ok or verdict.violation.startswith("vertex constraint")
+    cells = [(int(e), alpha) for e in errors for alpha in range(q)]
+    cells += [(int(e), int(alpha)) for e, alpha in zip(rng.integers(num_edges, size=30),
+                                                        rng.integers(q, size=30))]
+    kinds = set()
+    for e, alpha in cells:
+        bumped = tau.copy()
+        bumped[1, e, alpha] += 1
+        verdict = certificate._check_scaled(code, c, y, certificate._Scaled(
+            bumped, den, int(epsilon * den)))
+        witness = DualWitness(tau_a=[list(row) for row in limit],
+                              tau_b=[[Fraction(0)] * q for _ in range(num_edges)],
+                              epsilon=epsilon)
+        witness.tau_b[e][alpha] = Fraction(1, den)
+        assert verdict.violation == check_witness_by_fraction(code, c, y, witness).violation
+        kinds.add(verdict.violation.split(" at ")[0])
+    assert kinds == {"weak edge constraint", "strict edge constraint"}
+
+
 def test_find_witness_reads_no_value_objects(k66_rep2, k66_grs, four_cycle_rep3, monkeypatch):
     # the search checks the writer's integers, never the Fraction lists
     def refuse(values):

@@ -1,7 +1,9 @@
 """Equality-form simplex, cross-checked against basis enumeration."""
 
 import hashlib
+import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -591,8 +593,8 @@ def test_optimal_raises_the_first_failing_residual_in_stack_order():
     for rhs, residual in (([[1.0, 2.0], [1.0, 2.5], [1.0, 2.0]], 0.5),
                           ([[1.0, 2.0], [1.0, 2.5], [1.75, 2.0]], 0.5)):
         with pytest.raises(NumericError, match=f"^constraint residual {residual} exceeds"):
-            lp_core._optimal(A, b, C, basis, np.array(rhs), 0, start,
-                             lp_core.DEFAULT_FEAS_TOL)
+            lp_core._optimal(A, b, C, basis, np.array(rhs), np.zeros(3, dtype=np.int64),
+                             start, lp_core.DEFAULT_FEAS_TOL)
 
 
 def test_solve_many_checks_its_inputs():
@@ -682,3 +684,57 @@ def test_stacked_pivot_is_pivot_bit_for_bit(seed):
             single.pivot(np.array([row]), np.array([col]))
         assert stacked.T.tobytes() == np.concatenate([s.T for s in singles]).tobytes()
         assert stacked.basis.tolist() == [s.basis[0].tolist() for s in singles]
+
+
+# -- the stack's working set ---------------------------------------------------------
+
+def test_keep_compacts_the_stack_in_its_own_buffer():
+    # problems leave from the front, the middle and the back: the kept ones
+    # move, in slot order, to the front of the same arrays, and pivot there
+    # as a fresh stack of them does, across the chunked and the one-call
+    # dense update
+    rng = np.random.default_rng(17)
+    k, m, n = 9, 5, 6
+    T = rng.normal(size=(k, m + 1, n + m + 1))
+    basis = rng.integers(0, n + m, size=(k, m))
+    tab = lp_core._Simplex(T.copy(), basis.copy(), n, lp_core.DEFAULT_OPT_TOL)
+    buffer = tab.T
+    for entering, going in enumerate(([0, 1, 1, 0, 1, 1, 1, 1, 0], [1, 0, 1, 1, 1, 1],
+                                      [1, 1, 1, 0, 1], [0, 1, 1, 1], [1, 1, 0], [0, 1])):
+        going = np.array(going, dtype=bool)
+        expected_T, expected_basis = tab.T[going], tab.basis[going]
+        tab.keep(going)
+        assert np.shares_memory(tab.T, buffer) and tab.T.ctypes.data == buffer.ctypes.data
+        assert tab.T.tobytes() == expected_T.tobytes()
+        assert tab.basis.tolist() == expected_basis.tolist()
+        fresh = lp_core._Simplex(expected_T.copy(), expected_basis.copy(), n,
+                                 lp_core.DEFAULT_OPT_TOL)
+        # a column not pivoted on before, so every pivot entry is nonzero
+        rows, cols = rng.integers(0, m, size=len(tab.T)), np.full(len(tab.T), entering)
+        tab.pivot(rows, cols)
+        fresh.pivot(rows, cols)
+        assert tab.T.tobytes() == fresh.T.tobytes()
+        assert tab.basis.tolist() == fresh.basis.tolist()
+
+
+def test_solve_many_peak_memory_is_under_twice_its_stack(k33_parity2):
+    # 100 problems of a stack: with compaction in place and a product
+    # buffer for half the stack, solve_many's peak allocation stays below
+    # 2.2 times the stack's tableaux (a copy per retirement and a full
+    # buffer would take it past 3)
+    words = np.array(list(itertools.product(range(2), repeat=9)))[:100]
+    problems = [build_reduced(k33_parity2, y)[0] for y in words]
+    A, b = problems[0].eq_coeffs, problems[0].eq_rhs
+    start = lp_core.phase1(A, b)
+    objectives = np.array([p.objective for p in problems])
+    lp_core.solve_many(objectives, A, b, start)
+    tracemalloc.start()
+    try:
+        solutions = lp_core.solve_many(objectives, A, b, start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {sol.status for sol in solutions} == {"optimal"}
+    height, width = start.tableau.shape
+    stack = len(objectives) * (height + 1) * width * 8
+    assert peak < 2.2 * stack
