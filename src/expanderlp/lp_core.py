@@ -37,12 +37,13 @@ constraints, the phase-1 start and the Python work of each round, and a
 problem leaves the stack when it is optimal or unbounded.  The problems
 left move to the front of the same tableau array, and the dense update
 writes its products into one buffer per stack that holds half of it (in
-two chunks while the stack is larger), so a stack of k tableaux works in
-about 1.5 k tableaux of memory.  An engine error (the iteration cap, an
-unseparable tie) is raised in the round it occurs; the solutions, with
-their sign and residual checks, are built once the whole stack has
-stopped, so such a check raises on the first failing problem in stack
-order.  The starting reduced costs, residuals and c.x are matmuls over a
+two chunks while the stack is larger).  With the starting-cost products
+and the saved bases, a stack of k tableaux peaks at about 1.9 k tableaux
+of memory (a stack of 100 K3,3 decoding LPs).  An engine error (the
+iteration cap, an unseparable tie) is raised in the round it occurs; the
+solutions, with their sign and residual checks, are built once the whole
+stack has stopped, so such a check raises on the first failing problem in
+stack order.  The starting reduced costs, residuals and c.x are matmuls over a
 singleton axis, which run item by item the kernel of the one-problem
 product: (k, 1, m) @ (m, p) the vector-matrix call of cb @ M, (m, n) @
 (k, n, 1) the matrix-vector call of A0 @ x, (k, 1, n) @ (k, n, 1) the dot
@@ -180,10 +181,9 @@ class _Simplex:
         self._basic = self.basis.reshape(-1)
         self._costs, self._rhs = self.T[:, -1, :self.n], self.T[:, :-1, -1]
         # (part of the stack, its slots, its products) per chunk of the
-        # dense update, when the stack is larger than the buffer
+        # dense update: one chunk while the stack fits the buffer, else two
         half = len(self._outer)
-        self._update = self._outer[:k]
-        self._halves = None if k <= half else (
+        self._chunks = ((self.T, slice(0, k), self._outer[:k]),) if k <= half else (
             (self.T[:half], slice(0, half), self._outer),
             (self.T[half:], slice(half, k), self._outer[:k - half]))
 
@@ -227,12 +227,10 @@ class _Simplex:
             used = piv_rows.any(axis=0).nonzero()[0]
             T[np.ix_(self._slots, nonzero, used)] -= np.einsum(
                 "si,sj->sij", col[:, nonzero], piv_rows[:, used])
-        elif self._halves is None:
-            T -= np.einsum("si,sj->sij", col, piv_rows, out=self._update)
         else:
-            # a stack larger than the buffer updates in two chunks; each
-            # entry gets the same product and subtraction either way
-            for part, slots, out in self._halves:
+            # each entry gets the same product and subtraction, in one
+            # chunk or two
+            for part, slots, out in self._chunks:
                 part -= np.einsum("si,sj->sij", col[slots], piv_rows[slots], out=out)
         self._cells[col_cells] = 0.0
         self._rows[at] = piv_rows

@@ -26,14 +26,12 @@ import numpy as np
 
 from .errors import EnumerationCapError
 from .expander_code import DEFAULT_GLOBAL_ENUMERATION_CAP, ExpanderCode, check_word
-from .lp_decoder import DEFAULT_INT_TOL, decode_many, map_with_code
+from .lp_decoder import DEFAULT_INT_TOL, STACK_BYTES, decode_many, map_with_code
 from .lp_core import DEFAULT_FEAS_TOL, DEFAULT_OPT_TOL
 
 DEFAULT_SCAN_CAP = 2 ** 16
 # received words a scan decodes per decode_many call
 SCAN_BLOCK = 1024
-# _nearest's memory per group of (words, codewords, edges) comparisons
-STACK_BYTES = 256 * 1024
 
 
 @dataclass
@@ -93,7 +91,7 @@ def _nearest(table: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, ...]:
     the distance to it, and whether another row of table is as near.
 
     Words are compared in groups whose (words, codewords, edges) comparison
-    fits in STACK_BYTES.
+    fits in lp_decoder.STACK_BYTES.
     """
     group = max(1, STACK_BYTES // table.size)
     parts = []
