@@ -98,8 +98,12 @@ class ExpanderCode:
         return self.graph.num_edges
 
     def restriction(self, word, side: str, v: int) -> np.ndarray:
-        """The subword on the edges at vertex v (side 'a' or 'b')."""
-        w = np.asarray(word, dtype=np.int64)
+        """The subword on the edges at vertex v (side 'a' or 'b') of a checked word."""
+        if side not in ("a", "b"):
+            raise ValueError(f"side must be 'a' or 'b', got {side!r}")
+        if not 0 <= v < self.graph.n:
+            raise ValueError(f"vertex {v} outside [0, {self.graph.n})")
+        w = check_word(word, self.field.q, self.num_edges)
         inc = self.graph.a_edges if side == "a" else self.graph.b_edges
         return w[inc[v]]
 
@@ -123,7 +127,8 @@ class ExpanderCode:
         return ~bad
 
     def parity_check_matrix(self) -> np.ndarray:
-        """Global parity-check matrix: every local check row, scattered to edge columns."""
+        """Global parity-check matrix, read-only: every local check row,
+        scattered to edge columns, the A checks first."""
         if self._parity is None:
             n = self.graph.n
             checks = ((self.code_a.parity_check, self.graph.a_edges),
@@ -135,14 +140,64 @@ class ExpanderCode:
                 rows = first_row + np.arange(n * len(h)).reshape(n, len(h), 1)
                 H[rows, inc[:, None, :]] = h
                 first_row += n * len(h)
+            H.flags.writeable = False
             self._parity = H
         return self._parity
 
     def codeword_basis(self) -> np.ndarray:
-        """A basis of the global code (one codeword per row)."""
+        """A basis of the global code, one codeword per row, read-only: the
+        basis ``gflinalg.null_space(self.parity_check_matrix())`` returns,
+        built from the local codes without the global matrix.
+
+        The A checks of vertex v touch only its edges ``a_edges[v]``, which
+        ascend, so the A half of the check matrix is block-diagonal and its
+        RREF is the A code's, placed on each vertex's edges.  A word meets
+        the A checks exactly when each vertex's subword is its symbols on
+        the local free positions (the A-free edges) times the A code's
+        kernel basis; so the B checks become one matrix on the A-free edges,
+        in edge order, and only that matrix is eliminated.
+
+        The free columns are the global matrix's.  Column c is free exactly
+        when some word meeting every check is 1 at c and 0 past it.  An A
+        pivot is a combination of later A-free edges at its vertex, so a
+        word of the A checks that is 0 past c is 0 at c: every A pivot is a
+        global pivot.  An A-free edge c is free exactly when the B matrix
+        has a kernel vector that is 1 at c and 0 past it, since the A pivots
+        past c then read 0 too.  The basis that is the identity on the free
+        columns is unique, so it is the null-space basis row for row.
+        """
         if self._basis is None:
-            self._basis = gflinalg.null_space(self.parity_check_matrix(), self.field)
+            self._basis = self._basis_from_local_codes()
+            self._basis.flags.writeable = False
         return self._basis
+
+    def _basis_from_local_codes(self) -> np.ndarray:
+        field, graph = self.field, self.graph
+        n, delta = graph.n, graph.delta
+        a_edges, b_edges = graph.a_edges, graph.b_edges
+        # (k_a, delta): a word of the A checks is z_v @ local at vertex v
+        local, free = gflinalg.kernel_of_rref(
+            *gflinalg.rref(self.code_a.parity_check, field), field)
+        k_a = len(free)
+        # each A-free edge's column in the B matrix: its rank among them
+        is_free = np.zeros(self.num_edges, dtype=bool)
+        is_free[a_edges[:, free]] = True
+        column = (np.cumsum(is_free) - 1)[a_edges[:, free]]
+        slot = np.empty(self.num_edges, dtype=np.int64)
+        slot[a_edges] = np.arange(delta)
+        # B check j of vertex u reads h[j, t] times local[:, s] on the A-free
+        # edges of the A end of u's t-th edge (at its slot s); a simple graph
+        # has one edge per (u, A end), so every entry is one product
+        h = self.code_b.parity_check
+        rows = (np.arange(n)[:, None] * len(h) + np.arange(len(h)))[:, None, :, None]
+        B = np.zeros((n * len(h), n * k_a), dtype=np.int64)
+        B[rows, column[graph.a_of[b_edges]][:, :, None, :]] = field.mul_table[
+            h.T[:, :, None], local.T[slot[b_edges]][:, :, None, :]]
+        z, _ = gflinalg.kernel_of_rref(*gflinalg.rref(B, field), field)
+        basis = np.empty((len(z), self.num_edges), dtype=np.int64)
+        words = gflinalg.mat_mul(z[:, column].reshape(-1, k_a), local, field)
+        basis[:, a_edges] = words.reshape(len(z), n, delta)
+        return basis
 
     @property
     def dimension(self) -> int:

@@ -88,16 +88,20 @@ def null_space(mat, gf: GF) -> np.ndarray:
     Rows are emitted in ascending order of their free column, each with a 1
     in that column, so the basis is deterministic.
     """
-    M = np.asarray(mat, dtype=np.int64)
-    cols = M.shape[1]
-    R, pivots = rref(M, gf)
-    is_free = np.ones(cols, dtype=bool)
+    return kernel_of_rref(*rref(mat, gf), gf)[0]
+
+
+def kernel_of_rref(R: np.ndarray, pivots: list[int], gf: GF) -> tuple[np.ndarray, np.ndarray]:
+    """The null space basis of a matrix from its `rref` (R, pivots), and its
+    free columns: row i is 1 at free column i, 0 at the other free columns,
+    and minus R's free column i at the pivots."""
+    is_free = np.ones(R.shape[1], dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
-    basis = np.zeros((len(free), cols), dtype=np.int64)
+    basis = np.zeros((len(free), R.shape[1]), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = gf.neg_table[R[:, free]].T
-    return basis
+    return basis, free
 
 
 def mat_vec(mat, vec, gf: GF) -> np.ndarray:

@@ -14,6 +14,7 @@ from expanderlp import (
     DomainError,
     ExpanderCode,
     NoValidThetaError,
+    TannerGraph,
     binary_entropy,
     binary_entropy_inverse,
     check_word,
@@ -25,6 +26,7 @@ from expanderlp import (
     distance_bound_eq1,
     format_word,
     generalized_reed_solomon,
+    gflinalg,
     hamming_distance,
     parse_word,
     repetition,
@@ -35,7 +37,7 @@ from expanderlp import (
 from expanderlp.harness import resolve_instance
 from expanderlp.linear_code import LocalCode
 
-from oracles import is_codeword_by_vertex
+from oracles import is_codeword_by_vertex, null_space_by_tables
 
 
 # -- word helpers ------------------------------------------------------------------
@@ -186,6 +188,82 @@ def test_codeword_basis_spans(k33_parity2):
     assert basis.shape == (4, 9)
     for row in basis:
         assert k33_parity2.is_codeword(row)
+
+
+def test_cached_matrices_are_read_only():
+    code = resolve_instance("complete:3", "parity:2:3", "parity:2:3")
+    for cached in (code.codeword_basis(), code.parity_check_matrix()):
+        with pytest.raises(ValueError):
+            cached[0, 0] ^= 1
+    assert all(code.is_codeword(row) for row in code.codeword_basis())
+
+
+def test_restriction_validates_side_vertex_and_word(k33_parity2):
+    word = [0] * 9
+    assert k33_parity2.restriction(word, "b", 2).tolist() == [0, 0, 0]
+    for side, v in (("x", 0), ("A", 0), ("a", 3), ("b", -1)):
+        with pytest.raises(ValueError):
+            k33_parity2.restriction(word, side, v)
+    for bad in ([0.7] * 9, [0] * 8, [2] * 9, [-1] * 9):
+        with pytest.raises(ValueError):
+            k33_parity2.restriction(bad, "a", 0)
+
+
+def _local_spec(draw, q, delta):
+    kinds = ["repetition", "parity"] + (["grs"] if q >= delta else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "grs":
+        # k = delta is the whole space: a side with no checks
+        return f"grs:{q}:{delta}:{draw(st.integers(min_value=1, max_value=delta))}"
+    return f"{kind}:{q}:{delta}"
+
+
+@st.composite
+def instances(draw):
+    """A random instance, its edges in constructor order or shuffled (as a
+    graph file may list them, so each vertex's edges are not contiguous)."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    delta = draw(st.integers(min_value=2, max_value=5))
+    n = draw(st.integers(min_value=max(delta, 3), max_value=10))
+    seed = draw(st.integers(min_value=0, max_value=1000))
+    code = resolve_instance(f"random:{n}:{delta}:{seed}", _local_spec(draw, q, delta),
+                            _local_spec(draw, q, delta))
+    return shuffled(code, seed) if draw(st.booleans()) else code
+
+
+def shuffled(code, seed):
+    """The same instance with its edges listed in a random order."""
+    edges = code.graph.edges()
+    order = np.random.default_rng(seed).permutation(len(edges))
+    graph = TannerGraph(code.graph.n, code.graph.delta, [edges[i] for i in order])
+    return ExpanderCode(graph, code.code_a, code.code_b)
+
+
+def assert_basis_is_the_null_space(code):
+    basis = code.codeword_basis()
+    assert code._parity is None     # built from the local codes alone
+    H = code.parity_check_matrix()
+    assert basis.dtype == np.int64
+    assert np.array_equal(basis, gflinalg.null_space(H, code.field))
+    assert np.array_equal(basis, null_space_by_tables(H, code.field))
+
+
+@settings(max_examples=120, deadline=None)
+@given(instances())
+def test_codeword_basis_is_the_null_space_of_the_check_matrix(code):
+    assert_basis_is_the_null_space(code)
+
+
+@pytest.mark.parametrize("spec", [
+    ("random:20:3:1", "grs:4:3:2", "grs:4:3:2"),
+    ("random:24:9:1", "grs:9:9:5", "grs:9:9:5"),
+    ("cycle:3", "grs:3:2:2", "repetition:3:2"),
+    ("complete:4", "parity:5:4", "grs:5:4:4"),
+], ids=lambda spec: "+".join(spec))
+@pytest.mark.parametrize("edge_order", ["built", "shuffled"])
+def test_codeword_basis_is_the_null_space_on_fixed_instances(spec, edge_order):
+    code = resolve_instance(*spec)
+    assert_basis_is_the_null_space(code if edge_order == "built" else shuffled(code, 7))
 
 
 def test_random_codeword_deterministic(k66_grs):
