@@ -180,9 +180,10 @@ class ExpanderCode:
             *gflinalg.rref(self.code_a.parity_check, field), field)
         k_a = len(free)
         # each A-free edge's column in the B matrix: its rank among them
+        free_edges = a_edges[:, free]
         is_free = np.zeros(self.num_edges, dtype=bool)
-        is_free[a_edges[:, free]] = True
-        column = (np.cumsum(is_free) - 1)[a_edges[:, free]]
+        is_free[free_edges] = True
+        column = (is_free.cumsum() - 1)[free_edges]
         slot = np.empty(self.num_edges, dtype=np.int64)
         slot[a_edges] = np.arange(delta)
         # B check j of vertex u reads h[j, t] times local[:, s] on the A-free

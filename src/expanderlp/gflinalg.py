@@ -97,7 +97,7 @@ def kernel_of_rref(R: np.ndarray, pivots: list[int], gf: GF) -> tuple[np.ndarray
     and minus R's free column i at the pivots."""
     is_free = np.ones(R.shape[1], dtype=bool)
     is_free[pivots] = False
-    free = np.flatnonzero(is_free)
+    free = is_free.nonzero()[0]
     basis = np.zeros((len(free), R.shape[1]), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = gf.neg_table[R[:, free]].T
