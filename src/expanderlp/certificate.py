@@ -72,7 +72,6 @@ import numpy as np
 from .errors import InternalInvariantError, NoValidThetaError, WitnessUnavailableError
 from .expander_code import ExpanderCode, check_word, compute_theta
 from .orientation import OrientationFailure, OrientedEdgeSet, orient
-from .tanner_graph import TannerGraph
 
 EPSILON_START = Fraction(1, 10 ** 6)
 
@@ -266,30 +265,30 @@ def _peel(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray) -> PeelingTrace:
     return PeelingTrace(edge_sets, vertex_sets, terminated_empty=not alive.any())
 
 
-def find_error_core(graph: TannerGraph, trace: PeelingTrace,
-                    zeta_a: Fraction, zeta_b: Fraction) -> ErrorCore | None:
+def find_error_core(code: ExpanderCode, trace: PeelingTrace) -> ErrorCore | None:
     """Extract the fixed-point core of a stagnated trace, or None if it emptied.
 
-    The surviving edge set together with its endpoint sets must satisfy the
-    degree conditions (>= zeta*Delta edges at every involved vertex); a
-    stagnated peel that fails them indicates a bug, not bad input.
+    Every vertex the surviving edges touch must hold at least zeta*Delta of
+    them, zeta = delta_side/4: the peel's own rule, 4 * held >= d_side.  A
+    stagnated peel that fails it indicates a bug, not bad input.
     """
     if trace.terminated_empty:
         return None
+    graph = code.graph
     edges = trace.edge_sets[-1]
     vertices = []
-    for s, (ends, zeta) in enumerate(zip((graph.a_of, graph.b_of), (zeta_a, zeta_b))):
+    for s, (ends, need) in enumerate(zip((graph.a_of, graph.b_of), _plan(code).need)):
         held = np.bincount(ends[edges], minlength=graph.n)
-        need = zeta * graph.delta
-        short = np.flatnonzero((held > 0) & (held < need))
+        short = np.flatnonzero((held > 0) & (4 * held < need))
         if short.size:
             v = int(short[0])
             raise InternalInvariantError(f"stagnated peel left vertex {'ab'[s]}{v} with "
-                                         f"{held[v]} < {need} core edges")
+                                         f"{held[v]} < {Fraction(need, 4)} core edges")
         vertices.append(frozenset((np.flatnonzero(held) + s * graph.n).tolist()))
     return ErrorCore(edges=frozenset(np.flatnonzero(edges).tolist()),
                      vertices_a=vertices[0], vertices_b=vertices[1],
-                     zeta_a=zeta_a, zeta_b=zeta_b)
+                     zeta_a=code.code_a.relative_distance / 4,
+                     zeta_b=code.code_b.relative_distance / 4)
 
 
 # -- witness construction ---------------------------------------------------------
@@ -568,9 +567,7 @@ def find_witness(code: ExpanderCode, c, y, mode: str = "peel",
     if mode == "peel":
         trace = _peel(code, cw, yw)
         if not trace.terminated_empty:
-            core = find_error_core(code.graph, trace,
-                                   code.code_a.relative_distance / 4,
-                                   code.code_b.relative_distance / 4)
+            core = find_error_core(code, trace)
             return CertifyResult(witness_found=False, mode=mode, core=core,
                                  reason="peeling stagnated on an error core")
         released, source = _released_by_peeling(trace), "peeling trace"

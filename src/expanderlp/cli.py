@@ -129,9 +129,7 @@ def _cmd_core(args) -> int:
     c = _load_word(args.sent, code.field.q, code.graph.num_edges)
     y = _load_word(args.received, code.field.q, code.graph.num_edges)
     trace = peel(code, c, y)
-    core = find_error_core(code.graph, trace,
-                           code.code_a.relative_distance / 4,
-                           code.code_b.relative_distance / 4)
+    core = find_error_core(code, trace)
     payload = {
         "terminated_empty": trace.terminated_empty,
         "final_index": len(trace.edge_sets),

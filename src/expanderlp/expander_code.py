@@ -2,8 +2,8 @@
 
 A word assigns one GF(q) symbol to every edge.  It is a codeword when its
 restriction to the edge neighborhood of every A vertex lies in the A-side
-local code and likewise on the B side.  check_word is the one validator of
-a word's length and symbol range, for local and global words alike.  This
+local code and likewise on the B side.  Words are validated by
+gf.check_word, imported here too, for local and global words alike.  This
 module also carries the analytic machinery: the spectral distance bound,
 the correctable-fraction formulas (both the error-core route and the
 orientation route), the theta quantity used by the orientation route, and
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import gflinalg
 from .errors import DomainError, EnumerationCapError, NoValidThetaError
-from .gf import GF
+from .gf import GF, check_word
 from .linear_code import LocalCode
 from .tanner_graph import TannerGraph
 
@@ -31,25 +31,6 @@ DEFAULT_GLOBAL_ENUMERATION_CAP = 2 ** 16
 
 
 # -- words ---------------------------------------------------------------------
-
-def check_word(word, q: int, length: int | None = None) -> np.ndarray:
-    """The word as an int64 array; ValueError unless it is a 1-d array of
-    integer element indices in [0, q), of the given length if one is given."""
-    raw = np.asarray(word)
-    if raw.dtype.kind in "fc" and not np.isfinite(raw).all():
-        raise ValueError("symbols must be integers")
-    # the real part, so a complex word casts without a warning; the compare
-    # below rejects a nonzero imaginary part
-    w = np.asarray(raw.real, dtype=np.int64)
-    if raw.dtype.kind in "fcO" and not np.array_equal(w, raw):
-        raise ValueError("symbols must be integers")
-    if w.ndim != 1 or (length is not None and w.shape[0] != length):
-        expected = "a 1-d word" if length is None else f"{length} symbols"
-        raise ValueError(f"expected {expected}, got shape {w.shape}")
-    if w.size and (w.min() < 0 or w.max() >= q):
-        raise ValueError(f"symbols must be element indices in [0, {q})")
-    return w
-
 
 def parse_word(text: str, q: int, expected_length: int | None = None) -> np.ndarray:
     """One line of space-separated element indices."""
@@ -101,11 +82,9 @@ class ExpanderCode:
         """The subword on the edges at vertex v (side 'a' or 'b') of a checked word."""
         if side not in ("a", "b"):
             raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-        if not 0 <= v < self.graph.n:
-            raise ValueError(f"vertex {v} outside [0, {self.graph.n})")
         w = check_word(word, self.field.q, self.num_edges)
         inc = self.graph.a_edges if side == "a" else self.graph.b_edges
-        return w[inc[v]]
+        return w[inc[check_word(v, self.graph.n, ())]]
 
     def is_codeword(self, word) -> bool:
         w = check_word(word, self.field.q, self.num_edges)
@@ -396,8 +375,8 @@ class BoundReport:
     delta_a: Fraction
     delta_b: Fraction
     rate_lower_bound: Fraction
-    distance_lower_bound: float
-    distance_bound_positive: bool
+    distance_lower_bound: float | None
+    distance_bound_positive: bool | None
     core_fraction: float | None
     orientation_fraction: float | None
     theta_a: Fraction | None

@@ -16,6 +16,11 @@ once from the elements' digit vectors: addition adds digits mod p, and a*b
 sums b_j times x^j*a, each x^j*a one shift-and-reduce step from the last.
 No polynomial is ever factored: a reducible reduction polynomial shows up
 as a nonzero element without exactly one inverse, and is rejected then.
+
+check_word is the package's one validator of integer index input: symbols,
+generator and check matrices, graph edges, vertex and edge ids, and
+orientation caps all pass through it.  It lives here, in the lowest module,
+so every other module can import it.
 """
 
 from __future__ import annotations
@@ -33,6 +38,29 @@ _BUILTIN_POLYS: dict[int, tuple[int, ...]] = {
     9: (1, 0, 1),        # x^2 + 1 over GF(3)
     16: (1, 1, 0, 0, 1),  # x^4 + x + 1 over GF(2)
 }
+
+
+def check_word(word, q: int, length: int | tuple | None = None) -> np.ndarray:
+    """The word as an int64 array; ValueError unless it holds integers in
+    [0, q) in the shape asked for.  An int length asks for a 1-d word of that
+    length and None for a 1-d word of any length; a tuple is the shape, with
+    None for an axis of any size.  Bools, integer-valued floats and object
+    arrays of integers pass; nothing is truncated."""
+    raw = np.asarray(word)
+    if raw.dtype.kind in "fc" and not np.isfinite(raw).all():
+        raise ValueError("symbols must be integers")
+    # the real part, so a complex word casts without a warning; the compare
+    # below rejects a nonzero imaginary part
+    w = np.asarray(raw.real, dtype=np.int64)
+    if raw.dtype.kind in "fcO" and not np.array_equal(w, raw):
+        raise ValueError("symbols must be integers")
+    shape = length if isinstance(length, tuple) else (length,)
+    if w.ndim != len(shape) or any(s not in (None, k) for s, k in zip(shape, w.shape)):
+        raise ValueError(f"expected shape {shape}, got shape {w.shape}")
+    if w.size and (w.min() < 0 or w.max() >= q):
+        bad = w.min() if w.min() < 0 else w.max()
+        raise ValueError(f"symbols must be integers in [0, {q}), got {bad}")
+    return w
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:

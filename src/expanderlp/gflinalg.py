@@ -1,8 +1,10 @@
 """Dense linear algebra over GF(q) on integer index matrices.
 
-Matrices are numpy int64 arrays of element indices.  The field picks the
-arithmetic once per call: prime fields work on the residues with integer
-products taken mod p, and extension fields use the add and multiply tables.
+Matrices are numpy int64 arrays of element indices.  rref, and so rank and
+null_space, checks its input with gf.check_word; mat_mul and mat_vec, on
+the hot path, do not.  The field picks the arithmetic once per call: prime
+fields work on the residues with integer products taken mod p, and
+extension fields use the add and multiply tables.
 Elimination updates only the rows that are nonzero in the pivot column, and
 in them only the pivot row's nonzero columns.
 """
@@ -11,16 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import GF
-
-
-def _as_matrix(mat, gf: GF) -> np.ndarray:
-    M = np.asarray(mat, dtype=np.int64)
-    if M.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {M.shape}")
-    if M.size and (M.min() < 0 or M.max() >= gf.q):
-        raise ValueError(f"matrix entries must be element indices in [0, {gf.q})")
-    return M.copy()
+from .gf import GF, check_word
 
 
 def _add_multiple(gf: GF):
@@ -39,7 +32,7 @@ def rref(mat, gf: GF) -> tuple[np.ndarray, list[int]]:
     Returns (R, pivot_cols) where R has one row per pivot (zero rows are
     dropped) and pivot_cols lists the pivot column of each row in order.
     """
-    R = _as_matrix(mat, gf)
+    R = check_word(mat, gf.q, (None, None)).copy()
     rows, cols = R.shape
     add_multiple = _add_multiple(gf)
     mul, inv, neg = gf.mul_table, gf.inv_table, gf.neg_table

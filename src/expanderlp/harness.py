@@ -257,7 +257,8 @@ def _summarize(code: ExpanderCode, cfg: ExperimentConfig,
         "gamma": bounds.gamma,
         "num_edges": edge_count,
         "rate_lower_bound": float(bounds.rate_lower_bound),
-        "distance_lower_bound_edges": bounds.distance_lower_bound * edge_count,
+        "distance_lower_bound_edges": (None if bounds.distance_lower_bound is None
+                                       else bounds.distance_lower_bound * edge_count),
         "core_fraction": bounds.core_fraction,
         "core_threshold_edges": (None if bounds.core_fraction is None
                                  else bounds.core_fraction * edge_count),
@@ -315,8 +316,13 @@ def bounds_report(graph: TannerGraph, code_a: LocalCode,
     delta_a = code_a.relative_distance
     delta_b = code_b.relative_distance
     rate_bound = code_a.rate + code_b.rate - 1
-    dist = distance_bound_eq1(float(delta_a), float(delta_b), gamma)
     notes: dict[str, str] = {}
+
+    distance = positive = None
+    try:
+        distance, positive = distance_bound_eq1(float(delta_a), float(delta_b), gamma)
+    except DomainError as exc:
+        notes["distance_lower_bound"] = str(exc)
 
     core_fraction = None
     try:
@@ -341,8 +347,8 @@ def bounds_report(graph: TannerGraph, code_a: LocalCode,
 
     return BoundReport(gamma=gamma, delta_a=delta_a, delta_b=delta_b,
                        rate_lower_bound=rate_bound,
-                       distance_lower_bound=dist.value,
-                       distance_bound_positive=dist.positive,
+                       distance_lower_bound=distance,
+                       distance_bound_positive=positive,
                        core_fraction=core_fraction,
                        orientation_fraction=orientation_fraction,
                        theta_a=theta_a, theta_b=theta_b, notes=notes)

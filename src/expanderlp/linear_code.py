@@ -1,7 +1,8 @@
 """Local linear codes: the length-Delta building blocks placed on every vertex.
 
 A code is specified by a full-rank generator matrix over GF(q).  Words are
-numpy int64 arrays of element indices; codeword enumeration, exact minimum
+numpy int64 arrays of element indices, and generators, messages, words and
+GRS points are validated by gf.check_word; codeword enumeration, exact minimum
 distance, and membership tests are all exhaustive and exact, guarded by an
 enumeration cap.
 """
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import gflinalg
 from .errors import EnumerationCapError
-from .gf import GF
+from .gf import GF, check_word
 
 DEFAULT_ENUMERATION_CAP = 2 ** 20
 
@@ -23,16 +24,12 @@ class LocalCode:
     """A [length, dimension] linear code over GF(q) given by its generator rows."""
 
     def __init__(self, field: GF, generator, enumeration_cap: int = DEFAULT_ENUMERATION_CAP):
-        G = np.asarray(generator, dtype=np.int64)
-        if G.ndim != 2:
-            raise ValueError("generator must be a 2-d matrix")
+        G = check_word(generator, field.q, (None, None))
         k, length = G.shape
         if k < 1 or length < 1:
             raise ValueError("generator must have at least one row and one column")
         if k > length:
             raise ValueError(f"dimension {k} exceeds length {length}")
-        if G.min() < 0 or G.max() >= field.q:
-            raise ValueError(f"generator entries must be element indices in [0, {field.q})")
         H = gflinalg.null_space(G, field)
         if length - len(H) != k:
             raise ValueError("generator rows are linearly dependent")
@@ -56,7 +53,6 @@ class LocalCode:
         return Fraction(self.dimension, self.length)
 
     def encode(self, message) -> np.ndarray:
-        from .expander_code import check_word   # expander_code imports this module
         msg = check_word(message, self.field.q, self.dimension)
         return gflinalg.mat_vec(self.generator.T, msg, self.field)
 
@@ -84,7 +80,6 @@ class LocalCode:
         return self.min_distance()[1]
 
     def contains(self, word) -> bool:
-        from .expander_code import check_word   # expander_code imports this module
         w = check_word(word, self.field.q, self.length)
         if self.parity_check.shape[0] == 0:
             return True
@@ -162,15 +157,15 @@ def generalized_reed_solomon(
     if evaluation_points is None:
         points = np.arange(length, dtype=np.int64)
     else:
-        points = np.asarray(evaluation_points, dtype=np.int64)
-        if points.shape != (length,) or len(set(points.tolist())) != length:
-            raise ValueError("evaluation points must be distinct and match the length")
+        points = check_word(evaluation_points, field.q, length)
+        if len(set(points.tolist())) != length:
+            raise ValueError("evaluation points must be distinct")
     if column_multipliers is None:
         mults = np.ones(length, dtype=np.int64)
     else:
-        mults = np.asarray(column_multipliers, dtype=np.int64)
-        if mults.shape != (length,) or (mults == 0).any():
-            raise ValueError("column multipliers must be nonzero and match the length")
+        mults = check_word(column_multipliers, field.q, length)
+        if not mults.all():
+            raise ValueError("column multipliers must be nonzero")
     G = np.zeros((dimension, length), dtype=np.int64)
     row = mults.copy()   # degree-0 row: multipliers times x^0
     G[0] = row

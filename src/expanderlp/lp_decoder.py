@@ -89,7 +89,7 @@ def unembed(blocks) -> np.ndarray:
 
 def cost_from_received(y, q: int) -> np.ndarray:
     """The (len(y), q) cost array: -1 at the received symbol, +1 elsewhere."""
-    w = np.asarray(y, dtype=np.int64)
+    w = check_word(y, q)
     cost = np.ones((w.shape[0], q))
     cost[np.arange(w.shape[0]), w] = -1.0
     return cost
@@ -251,13 +251,9 @@ def decode_many(code: ExpanderCode, ys,
     built, and the optima lifted and rounded, a stack at a time.
     """
     q, num_edges = code.field.q, code.num_edges
-    words = np.asarray(ys)
-    if not len(words):
+    if not len(ys):
         return []
-    if words.ndim != 2 or words.shape[1] != num_edges:
-        raise ValueError(f"expected a stack of {num_edges}-symbol words, "
-                         f"got shape {words.shape}")
-    words = check_word(words.ravel(), q).reshape(words.shape)
+    words = check_word(ys, q, (None, num_edges))
     start = _phase1_start(code, opt_tol)
     per_stack = max(1, STACK_BYTES // start.tableau.nbytes)
     poly = _polytope(code)

@@ -13,19 +13,21 @@ spare vertex gains one, everyone in between breaks even.  If the backward
 search is ever trapped, the set of vertices it reached induces more edges
 than its total capacity, which proves no valid orientation exists at all;
 that set is returned as the blocking certificate.
+
+Edge ids and caps are integers, checked by gf.check_word: nothing is
+floored or truncated.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter, deque
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import DomainError, InternalInvariantError
+from .gf import check_word
 from .tanner_graph import TannerGraph
 
 
@@ -47,11 +49,9 @@ class OrientedEdgeSet:
     cap_b: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple(sorted(int(e) for e in self.edges)))
+        edges = check_word(list(self.edges), self.graph.num_edges)
+        object.__setattr__(self, "edges", tuple(sorted(edges.tolist())))
         object.__setattr__(self, "head_side", MappingProxyType(dict(self.head_side)))
-        for e in self.edges[:1] + self.edges[-1:]:   # sorted, so any id off the graph is an end
-            if not 0 <= e < self.graph.num_edges:
-                raise ValueError(f"edge id {e} out of range")
         if set(self.head_side) != set(self.edges):
             raise ValueError("head_side must assign exactly the edges of the set")
         for e, side in self.head_side.items():
@@ -86,32 +86,26 @@ class OrientationFailure:
     capacity: int
 
 
-def _floor_cap(cap, name: str) -> int:
-    if isinstance(cap, int):
-        value = cap
-    else:
-        value = math.floor(cap)
-        if Fraction(cap) != value:
-            warnings.warn(f"{name} = {cap} is not an integer; flooring to {value}",
-                          stacklevel=3)
-    if value < 0:
-        raise DomainError(f"{name} must be nonnegative, got {cap}")
-    return value
+def _check_cap(cap, name: str) -> int:
+    """The cap as an int; DomainError unless it is a nonnegative integer.
+    A cap has no upper bound, so check_word is given q = inf."""
+    try:
+        return int(check_word(cap, math.inf, ()))
+    except ValueError as exc:
+        raise DomainError(f"{name} must be a nonnegative integer, got {cap}") from exc
 
 
 def orient(graph: TannerGraph, edges, cap_a, cap_b):
     """Direct the given edges with in-degree at most cap_a on A, cap_b on B.
 
     Returns an OrientedEdgeSet on success, or an OrientationFailure carrying
-    a blocking vertex set when the caps are impossible.  Non-integer caps are
-    floored (with a warning), since in-degrees are integers anyway.
+    a blocking vertex set when the caps are impossible.  The edges are ids
+    in [0, num_edges), repeats ignored, or ValueError; a cap that is not a
+    nonnegative integer is a DomainError.
     """
-    cap_a = _floor_cap(cap_a, "cap_a")
-    cap_b = _floor_cap(cap_b, "cap_b")
-    edge_list = sorted({int(e) for e in edges})
-    for e in edge_list:
-        if not 0 <= e < graph.num_edges:
-            raise ValueError(f"edge id {e} out of range")
+    cap_a = _check_cap(cap_a, "cap_a")
+    cap_b = _check_cap(cap_b, "cap_b")
+    edge_list = sorted(set(check_word(list(edges), graph.num_edges).tolist()))
     # each error edge's [A end, B end], gathered once; head[i] indexes the
     # end edge_list[i] points at, and a flip is head[i] ^= 1
     ends = graph.ends[:, edge_list].T.tolist()

@@ -3,7 +3,8 @@
 Both sides have n vertices.  Edges are held in a fixed global order (the
 order defines symbol positions in words), lexicographic by (a, b) for the
 built-in constructors, file order when loaded from text.  Every graph is
-validated to be simple, regular and connected.
+validated to be simple, regular and connected; gf.check_word checks its
+endpoints and the vertex ids passed to count_induced_edges.
 
 Where one id space covers both sides, A vertex v is v and B vertex v is
 n + v; `ends` holds every edge's two endpoints in that numbering, and the
@@ -26,6 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import GraphConstructionError, NumericError
+from .gf import check_word
 
 _DENSE_LIMIT = 600          # use a dense eigensolve up to this many total vertices
 _TOP_TOL = 1e-7             # the dense top eigenvalue must be Delta within this times Delta
@@ -64,17 +66,11 @@ class TannerGraph:
             raise ValueError("n must be positive")
         if not 1 <= delta <= n:
             raise ValueError(f"need 1 <= delta <= n, got delta={delta}, n={n}")
-        edge_list = [(int(a), int(b)) for a, b in edges]
-        if len(edge_list) != delta * n:
-            raise ValueError(f"expected {delta * n} edges, got {len(edge_list)}")
-        if len(set(edge_list)) != len(edge_list):
+        self.a_of, self.b_of = check_word(edges, n, (delta * n, 2)).T.copy()
+        if len(set((self.a_of * n + self.b_of).tolist())) != delta * n:
             raise ValueError("parallel edges are not allowed")
         self.n = n
         self.delta = delta
-        self.a_of = np.array([e[0] for e in edge_list], dtype=np.int64)
-        self.b_of = np.array([e[1] for e in edge_list], dtype=np.int64)
-        if self.a_of.min() < 0 or self.a_of.max() >= n or self.b_of.min() < 0 or self.b_of.max() >= n:
-            raise ValueError("edge endpoints out of range")
         counts_a = np.bincount(self.a_of, minlength=n)
         counts_b = np.bincount(self.b_of, minlength=n)
         if (counts_a != delta).any() or (counts_b != delta).any():
@@ -185,10 +181,7 @@ class TannerGraph:
         in_a = np.zeros(self.n, dtype=bool)
         in_b = np.zeros(self.n, dtype=bool)
         for inside, subset in ((in_a, a_subset), (in_b, b_subset)):
-            ids = list(subset)
-            if not all(0 <= v < self.n for v in ids):
-                raise ValueError(f"vertex ids must lie in [0, {self.n}), got {ids}")
-            inside[ids] = True
+            inside[check_word(list(subset), self.n)] = True
         return int(np.count_nonzero(in_a[self.a_of] & in_b[self.b_of]))
 
     def induced_edge_count_bound(self, alpha: float, beta: float) -> EdgeCountBounds:

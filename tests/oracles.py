@@ -436,9 +436,7 @@ def find_witness_by_halving(code, c, y, mode="peel", epsilon_start=Fraction(1, 1
     if mode == "peel":
         trace = peel(code, cw, yw)
         if not trace.terminated_empty:
-            core = find_error_core(code.graph, trace,
-                                   code.code_a.relative_distance / 4,
-                                   code.code_b.relative_distance / 4)
+            core = find_error_core(code, trace)
             return CertifyResult(witness_found=False, mode=mode, core=core,
                                  reason="peeling stagnated on an error core")
 

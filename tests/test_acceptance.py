@@ -180,7 +180,6 @@ def test_criterion_06_no_core_below_bound():
     graph = code.graph
     gamma = graph.spectral_gamma().gamma
     bound = correctable_fraction_core(1.0, 1.0, gamma) * graph.num_edges
-    zeta = Fraction(1, 4)
     c = np.zeros(graph.num_edges, dtype=np.int64)
     trials = 0
     cores = 0
@@ -192,7 +191,7 @@ def test_criterion_06_no_core_below_bound():
         trials += 1
         if not trace.terminated_empty:
             not_empty += 1
-            if find_error_core(graph, trace, zeta, zeta) is not None:
+            if find_error_core(code, trace) is not None:
                 cores += 1
     elapsed = time.perf_counter() - start
     ok = trials >= 10_000 and cores == 0 and not_empty == 0

@@ -149,14 +149,14 @@ def test_core_of_emptied_trace_is_none(k66_rep2):
     y = c.copy()
     y[0] = 1
     trace = peel(k66_rep2, c, y)
-    assert find_error_core(k66_rep2.graph, trace, Fraction(1, 4), Fraction(1, 4)) is None
+    assert find_error_core(k66_rep2, trace) is None
 
 
 def test_core_all_errors(k33_parity2):
     c = np.zeros(9, dtype=np.int64)
     y = np.ones(9, dtype=np.int64)
     trace = peel(k33_parity2, c, y)
-    core = find_error_core(k33_parity2.graph, trace, Fraction(1, 6), Fraction(1, 6))
+    core = find_error_core(k33_parity2, trace)
     assert core.edges == frozenset(range(9))
     assert core.vertices_a == frozenset([0, 1, 2])
     assert core.vertices_b == frozenset([3, 4, 5])
@@ -308,7 +308,7 @@ def test_witness_builders_need_exactly_the_error_edges(k66_rep2):
     # the set refuses an edge id off the graph when it is made, and it is
     # frozen, so no edge id reaches the builder unchecked
     for edge in (-1, 36):
-        with pytest.raises(ValueError, match=f"edge id {edge} out of range"):
+        with pytest.raises(ValueError, match=rf"in \[0, 36\), got {edge}"):
             OrientedEdgeSet(graph=k66_rep2.graph, edges=(edge,), head_side={edge: "b"},
                             cap_a=1, cap_b=1)
         with pytest.raises(dataclasses.FrozenInstanceError):

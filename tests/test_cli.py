@@ -205,6 +205,29 @@ def test_bounds_command(capsys):
     assert payload["theta_a"] == {"fraction": "2/3", "value": pytest.approx(2 / 3)}
 
 
+K11 = ["--graph", "complete:1", "--code-a", "repetition:2:1",
+       "--code-b", "repetition:2:1"]
+
+
+def test_bounds_on_k11_notes_the_distance_bound(capsys):
+    # K1,1 has gamma = -1, outside the distance bound's [0, 1)
+    code, out, _ = run_cli(capsys, "bounds", *K11)
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["distance_lower_bound"] is None
+    assert payload["distance_bound_positive"] is None
+    assert "gamma must lie in [0, 1)" in payload["notes"]["distance_lower_bound"]
+
+
+def test_sweep_on_k11_writes_its_csv(tmp_path, capsys):
+    csv_path = tmp_path / "out.csv"
+    code, out, _ = run_cli(capsys, "sweep", *K11, "--weights", "0,1", "--trials", "2",
+                           "--out-csv", str(csv_path))
+    assert code == EXIT_OK
+    assert json.loads(out)["analytic"]["distance_lower_bound_edges"] is None
+    assert len(csv_path.read_text().splitlines()) == 5
+
+
 def test_tables_command(capsys):
     code, out, _ = run_cli(capsys, "tables")
     assert code == EXIT_OK

@@ -106,12 +106,12 @@ def test_failure_blocking_sets_check_out(rng):
     assert found_failure
 
 
-def test_fractional_caps_floor_with_warning():
+def test_fractional_caps_rejected():
+    # in-degrees are integers, so a cap is one too: 3/2 is not floored to 1
     g = complete_bipartite(2)
-    with pytest.warns(UserWarning):
-        result = orient(g, [0, 1], Fraction(3, 2), 1)
-    assert isinstance(result, OrientedEdgeSet)
-    assert result.cap_a == 1
+    with pytest.raises(DomainError, match="cap_a must be a nonnegative integer"):
+        orient(g, [0, 1], Fraction(3, 2), 1)
+    assert orient(g, [0, 1], Fraction(2, 2), 1).cap_a == 1
 
 
 def test_negative_cap_rejected():
@@ -130,7 +130,7 @@ def test_bad_edge_ids_rejected():
 def test_oriented_set_rejects_edge_ids_off_the_graph(edge):
     # -1 would otherwise read as the last edge, and 36 fail as an IndexError
     g = complete_bipartite(6)
-    with pytest.raises(ValueError, match=f"edge id {edge} out of range"):
+    with pytest.raises(ValueError, match=rf"in \[0, 36\), got {edge}"):
         OrientedEdgeSet(graph=g, edges=(edge,), head_side={edge: "b"}, cap_a=0, cap_b=0)
 
 
