@@ -31,10 +31,12 @@ edges, the side that released each error edge (0 for A, 1 for B, -1 off the
 error edges), and one writer turns that into tau.  The two sides share one
 code path: a side index selects the local code, the incident-edge array
 and the edges' endpoints.
-Everything here is exact rational arithmetic; nothing floats.
-Witnesses hold Fraction values, and the check compares them exactly as
-integers: every value is scaled by one common denominator, so each
-constraint becomes an integer comparison done on whole numpy arrays.  The
+Everything here is exact rational arithmetic.  Witnesses hold Fraction
+values, and the check compares them exactly as integers: every value is
+scaled by one common denominator, so each constraint becomes an integer
+comparison done on whole numpy arrays.  The only floats are in the vertex
+totals (_vertex_totals), which sum integers in float64 when every partial
+sum is an integer below 2**53, where float64 sums are exact.  The
 writer knows each value as one of a few integers per edge kind: it builds
 the scaled arrays, and find_witness checks those arrays directly.  The
 witness it returns keeps only each row's kind and codeword symbol and the
@@ -42,9 +44,9 @@ few shared value objects, and builds its Fraction lists the first time
 they are read.  check_witness takes any witness, so it reads the integers
 back from the lists, each distinct value object once.  Both feed one check
 core, which reads nothing but those integers, c and y.  What depends on
-the code alone (each vertex's flat cells per local codeword, the peel
-threshold, the orientation caps) is one plan per code, built by the first
-search and kept while the code lives.
+the code alone (the gather and one-hot tables behind the vertex totals,
+the peel threshold, the orientation caps) is one plan per code, built by
+the first search and kept while the code lives.
 
 One eps is enough.  A built witness's values are the half-integers -1/2,
 1/2, -5/2 and 3/2, some less eps, and its edge constraints hold for every
@@ -171,12 +173,17 @@ def _sides(code: ExpanderCode):
 
 
 class _Plan(NamedTuple):
-    """What a search needs of the code alone.  Per side: the read-only
-    (Delta, n, K) cells inc[v, t]*q + cw[k, t] into its flattened tau, and
-    the local distance d, which 4 * (edges held) is compared with to peel
-    and to limit in-degrees.  The caps theta*Delta/4, or why none exist."""
+    """What a search needs of the code alone.  _vertex_totals' read-only
+    tables: the (2, n, Delta*q) flat indices (s*E + inc_s[v, t])*q + a into
+    a (2, E, q) array, and the (2, Delta*q, K) one-hot table, 1.0 at
+    [s, t*q + a, k] where side s's local codeword k has symbol a at
+    position t.  K is the larger side's count; the other side's spare
+    columns k repeat its column k mod K_s.  Per side the local distance d,
+    which 4 * (edges held) is compared with to peel and to limit
+    in-degrees.  The caps theta*Delta/4, or why none exist."""
 
-    cells: tuple[np.ndarray, np.ndarray]
+    gather: np.ndarray
+    onehot: np.ndarray
     need: tuple[int, int]
     caps: tuple[int, int] | None
     no_theta: str | None
@@ -191,18 +198,23 @@ def _plan(code: ExpanderCode) -> _Plan:
     if code not in _PLANS:
         q, delta = code.field.q, code.graph.delta
         sides = _sides(code)
-        cells = tuple(inc.T[:, :, None] * q + local.codewords().T[:, None, :]
-                      for local, inc in sides)
-        for side in cells:
-            side.flags.writeable = False
+        inc = np.stack([inc for _, inc in sides])
+        gather = ((np.arange(2)[:, None, None, None] * code.num_edges + inc[..., None]) * q
+                  + np.arange(q)).reshape(2, code.graph.n, delta * q)
+        words = [local.codewords() for local, _ in sides]
+        width = max(map(len, words))
+        onehot = np.stack([(w[np.arange(width) % len(w)].T[:, None, :]
+                            == np.arange(q)[:, None]).reshape(delta * q, width)
+                           for w in words]).astype(np.float64)
+        gather.flags.writeable = onehot.flags.writeable = False
         try:
             caps = tuple(int(compute_theta(local.relative_distance, delta) * delta / 4)
                          for local, _ in sides)
             no_theta = None
         except NoValidThetaError as exc:
             caps, no_theta = None, str(exc)
-        _PLANS[code] = _Plan(cells, tuple(local.min_distance()[0] for local, _ in sides),
-                             caps, no_theta)
+        need = tuple(local.min_distance()[0] for local, _ in sides)
+        _PLANS[code] = _Plan(gather, onehot, need, caps, no_theta)
     return _PLANS[code]
 
 
@@ -318,7 +330,6 @@ def _write_witness(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
     integers.
     """
     q = code.field.q
-    num_edges = code.num_edges
     delta = code.graph.delta
     if not np.array_equal(released >= 0, cw != yw):
         raise ValueError(f"{source} must cover exactly the error edges")
@@ -332,13 +343,15 @@ def _write_witness(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
     present = np.flatnonzero(np.bincount(kinds.ravel(), minlength=3)).tolist()
     dtype = _exact_dtype([v for k in present for v in (match[k], off[k])],
                          den, eps_scaled, delta)
-    at_c = np.arange(q) == cw[:, None]
-    tau = np.where(at_c, np.array(match, dtype=dtype)[kinds][..., None],
-                   np.array(off, dtype=dtype)[kinds][..., None])
+    # row kind*q + symbol of the table: a row of that kind whose codeword
+    # symbol is symbol; each row of tau is one of them
+    index = kinds * q + cw
+    table = np.where(np.eye(q, dtype=bool), np.array(match, dtype=dtype)[:, None, None],
+                     np.array(off, dtype=dtype)[:, None, None]).reshape(3 * q, q)
     witness = object.__new__(DualWitness)
     witness.epsilon = epsilon
-    witness._rows = (kinds * q + cw, match, off, den, q)
-    return witness, _Scaled(tau, den, eps_scaled)
+    witness._rows = (index, match, off, den, q)
+    return witness, _Scaled(table.take(index, axis=0), den, eps_scaled)
 
 
 def _render(index: np.ndarray, match: list[int], off: list[int], den: int,
@@ -417,6 +430,7 @@ def _released_by_orientation(code: ExpanderCode, orientation: OrientedEdgeSet) -
 # -- feasibility check ---------------------------------------------------------------
 
 _INT64_SAFE = 2 ** 62
+_FLOAT_EXACT = 2 ** 53
 
 
 def _check_shape(witness: DualWitness, num_edges: int, q: int) -> None:
@@ -446,7 +460,10 @@ def _exact_dtype(scaled: list[int], den: int, eps_scaled: int, delta: int):
     Every value the check forms from tau values scaled to these integers is
     at most (Delta+2)*max(|tau*den|, den + eps*den) in absolute value: below
     2**62 the arrays are int64, above it they hold Python ints.  Both are
-    exact.
+    exact.  The vertex totals of int64 values are summed in float64 when
+    Delta * max|tau*den| < 2**53 (see _vertex_totals): each total is then a
+    sum of integers whose every partial sum is an integer below 2**53, which
+    float64 holds exactly, and the totals come back as int64.
     """
     largest = max(max(scaled), -min(scaled), den + eps_scaled)
     return np.int64 if largest * (delta + 2) < _INT64_SAFE else object
@@ -495,14 +512,16 @@ def _check_scaled(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
     received word.  A violation quotes the offending total as the Fraction
     total/den, the value the witness's own values sum to."""
     q = code.field.q
-    delta = code.graph.delta
+    graph = code.graph
+    delta = graph.delta
     tau, den = scaled.tau, scaled.den
 
     # cost*den, less eps*den except at the codeword symbol (the weak
-    # constraint): entry (alpha == y_e) + 2*(alpha != c_e) of the four limits
-    symbols = np.arange(q)
-    limits = np.array([den, -den, den - scaled.eps, -den - scaled.eps], dtype=tau.dtype)
-    limit = limits.take((symbols == yw[:, None]) + 2 * (symbols != cw[:, None]))
+    # constraint): cost is -1 at the received symbol and +1 elsewhere
+    edges = np.arange(graph.num_edges)
+    limit = np.full((graph.num_edges, q), den - scaled.eps, dtype=tau.dtype)
+    limit[edges, cw] = den
+    limit[edges, yw] -= 2 * den
     bad = np.flatnonzero(tau[0] + tau[1] > limit)
     if bad.size:
         e, alpha = divmod(int(bad[0]), q)
@@ -518,24 +537,44 @@ def _check_scaled(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
             violation=f"strict edge constraint at edge {e}, symbol {alpha}: "
                       f"{total} > {cost} - eps")
 
-    for s, ((local, inc), cells) in enumerate(zip(_sides(code), _plan(code).cells)):
-        codewords = local.codewords()
-        # totals[v, k]: the sum over v's edges of tau at local codeword k's symbol
-        flat = tau[s].reshape(-1)
-        totals = flat.take(cells[0])
-        for at_t in cells[1:]:
-            totals += flat.take(at_t)
-        dist = np.count_nonzero(yw[inc] != cw[inc], axis=1)
-        rhs = (2 * dist - delta).astype(tau.dtype) * (den // 2)
-        bad = np.flatnonzero(totals < rhs[:, None])
-        if bad.size:
-            v, k = divmod(int(bad[0]), len(codewords))
-            return WitnessCheck(
-                ok=False,
-                violation=f"vertex constraint at {'ab'[s]}{v}, local codeword "
-                          f"{codewords[k].tolist()}: {Fraction(int(totals[v, k]), den)} < "
-                          f"{Fraction(2 * int(dist[v]) - delta, 2)}")
+    # both sides at once, side a before side b, then vertex, then local
+    # codeword; a spare column repeats an earlier one, so it is never first
+    totals = _vertex_totals(tau, _plan(code))
+    dist = np.bincount(graph.ends[:, cw != yw].ravel(),
+                       minlength=2 * graph.n).reshape(2, graph.n)
+    rhs = (2 * dist - delta).astype(tau.dtype) * (den // 2)
+    bad = np.flatnonzero(totals < rhs[:, :, None])
+    if bad.size:
+        s, v, k = np.unravel_index(bad[0], totals.shape)
+        codeword = _sides(code)[s][0].codewords()[k]
+        return WitnessCheck(
+            ok=False,
+            violation=f"vertex constraint at {'ab'[s]}{v}, local codeword "
+                      f"{codeword.tolist()}: {Fraction(int(totals[s, v, k]), den)} < "
+                      f"{Fraction(2 * int(dist[s, v]) - delta, 2)}")
     return WitnessCheck(ok=True)
+
+
+def _vertex_totals(values: np.ndarray, plan: _Plan) -> np.ndarray:
+    """totals[s, v, k]: the sum over the edges e at vertex v of side s of
+    values[s, e, a], a the symbol side s's local codeword k puts on e; a
+    (2, n, K) array in the values' dtype, exact.
+
+    One gather lays the Delta*q values at each vertex out in a row, and one
+    batched matmul with the plan's one-hot table sums each local codeword's
+    Delta of them.  The matmul runs in float64 when the values are int64
+    and Delta * max|value| < 2**53: every product is then an integer times
+    0 or 1 and every partial sum an integer below 2**53 in absolute value,
+    so any BLAS summation order is exact, and so is the cast back.  Other
+    values sum in their own dtype, int64 (the storage rule keeps those sums
+    below 2**62) or Python ints.
+    """
+    rows = values.ravel().take(plan.gather)
+    delta = plan.gather.shape[2] // values.shape[2]
+    if (values.dtype == np.int64
+            and delta * max(int(values.max()), -int(values.min())) < _FLOAT_EXACT):
+        return (rows.astype(np.float64) @ plan.onehot).astype(np.int64)
+    return rows @ plan.onehot.astype(np.int64).astype(values.dtype)
 
 
 # -- the search wrapper ----------------------------------------------------------------

@@ -70,6 +70,13 @@ class ExpanderCode:
         self.code_a = code_a
         self.code_b = code_b
         self.field: GF = code_a.field
+        # codeword_mask's operands: both sides' check matrices, the shorter
+        # padded with zero checks, and each side's (Delta, n) incident edges
+        checks = (code_a.parity_check, code_b.parity_check)
+        self._checks = np.zeros((2, max(map(len, checks)), graph.delta), dtype=np.int64)
+        for side, h in zip(self._checks, checks):
+            side[:len(h)] = h
+        self._incident_t = np.stack((graph.a_edges.T, graph.b_edges.T))
         self._parity: np.ndarray | None = None
         self._basis: np.ndarray | None = None
         self._codewords: np.ndarray | None = None
@@ -92,18 +99,12 @@ class ExpanderCode:
 
     def codeword_mask(self, words: np.ndarray) -> np.ndarray:
         """Whether each row of a (k, E) stack of checked words is a codeword."""
-        bad = np.zeros(len(words), dtype=bool)
-        for code, inc in ((self.code_a, self.graph.a_edges),
-                          (self.code_b, self.graph.b_edges)):
-            H = code.parity_check
-            if H.shape[0] == 0:
-                continue
-            # column v*k + i of the product is the syndrome of word i's subword at v
-            n, delta = inc.shape
-            subwords = words.T[inc].transpose(1, 0, 2).reshape(delta, n * len(words))
-            syndromes = gflinalg.mat_mul(H, subwords, self.field)
-            bad |= syndromes.reshape(len(H) * n, len(words)).any(axis=0)
-        return ~bad
+        # one product for both sides: column v*k + i of side s's product is
+        # the syndrome of word i's subword at vertex v of that side
+        n, k = self.graph.n, len(words)
+        subwords = words.T[self._incident_t].reshape(2, self.graph.delta, n * k)
+        syndromes = gflinalg.mat_mul(self._checks, subwords, self.field)
+        return ~syndromes.any(axis=(0, 1)).reshape(n, k).any(axis=0)
 
     def parity_check_matrix(self) -> np.ndarray:
         """Global parity-check matrix, read-only: every local check row,

@@ -110,26 +110,28 @@ def mat_vec(mat, vec, gf: GF) -> np.ndarray:
 
 
 def mat_mul(a, b, gf: GF) -> np.ndarray:
-    """a @ b over GF(q).
+    """a @ b over GF(q), on matrices or on stacks of them, broadcast as
+    np.matmul broadcasts them.
 
     Entries must be element indices in [0, q); they are not checked here,
     since callers such as ``ExpanderCode.is_codeword`` validate their words.
     """
     A = np.asarray(a, dtype=np.int64)
     B = np.asarray(b, dtype=np.int64)
-    if A.shape[1] != B.shape[0]:
+    if A.ndim < 2 or B.ndim < 2 or A.shape[-1] != B.shape[-2]:
         raise ValueError(f"shape mismatch: {A.shape} @ {B.shape}")
     if gf.m == 1:
         # entries are below p < 256, so no int64 sum of products overflows
         return A @ B % gf.p
-    add_multiple = _add_multiple(gf)
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for k in range(A.shape[1]):
-        col = A[:, k]
-        row = B[k]
+    add, mul = gf.add_table, gf.mul_table
+    out = np.zeros(np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+                   + (A.shape[-2], B.shape[-1]), dtype=np.int64)
+    for k in range(A.shape[-1]):
+        col = A[..., :, k, None]
+        row = B[..., None, k, :]
         if not col.any() or not row.any():
             continue
-        out = add_multiple(out, col, row)
+        out = add[out, mul[col, row]]
     return out
 
 

@@ -20,9 +20,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from .expander_code import (BoundReport, ExpanderCode, compute_theta,
                             correctable_fraction_core,
                             correctable_fraction_orientation,
                             distance_bound_eq1, table_fraction)
-from .gf import GF
+from .gf import GF, check_word
 from .linear_code import (LocalCode, generalized_reed_solomon, repetition,
                           single_parity_check)
 from .lp_decoder import DEFAULT_INT_TOL, decode, map_with_code
@@ -137,14 +138,26 @@ class ExperimentConfig:
     out_csv: str | None = None
     out_summary: str | None = None
 
-    def validate(self, code: ExpanderCode) -> None:
-        if self.trials < 1:
-            raise DomainError("trials must be >= 1")
-        for w in self.weights:
-            if not 0 <= w <= code.graph.num_edges:
-                raise DomainError(f"weight {w} outside [0, {code.graph.num_edges}]")
-        if len(set(self.weights)) != len(self.weights):
+    def validate(self, code: ExpanderCode) -> ExperimentConfig:
+        """This config with its weights and trials as ints.  DomainError
+        unless trials is an integer >= 1 and the weights distinct integers
+        in [0, E]; an integer-valued float stands for its integer."""
+        edges = code.graph.num_edges
+        wrong_trials = f"trials must be an integer >= 1, got {self.trials}"
+        try:
+            trials = int(check_word(self.trials, math.inf, ()))
+        except ValueError as exc:
+            raise DomainError(wrong_trials) from exc
+        if trials < 1:
+            raise DomainError(wrong_trials)
+        try:
+            weights = check_word(self.weights, edges + 1).tolist()
+        except ValueError as exc:
+            raise DomainError(f"weights {list(self.weights)} must be integers "
+                              f"in [0, {edges}]") from exc
+        if len(set(weights)) != len(weights):
             raise DomainError(f"weights {list(self.weights)} repeat a weight")
+        return replace(self, weights=weights, trials=trials)
 
 
 @dataclass
@@ -288,7 +301,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     it runs the LP's phase 1 once, not once per trial.
     """
     code = resolve_instance(cfg.graph, cfg.code_a, cfg.code_b)
-    cfg.validate(code)
+    cfg = cfg.validate(code)
     jobs = [(w, t, cfg) for w in cfg.weights for t in range(cfg.trials)]
     records = map_with_code(run_trial, code, jobs, cfg.workers)
     records.sort(key=lambda r: (r.weight, r.trial))

@@ -527,6 +527,25 @@ def check_witness_by_fraction(code, c, y, witness):
     return WitnessCheck(ok=True)
 
 
+def vertex_totals_by_positions(values, code):
+    """certificate._vertex_totals as the check once summed it: per side, the
+    (n, K_s) totals over each vertex's edges of values[s, e, a] at local
+    codeword k's symbol a, one position t at a time (Delta takes and Delta-1
+    adds in the values' own dtype).  A list of the two sides' arrays."""
+    q = code.field.q
+    totals = []
+    for s, (local, inc) in enumerate(((code.code_a, code.graph.a_edges),
+                                      (code.code_b, code.graph.b_edges))):
+        # cells[t, v, k]: the flat index of edge inc[v, t] at codeword k's symbol
+        cells = inc.T[:, :, None] * q + local.codewords().T[:, None, :]
+        flat = values[s].reshape(-1)
+        side = flat.take(cells[0])
+        for at_t in cells[1:]:
+            side = side + flat.take(at_t)
+        totals.append(side)
+    return totals
+
+
 def is_codeword_by_vertex(code, word):
     """ExpanderCode.is_codeword as one local syndrome per vertex."""
     w = np.asarray(word, dtype=np.int64)

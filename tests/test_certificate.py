@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import gc
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -32,11 +33,13 @@ from expanderlp import (
     decode,
     find_error_core,
     find_witness,
+    generalized_reed_solomon,
     peel,
     repetition,
 )
 
-from oracles import check_witness_by_fraction, find_witness_by_halving, peel_by_sets
+from oracles import (check_witness_by_fraction, find_witness_by_halving, peel_by_sets,
+                     vertex_totals_by_positions)
 
 EPS = Fraction(1, 10**6)
 
@@ -603,6 +606,76 @@ def test_checker_dtype_boundary(k66_grs):
             "strict edge constraint at edge 7")
 
 
+@pytest.fixture(scope="module")
+def k66_grs_rep7():
+    """K_{6,6}: GRS[6,2] over GF(7) on A (49 local codewords), repetition
+    over GF(7) on B (7), so the one-hot table has spare B columns."""
+    return ExpanderCode(complete_bipartite(6), generalized_reed_solomon(GF(7), 6, 2),
+                        repetition(GF(7), 6))
+
+
+def test_checker_with_unequal_local_code_counts(k66_grs_rep7):
+    # lowering one tau at the codeword symbol breaks the tight vertex
+    # constraint of c's own local codeword, on whichever side it is
+    code = k66_grs_rep7
+    rng = np.random.default_rng(505)
+    built = [b for b in _built_witnesses(code, rng, patterns=6) if b[-1] != "base"]
+    assert built
+    for c, y, witness, _ in built:
+        assert _same_verdict(code, c, y, witness).ok
+        for side in ("a", "b"):
+            bad = copy.deepcopy(witness)
+            e = int(np.flatnonzero(c == y)[0])
+            getattr(bad, f"tau_{side}")[e][int(c[e])] -= 3
+            assert _same_verdict(code, c, y, bad).violation.startswith(
+                f"vertex constraint at {side}")
+        for _ in range(12):
+            _same_verdict(code, c, y, _tampered(code, c, witness, rng))
+
+
+# -- the vertex-totals kernel ---------------------------------------------------------
+
+
+def _kernel_values(rng, shape, delta, path):
+    """A (2, E, q) array for one of the kernel's three paths: float64 up to
+    largest magnitude (2**53 - 1) // Delta ("float" is on that edge and
+    "int64-edge" one past it), int64 from there up to the storage rule's
+    2**62 / (Delta + 2) ("int64" draws its largest magnitude log-uniformly
+    in that range), and Python ints past int64 ("object")."""
+    if path == "object":
+        high = rng.integers(-2**30, 2**30, size=shape).astype(object)
+        return high * 2**40 + rng.integers(0, 2**40, size=shape).astype(object)
+    first_int = (2**53 - 1) // delta + 1
+    largest = {"small": 9, "float": first_int - 1, "int64-edge": first_int,
+               "int64": int(2 ** rng.uniform(math.log2(first_int),
+                                             math.log2(2**62 // (delta + 2))))}[path]
+    # most entries within 3 of +-largest, so some totals sit next to
+    # +-Delta*largest with either parity; one entry is exactly largest
+    values = rng.choice([-1, 1], size=shape) * (largest - rng.integers(0, 4, size=shape))
+    spread = rng.random(shape) < 0.3
+    values[spread] = rng.integers(-largest, largest + 1, size=int(spread.sum()))
+    values.flat[int(rng.integers(values.size))] = largest
+    return values
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fixture=st.sampled_from(["four_cycle_rep3", "k33_parity2", "k66_grs", "k66_grs_rep7"]),
+       path=st.sampled_from(["small", "float", "int64-edge", "int64", "object"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_vertex_totals_equal_the_position_sum(fixture, path, seed, request):
+    code = request.getfixturevalue(fixture)
+    values = _kernel_values(np.random.default_rng(seed), (2, code.num_edges, code.field.q),
+                            code.graph.delta, path)
+    totals = certificate._vertex_totals(values, certificate._plan(code))
+    assert totals.dtype == values.dtype
+    for side, reference in zip(totals, vertex_totals_by_positions(values, code)):
+        count = reference.shape[1]
+        assert np.array_equal(side[:, :count], reference)
+        # a spare column k repeats column k mod K_s
+        assert np.array_equal(side, side[:, np.arange(side.shape[1]) % count])
+
+
 # -- values are read once per distinct object ----------------------------------------
 
 
@@ -1088,8 +1161,8 @@ def test_plan_entry_goes_with_its_code(k66_rep2):
     y[0] = 1
     assert find_witness(code, c, y, mode="orient").witness_found
     plan = certificate._PLANS[code]
-    assert [cells.shape for cells in plan.cells] == [(6, 6, 2)] * 2
-    assert not any(cells.flags.writeable for cells in plan.cells)
+    assert plan.gather.shape == (2, 6, 12) and plan.onehot.shape == (2, 12, 2)
+    assert not plan.gather.flags.writeable and not plan.onehot.flags.writeable
     entries = len(certificate._PLANS)
     ref = weakref.ref(code)
     del code

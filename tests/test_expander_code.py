@@ -155,8 +155,14 @@ def full_space_a():
                         repetition(GF(3), 2))
 
 
+@pytest.fixture(scope="module")
+def r8_grs4():
+    """GRS[4,2] locals over the extension field GF(4) on a random graph."""
+    return resolve_instance("random:8:4:3", "grs:4:4:2", "grs:4:4:2")
+
+
 @pytest.mark.parametrize("fixture", ["four_cycle_rep3", "k33_parity2", "k66_grs",
-                                     "r20_rep2", "full_space_a"])
+                                     "r20_rep2", "full_space_a", "r8_grs4"])
 def test_is_codeword_matches_per_vertex_reference(fixture, request):
     code = request.getfixturevalue(fixture)
     rng = np.random.default_rng(31)

@@ -203,6 +203,21 @@ def test_products_match_the_table_reference(case, width):
     assert_same_array(mat_vec(m, v, f), mat_vec_by_tables(m, v, f))
 
 
+@settings(max_examples=200)
+@given(field_matrices(), st.integers(min_value=0, max_value=4),
+       st.integers(min_value=1, max_value=3))
+def test_stacked_products_match_each_product(case, width, depth):
+    # mat_mul broadcasts stacks as np.matmul does: a stack against a stack
+    # of the same depth, and against one matrix
+    f, m, rng = case
+    a = rng.integers(0, f.q, size=(depth,) + m.shape) * (m != 0)
+    b = rng.integers(0, f.q, size=(depth, m.shape[1], width))
+    stacked, against_one = mat_mul(a, b, f), mat_mul(a, b[0], f)
+    for i in range(depth):
+        assert_same_array(stacked[i], mat_mul_by_tables(a[i], b[i], f))
+        assert_same_array(against_one[i], mat_mul_by_tables(a[i], b[0], f))
+
+
 @pytest.mark.parametrize("spec", [
     ("random:40:6:1", "repetition:2:6", "repetition:2:6"),
     ("random:12:6:1", "parity:2:6", "parity:2:6"),

@@ -171,6 +171,24 @@ def test_sweep_validates_weights():
         run_sweep(small_config(trials=0))
 
 
+@pytest.mark.parametrize("overrides", [dict(weights=(1.5,)), dict(weights=(float("nan"),)),
+                                       dict(weights=(-1,)), dict(weights=((0, 1),)),
+                                       dict(trials=1.5), dict(trials=-1), dict(trials=0)])
+def test_sweep_rejects_weights_and_trials_that_are_not_integers(overrides):
+    # weights=[1.5] once failed in np.random.default_rng with a TypeError
+    # and trials=1.5 in range()
+    with pytest.raises(DomainError):
+        run_sweep(small_config(**overrides))
+
+
+def test_sweep_runs_integer_valued_floats_as_their_integers():
+    as_floats = run_sweep(small_config(weights=(0.0, 1.0), trials=3.0))
+    assert as_floats.csv_text == run_sweep(small_config()).csv_text
+    assert as_floats.summary["config"]["weights"] == [0, 1]
+    assert as_floats.summary["config"]["trials"] == 3
+    assert list(as_floats.summary["per_weight"]) == ["0", "1"]
+
+
 def test_sweep_rejects_repeated_weights(tmp_path):
     # [1, 1] once ran every trial twice: the summary reported 4 trials at
     # weight 1 and the CSV held four rows
