@@ -198,8 +198,8 @@ def _plan(code: ExpanderCode) -> _Plan:
     if code not in _PLANS:
         q, delta = code.field.q, code.graph.delta
         sides = _sides(code)
-        inc = np.stack([inc for _, inc in sides])
-        gather = ((np.arange(2)[:, None, None, None] * code.num_edges + inc[..., None]) * q
+        incident = np.stack([inc for _, inc in sides])[..., None]
+        gather = ((np.arange(2)[:, None, None, None] * code.num_edges + incident) * q
                   + np.arange(q)).reshape(2, code.graph.n, delta * q)
         words = [local.codewords() for local, _ in sides]
         width = max(map(len, words))

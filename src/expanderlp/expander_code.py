@@ -70,13 +70,7 @@ class ExpanderCode:
         self.code_a = code_a
         self.code_b = code_b
         self.field: GF = code_a.field
-        # codeword_mask's operands: both sides' check matrices, the shorter
-        # padded with zero checks, and each side's (Delta, n) incident edges
-        checks = (code_a.parity_check, code_b.parity_check)
-        self._checks = np.zeros((2, max(map(len, checks)), graph.delta), dtype=np.int64)
-        for side, h in zip(self._checks, checks):
-            side[:len(h)] = h
-        self._incident_t = np.stack((graph.a_edges.T, graph.b_edges.T))
+        self._checks: tuple[np.ndarray, np.ndarray] | None = None
         self._parity: np.ndarray | None = None
         self._basis: np.ndarray | None = None
         self._codewords: np.ndarray | None = None
@@ -99,11 +93,20 @@ class ExpanderCode:
 
     def codeword_mask(self, words: np.ndarray) -> np.ndarray:
         """Whether each row of a (k, E) stack of checked words is a codeword."""
+        if self._checks is None:
+            # both sides' check matrices, the shorter padded with zero
+            # checks, and each side's (Delta, n) incident edges
+            local = (self.code_a.parity_check, self.code_b.parity_check)
+            checks = np.zeros((2, max(map(len, local)), self.graph.delta), dtype=np.int64)
+            for side, h in zip(checks, local):
+                side[:len(h)] = h
+            self._checks = checks, np.stack((self.graph.a_edges.T, self.graph.b_edges.T))
+        checks, incident = self._checks
         # one product for both sides: column v*k + i of side s's product is
         # the syndrome of word i's subword at vertex v of that side
         n, k = self.graph.n, len(words)
-        subwords = words.T[self._incident_t].reshape(2, self.graph.delta, n * k)
-        syndromes = gflinalg.mat_mul(self._checks, subwords, self.field)
+        subwords = words.T[incident].reshape(2, self.graph.delta, n * k)
+        syndromes = gflinalg.mat_mul(checks, subwords, self.field)
         return ~syndromes.any(axis=(0, 1)).reshape(n, k).any(axis=0)
 
     def parity_check_matrix(self) -> np.ndarray:
