@@ -623,9 +623,9 @@ def test_checker_with_unequal_local_code_counts(k66_grs_rep7):
     assert built
     for c, y, witness, _ in built:
         assert _same_verdict(code, c, y, witness).ok
+        e = int(np.flatnonzero(c == y)[0])
         for side in ("a", "b"):
             bad = copy.deepcopy(witness)
-            e = int(np.flatnonzero(c == y)[0])
             getattr(bad, f"tau_{side}")[e][int(c[e])] -= 3
             assert _same_verdict(code, c, y, bad).violation.startswith(
                 f"vertex constraint at {side}")
@@ -640,19 +640,22 @@ def _kernel_values(rng, shape, delta, path):
     """A (2, E, q) array for one of the kernel's three paths: float64 up to
     largest magnitude (2**53 - 1) // Delta ("float" is on that edge and
     "int64-edge" one past it), int64 from there up to the storage rule's
-    2**62 / (Delta + 2) ("int64" draws its largest magnitude log-uniformly
-    in that range), and Python ints past int64 ("object")."""
+    2**62 / (Delta + 2) ("int64-near" draws its largest magnitude
+    log-uniformly up to 4 times the edge, "int64" up to that rule), and
+    Python ints past int64 ("object")."""
     if path == "object":
         high = rng.integers(-2**30, 2**30, size=shape).astype(object)
         return high * 2**40 + rng.integers(0, 2**40, size=shape).astype(object)
     first_int = (2**53 - 1) // delta + 1
-    largest = {"small": 9, "float": first_int - 1, "int64-edge": first_int,
-               "int64": int(2 ** rng.uniform(math.log2(first_int),
-                                             math.log2(2**62 // (delta + 2))))}[path]
-    # most entries within 3 of +-largest, so some totals sit next to
-    # +-Delta*largest with either parity; one entry is exactly largest
-    values = rng.choice([-1, 1], size=shape) * (largest - rng.integers(0, 4, size=shape))
-    spread = rng.random(shape) < 0.3
+    top = {"int64-near": 4 * first_int, "int64": 2**62 // (delta + 2)}.get(path, first_int)
+    largest = {"small": 9, "float": first_int - 1, "int64-edge": first_int}.get(
+        path, int(2 ** rng.uniform(math.log2(first_int), math.log2(top))))
+    # mostly +largest or +largest - 1, so many totals sit at Delta*largest
+    # less 0 to Delta, odd and even, just past 2**53 on "int64-edge"; a
+    # tenth negative, a tenth anywhere, and one entry exactly largest
+    signs = rng.choice([1, -1], size=shape, p=[0.9, 0.1])
+    values = signs * (largest - rng.integers(0, 2, size=shape))
+    spread = rng.random(shape) < 0.1
     values[spread] = rng.integers(-largest, largest + 1, size=int(spread.sum()))
     values.flat[int(rng.integers(values.size))] = largest
     return values
@@ -661,7 +664,7 @@ def _kernel_values(rng, shape, delta, path):
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(fixture=st.sampled_from(["four_cycle_rep3", "k33_parity2", "k66_grs", "k66_grs_rep7"]),
-       path=st.sampled_from(["small", "float", "int64-edge", "int64", "object"]),
+       path=st.sampled_from(["small", "float", "int64-edge", "int64-near", "int64", "object"]),
        seed=st.integers(0, 2**32 - 1))
 def test_vertex_totals_equal_the_position_sum(fixture, path, seed, request):
     code = request.getfixturevalue(fixture)

@@ -173,7 +173,7 @@ def test_sweep_validates_weights():
 
 @pytest.mark.parametrize("overrides", [dict(weights=(1.5,)), dict(weights=(float("nan"),)),
                                        dict(weights=(-1,)), dict(weights=((0, 1),)),
-                                       dict(trials=1.5), dict(trials=-1), dict(trials=0)])
+                                       dict(trials=1.5), dict(trials=-1)])
 def test_sweep_rejects_weights_and_trials_that_are_not_integers(overrides):
     # weights=[1.5] once failed in np.random.default_rng with a TypeError
     # and trials=1.5 in range()
