@@ -343,8 +343,8 @@ def _write_witness(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
     present = np.flatnonzero(np.bincount(kinds.ravel(), minlength=3)).tolist()
     dtype = _exact_dtype([v for k in present for v in (match[k], off[k])],
                          den, eps_scaled, delta)
-    # row kind*q + symbol of the table: a row of that kind whose codeword
-    # symbol is symbol; each row of tau is one of them
+    # table row kind*q + a: the q values of a row of that kind whose
+    # codeword symbol is a, so tau is one row lookup at index
     index = kinds * q + cw
     table = np.where(np.eye(q, dtype=bool), np.array(match, dtype=dtype)[:, None, None],
                      np.array(off, dtype=dtype)[:, None, None]).reshape(3 * q, q)
