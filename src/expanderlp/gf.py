@@ -45,8 +45,10 @@ def check_word(word, q: int, length: int | tuple | None = None) -> np.ndarray:
     [0, q) in the shape asked for.  An int length asks for a 1-d word of that
     length and None for a 1-d word of any length; a tuple is the shape, with
     None for an axis of any size.  Bools, integer-valued floats and object
-    arrays of integers pass; nothing is truncated."""
+    arrays of integers pass; nothing is truncated, and no text is parsed."""
     raw = np.asarray(word)
+    if raw.dtype.kind in "US":    # the int64 cast would parse the text
+        raise ValueError("symbols must be integers, not text")
     if raw.dtype.kind in "fc" and not np.isfinite(raw).all():
         raise ValueError("symbols must be integers")
     # the real part, so a complex word casts without a warning; the compare

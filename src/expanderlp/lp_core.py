@@ -36,14 +36,16 @@ objectives over one set of constraints: the problems share the
 constraints, the phase-1 start and the Python work of each round, and a
 problem leaves the stack when it is optimal or unbounded.  The problems
 left move to the front of the same tableau array, and the dense update
-writes its products into one buffer per stack that holds half of it (in
-two chunks while the stack is larger).  With the starting-cost products
-and the saved bases, a stack of k tableaux peaks at about 1.9 k tableaux
-of memory (a stack of 100 K3,3 decoding LPs).  An engine error (the
-iteration cap, an unseparable tie) is raised in the round it occurs; the
-solutions, with their sign and residual checks, are built once the whole
-stack has stopped, so such a check raises on the first failing problem in
-stack order.  The starting reduced costs, residuals and c.x are matmuls over a
+of a stack of many writes its products into one buffer that holds half of
+it (in two chunks while the stack is larger).  With the update's padded
+operands, the starting-cost products and the saved bases, a stack of k
+tableaux peaks at about 2.05 k tableaux of memory (a stack of 100 K3,3
+decoding LPs, 16 x 40 each; the operands are 2/rows + 2/columns of the
+stack, 0.18 of it here).  An engine error (the iteration cap, an
+unseparable tie) is raised in the round it occurs; the solutions, with
+their sign and residual checks, are built once the whole stack has
+stopped, so such a check raises on the first failing problem in stack
+order.  The starting reduced costs, residuals and c.x are matmuls over a
 singleton axis, which run item by item the kernel of the one-problem
 product: (k, 1, m) @ (m, p) the vector-matrix call of cb @ M, (m, n) @
 (k, n, 1) the matrix-vector call of A0 @ x, (k, 1, n) @ (k, n, 1) the dot
@@ -56,12 +58,36 @@ Two shortcuts make each pivot cheaper without changing which pivot is
 taken.  The tie-break sorts only the tied rows' keys and skips the columns
 where they all agree.  When the pivot columns are nonzero in at most a
 quarter of the stack's rows, the update touches only the block of rows
-where some pivot column is nonzero and columns where some pivot row is.
-The update adds each product to zero, as einsum does, so a zero product
-is +0.0 and the entries outside the block, and the sign of every zero, are
-what the full update leaves, in one chunk or two.  tests/oracles.py keeps
-the one-tableau loop with the plain outer-product update and the
-column-by-column tie-break as the reference.
+where some pivot column is nonzero and columns where some pivot row is;
+einsum forms those products, adding each to zero, so a zero product is
++0.0, and t - (+0.0) leaves every entry outside the block as it is, the
+sign of a zero included, as the full update does.
+
+The dense update forms its products c_i p_j as a BLAS matrix product with
+an inner dimension of two: the pivot column c beside a zero column, times
+the divided pivot row p above a zero row.  Each entry is then c_i p_j plus
+0 * 0.  In whatever order the kernel sums the two, and whether or not it
+fuses a multiply with the add, the result is c_i p_j correctly rounded
+(subnormal, or zero, if it underflows) plus an exact +0.0: einsum's bits,
+the sign of a zero product included.  numpy calls BLAS with beta = 0, so
+the buffer's old contents never enter.  An inner dimension of one would be
+exact too, but OpenBLAS runs that shape on a slow path, about three times
+einsum's time; np.outer or a broadcast multiply keeps a -0.0 product,
+which turns a -0.0 entry it is subtracted from into +0.0.  The
+subtraction stays a numpy step of its own, part -= products: a fused
+update (dger, or GEMM with beta = 1) may round t - c_i p_j once, not
+twice, and change bits.  So every entry, and the sign of every zero, is
+what an einsum product and the same subtraction leave, in any chunk.
+
+A stack of many forms its products for up to half of it at a time, as
+above.  A stack of one (a decode, a sweep trial, phase 1) forms them a
+block of rows at a time, in a buffer of _BLOCK_BYTES, so each block's
+products are subtracted while they are still in the core's cache; one
+whole-tableau product made the sweep code's decodes slower (see
+_BLOCK_BYTES).
+
+tests/oracles.py keeps the one-tableau loop with the plain outer-product
+update and the column-by-column tie-break as the reference.
 """
 
 from __future__ import annotations
@@ -75,6 +101,12 @@ from .errors import NumericError
 _PIVOT_TOL = 1e-9
 DEFAULT_FEAS_TOL = 1e-8
 DEFAULT_OPT_TOL = 1e-9
+# a stack of one forms the dense update's products in row blocks of at most
+# this many bytes.  On a 2-vCPU Xeon (2 MiB L2, one OpenBLAS thread), one
+# whole-tableau product made the sweep code's decodes 2-8% slower
+# (interleaved in one process); 256 KiB read ~5% faster on the 97 x 865
+# decode tableau but 7-17% slower on the sweep (10 s perfbench pairs)
+_BLOCK_BYTES = 128 * 1024
 
 
 def _checked_constraints(eq_coeffs, eq_rhs) -> tuple[np.ndarray, np.ndarray]:
@@ -158,8 +190,13 @@ class _Simplex:
         self.iterations = iterations
         k, height, width = T.shape
         self.max_iters = 500 * (width - 1) + 2000
-        # the dense update's products, for half the stack at a time
-        self._outer = np.empty(((k + 1) // 2, height, width))
+        # the dense update's padded operands (see the module docstring), and
+        # its products: a stack of many forms them for half of it at a time,
+        # a stack of one for a block of rows at a time
+        self._all_lhs, self._all_rhs = np.zeros((k, height, 2)), np.zeros((k, 2, width))
+        self._half = (k + 1) // 2
+        self._block_rows = max(1, min(height, _BLOCK_BYTES // (8 * width)))
+        self._outer = np.empty((self._half * height if k > 1 else self._block_rows) * width)
         # flat offsets: problem s's first row among all rows, and the first
         # cell of its row r among all cells.  keep() compacts the stack into
         # its first slots, so the first k' entries serve a stack of k'.
@@ -180,12 +217,20 @@ class _Simplex:
         self._cells, self._rows = self.T.reshape(-1), self.T.reshape(-1, width)
         self._basic = self.basis.reshape(-1)
         self._costs, self._rhs = self.T[:, -1, :self.n], self.T[:, :-1, -1]
-        # (part of the stack, its slots, its products) per chunk of the
-        # dense update: one chunk while the stack fits the buffer, else two
-        half = len(self._outer)
-        self._chunks = ((self.T, slice(0, k), self._outer[:k]),) if k <= half else (
-            (self.T[:half], slice(0, half), self._outer),
-            (self.T[half:], slice(half, k), self._outer[:k - half]))
+        # (part of the stack, its operands, its products) per chunk of the
+        # dense update: row blocks for a stack of one, else one chunk while
+        # the stack fits the buffer, two halves when it does not
+        lhs, rhs = self._all_lhs[:k], self._all_rhs[:k]
+        self._col_in, self._row_in = lhs[:, :, 0], rhs[:, 0]
+        height, half, step = self.T.shape[1], self._half, self._block_rows
+        spans = ([(slice(0, 1), slice(r, r + step)) for r in range(0, height, step)] if k == 1
+                 else [(slice(0, k), slice(None))] if k <= half
+                 else [(slice(0, half), slice(None)), (slice(half, k), slice(None))])
+        self._chunks = []
+        for s, r in spans:
+            part = self.T[s, r]
+            self._chunks.append(
+                (part, lhs[s, r], rhs[s], self._outer[:part.size].reshape(part.shape)))
 
     def keep(self, going: np.ndarray) -> None:
         """Keep only the problems where the mask going is set, at least one:
@@ -228,10 +273,11 @@ class _Simplex:
             T[np.ix_(self._slots, nonzero, used)] -= np.einsum(
                 "si,sj->sij", col[:, nonzero], piv_rows[:, used])
         else:
-            # each entry gets the same product and subtraction, in one
-            # chunk or two
-            for part, slots, out in self._chunks:
-                part -= np.einsum("si,sj->sij", col[slots], piv_rows[slots], out=out)
+            # each entry gets the same product and subtraction, in whichever
+            # chunk it falls
+            self._col_in[...], self._row_in[...] = col, piv_rows
+            for part, lhs, rhs, out in self._chunks:
+                part -= np.matmul(lhs, rhs, out=out)
         self._cells[col_cells] = 0.0
         self._rows[at] = piv_rows
         self._basic[at - self._slots] = cols[:, 0]   # basis has no cost row

@@ -34,12 +34,12 @@ constraints and the phase-1 start, so lp_core.solve_many solves them in
 lockstep, as many per stack as fit in STACK_BYTES (512 KiB) of tableau;
 the objectives are built with one gather, and the optima lifted, rounded
 and checked as codewords, a stack at a time, by the code decode uses.  The
-budget bounds the stack's memory, which peaks at about 1.9 times the
-tableaux (the stack, a product buffer for half of it, and the
-starting-cost products): the scan's ~16-row LPs fit ~110 to a stack,
-and an LP whose tableau alone fills it (the sweep's 320 x 160, the
-96 x 768 of a 12-vertex parity code) is solved in stacks of one, by the
-same engine decode's solve runs.
+budget bounds the stack's memory, which peaks at about 2 times the
+tableaux (the stack, a product buffer for half of it, the update's padded
+operands and the starting-cost products): the scan's ~16-row LPs fit ~110
+to a stack, and an LP whose tableau alone fills it (the sweep's 320 x 160,
+the 96 x 768 of a 12-vertex parity code) is solved in stacks of one, by
+the same engine decode's solve runs.
 
 build_reduced hands each decode a copy of one cached LpProblem, so the
 constraints it shares are checked once per code, not once per decode.
@@ -49,9 +49,7 @@ from __future__ import annotations
 
 import copy
 import functools
-import multiprocessing
 import weakref
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -332,6 +330,10 @@ def map_with_code(fn, code: ExpanderCode, jobs: list[tuple], workers: int) -> li
     """
     if workers <= 1:
         return [fn(code, *job) for job in jobs]
+    # imported here: only a pool needs them, and they cost every process
+    # that imports the package ~1.4 MB of peak RSS and ~27 ms
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers,
                              mp_context=multiprocessing.get_context("spawn"),
                              initializer=_set_worker_code, initargs=(code,)) as pool:

@@ -59,6 +59,14 @@ def test_check_word_validates_shape_and_symbols(k33_parity2):
     # a fractional word is not truncated into a codeword
     with pytest.raises(ValueError, match="integers"):
         k33_parity2.is_codeword([0.5] * 9)
+    # nor is text parsed into one
+    for text, length in (("3", ()), (b"2", ()), (["1", "0"], None), (np.array([b"1"]), None)):
+        with pytest.raises(ValueError, match="not text"):
+            check_word(text, 5, length)
+    k22 = resolve_instance("complete:2", "parity:2:2", "parity:2:2")
+    assert k22.is_codeword([0] * 4)
+    with pytest.raises(ValueError, match="not text"):
+        k22.is_codeword(["0"] * 4)
 
 
 def test_parse_format_round_trip():

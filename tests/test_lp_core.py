@@ -251,15 +251,23 @@ def test_leaving_matches_column_by_column_on_ties():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_sparse_and_dense_pivots_give_equal_tableaux(seed):
+def test_sparse_and_dense_pivots_give_equal_tableaux(seed, monkeypatch):
     # m = 40 rows: pivot columns with at most 10 nonzeros in all take the
-    # sparse update, 11 or more the dense one; in stacks of one and of six,
-    # with zeros of both signs, every entry, its sign bit included, is what
-    # the reference's full outer-product update leaves
+    # sparse update, 11 or more the dense one.  A stack of one forms the
+    # dense products in row blocks, here of 5 rows, so 41 rows make 9 blocks
+    # and the last has one row; a stack of six takes two halves, and one
+    # such stack shrinks through keep to three (one chunk) and then to one
+    # (row blocks).  The product buffer holds NaN before every pivot, and
+    # some entries of the pivot columns and rows are so small that their
+    # products are subnormal or underflow to zero of either sign.  Every
+    # entry, its sign bit included, is what the reference's full
+    # outer-product update leaves
     rng = np.random.default_rng(seed)
     m, n = 40, 30
-    branches = set()
-    for k in (1, 6):
+    monkeypatch.setattr(lp_core, "_BLOCK_BYTES", 5 * 8 * (n + m + 1))
+    scales = np.array([1.0, 2.0 ** -530, 2.0 ** -560])
+    branches, subnormal, signed_underflow = set(), 0, 0
+    for k, shrink in ((1, {}), (6, {}), (6, {4: [0, 2, 5], 8: [1]})):
         tabs = []
         for _ in range(k):
             T = rng.normal(size=(m, n + m + 1)) * (rng.random((m, n + m + 1)) < 0.3)
@@ -268,26 +276,44 @@ def test_sparse_and_dense_pivots_give_equal_tableaux(seed):
             tab = ReferenceTableau(T, n, range(n, n + m))
             tab.z[:] = rng.normal(size=n + m + 1)
             tabs.append(tab)
-        for nnz_choices in ([1, 2], [10, 11, 25, m], [1, 2, 10, 11, 25, m]) * 4:
+        engine = engine_stack(tabs)
+        for round_, nnz_choices in enumerate(([1, 2], [10, 11, 25, m], [1, 2, 10, 11, 25, m]) * 4):
+            if round_ in shrink:
+                going = np.isin(np.arange(len(tabs)), shrink[round_])
+                engine.keep(going)
+                tabs = [tab for tab, kept in zip(tabs, going) if kept]
             rows, cols = [], []
-            for tab in tabs:
+            for s, tab in enumerate(tabs):
                 col, nnz = int(rng.integers(0, n)), int(rng.choice(nnz_choices))
                 rows_nz = rng.choice(m, size=nnz, replace=False)
                 column = np.zeros(m)
                 column[rows_nz] = (rng.uniform(0.5, 2.0, size=nnz)
-                                   * rng.choice([-1.0, 1.0], size=nnz))
+                                   * rng.choice([-1.0, 1.0], size=nnz) * rng.choice(scales, size=nnz))
+                column[rows_nz[0]] = rng.uniform(0.5, 2.0)
                 tab.T[:, col] = column
+                row_scales = rng.choice(scales, size=n + m + 1, p=[0.6, 0.2, 0.2])
+                row_scales[col] = 1.0
+                tab.T[rows_nz[0]] *= row_scales
+                engine.T[s, :m] = tab.T
+                body_col = np.append(column, tab.z[col])
+                products = np.outer(body_col, tab.T[rows_nz[0]] / column[rows_nz[0]])
+                nonzero = np.outer(body_col != 0, tab.T[rows_nz[0]] != 0)
+                subnormal += np.count_nonzero(
+                    (products != 0) & (np.abs(products) < np.finfo(float).tiny))
+                signed_underflow += np.count_nonzero(nonzero & (products == 0) & np.signbit(products))
                 rows.append(int(rows_nz[0]))
                 cols.append(col)
-            engine = engine_stack(tabs)
-            branches.add((k, 4 * sum(np.count_nonzero(tab.T[:, c]) for tab, c in zip(tabs, cols))
-                          <= k * m))
+            branches.add((len(tabs), len(engine._chunks), 4 * sum(
+                np.count_nonzero(tab.T[:, c]) for tab, c in zip(tabs, cols)) <= len(tabs) * m))
+            engine._outer[:] = np.nan
             engine.pivot(np.array(rows), np.array(cols))
             for tab, row, col in zip(tabs, rows, cols):
                 pivot_dense(tab, row, col)
             assert engine.T.tobytes() == engine_stack(tabs).T.tobytes()
             assert engine.basis.tolist() == [tab.basis for tab in tabs]
-    assert branches == {(1, True), (1, False), (6, True), (6, False)}
+    assert branches == {(k, chunks, sparse) for k, chunks in ((1, 9), (3, 1), (6, 2))
+                        for sparse in (True, False)}
+    assert subnormal > 100 and signed_underflow > 100
 
 
 def _fields(sol):

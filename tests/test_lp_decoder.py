@@ -4,6 +4,9 @@ import gc
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -433,3 +436,34 @@ def test_decode_matches_the_golden(request, monkeypatch, name):
         assert (result.status, result.lp_iterations, result.objective.hex(),
                 hashlib.sha256(values.tobytes()).hexdigest()) == (
             case["decode_status"], case["iterations"], case["objective"], case["values_sha256"])
+
+
+_NO_POOL = """
+import sys
+import numpy as np
+import expanderlp
+from expanderlp import certificate, decode, lp_decoder
+from expanderlp.harness import resolve_instance, sample_error_pattern
+
+code = resolve_instance("random:40:6:1", "repetition:2:6", "repetition:2:6")
+rng = np.random.default_rng(1)
+c = code.random_codeword(rng)
+y = sample_error_pattern(code, c, 6, rng)
+assert decode(code, y).status == "codeword"
+assert certificate.find_witness(code, c, y, mode="peel").witness_found
+assert lp_decoder.map_with_code(decode, code, [(y,)], workers=1)[0].status == "codeword"
+print("multiprocessing" in sys.modules, "concurrent.futures" in sys.modules)
+"""
+
+
+def test_decode_and_certify_leave_the_process_pool_unimported():
+    # only map_with_code with workers > 1 needs multiprocessing and
+    # concurrent.futures, ~1.4 MB of peak RSS; a fresh process shows that
+    # importing the package, a decode and a witness search load neither
+    src = str(Path(lp_decoder.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", _NO_POOL], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "False"]

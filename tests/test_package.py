@@ -15,14 +15,25 @@ from expanderlp import (GF, DomainError, ExpanderCode, LocalCode, OrientedEdgeSe
 MODULES = sorted(Path(expanderlp.__file__).parent.glob("*.py"))
 
 
+# the only imports a function may make: standard-library modules that one
+# rarely taken branch needs, kept out of every process that imports the
+# package (a fresh-process test in test_lp_decoder.py checks they stay out)
+LAZY_IMPORTS = {("lp_decoder.py", "multiprocessing"), ("lp_decoder.py", "concurrent.futures")}
+
+
+def _imported(node):
+    return [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_function_level_imports(path):
     # an import inside a function hides a dependency, often a cycle between modules
     tree = ast.parse(path.read_text())
-    nested = [f"{path.name}:{node.lineno}"
+    nested = [f"{path.name}:{node.lineno} {name}"
               for fn in ast.walk(tree)
               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
+              for name in _imported(node) if (path.name, name) not in LAZY_IMPORTS]
     assert not nested
 
 
