@@ -105,7 +105,7 @@ DEFAULT_OPT_TOL = 1e-9
 # this many bytes.  On a 2-vCPU Xeon (2 MiB L2, one OpenBLAS thread), one
 # whole-tableau product made the sweep code's decodes 2-8% slower
 # (interleaved in one process); 256 KiB read ~5% faster on the 97 x 865
-# decode tableau but 7-17% slower on the sweep (10 s perfbench pairs)
+# decode tableau but 7-17% slower on the sweep (short perfbench pairs)
 _BLOCK_BYTES = 128 * 1024
 
 

@@ -441,7 +441,6 @@ def test_decode_matches_the_golden(request, monkeypatch, name):
 _NO_POOL = """
 import sys
 import numpy as np
-import expanderlp
 from expanderlp import certificate, decode, lp_decoder
 from expanderlp.harness import resolve_instance, sample_error_pattern
 
@@ -458,7 +457,7 @@ print("multiprocessing" in sys.modules, "concurrent.futures" in sys.modules)
 
 def test_decode_and_certify_leave_the_process_pool_unimported():
     # only map_with_code with workers > 1 needs multiprocessing and
-    # concurrent.futures, ~1.4 MB of peak RSS; a fresh process shows that
+    # concurrent.futures, ~1.2 MB of peak RSS; a fresh process shows that
     # importing the package, a decode and a witness search load neither
     src = str(Path(lp_decoder.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
