@@ -111,9 +111,16 @@ def resolve_code(spec: str, length: int | None = None) -> LocalCode:
 
 def resolve_instance(graph_spec: str, code_a_spec: str,
                      code_b_spec: str) -> ExpanderCode:
+    """The expander code of a graph spec and the two sides' code specs.
+
+    Equal code specs give both sides one LocalCode, so its field tables,
+    parity check, codewords and minimum distance are computed once.  Its
+    arrays are read-only, so neither side can change the other's; the
+    instance is the one two separately built equal codes give.
+    """
     graph = resolve_graph(graph_spec)
     code_a = resolve_code(code_a_spec, graph.delta)
-    code_b = resolve_code(code_b_spec, graph.delta)
+    code_b = code_a if code_b_spec == code_a_spec else resolve_code(code_b_spec, graph.delta)
     return ExpanderCode(graph, code_a, code_b)
 
 

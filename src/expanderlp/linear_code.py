@@ -1,8 +1,10 @@
 """Local linear codes: the length-Delta building blocks placed on every vertex.
 
-A code is specified by a full-rank generator matrix over GF(q).  Words are
-numpy int64 arrays of element indices, and generators, messages, words and
-GRS points are validated by gf.check_word; codeword enumeration, exact minimum
+A code is specified by a full-rank generator matrix over GF(q), which it
+copies.  Its generator, parity check and codeword table are read-only, so
+one code can serve both sides of an expander code.  Words are numpy int64
+arrays of element indices, and generators, messages, words and GRS points
+are validated by gf.check_word; codeword enumeration, exact minimum
 distance, and membership tests are all exhaustive and exact, guarded by an
 enumeration cap.
 """
@@ -24,7 +26,8 @@ class LocalCode:
     """A [length, dimension] linear code over GF(q) given by its generator rows."""
 
     def __init__(self, field: GF, generator, enumeration_cap: int = DEFAULT_ENUMERATION_CAP):
-        G = check_word(generator, field.q, (None, None))
+        # a copy: the caller's array stays its own, and the code's is frozen
+        G = check_word(generator, field.q, (None, None)).copy()
         k, length = G.shape
         if k < 1 or length < 1:
             raise ValueError("generator must have at least one row and one column")
@@ -33,6 +36,7 @@ class LocalCode:
         H = gflinalg.null_space(G, field)
         if length - len(H) != k:
             raise ValueError("generator rows are linearly dependent")
+        G.flags.writeable = H.flags.writeable = False
         self.field = field
         self.generator = G
         self.length = length
@@ -57,12 +61,15 @@ class LocalCode:
         return gflinalg.mat_vec(self.generator.T, msg, self.field)
 
     def codewords(self) -> np.ndarray:
-        """All q^k codewords as a (q^k, length) array.  Cached after first call."""
+        """All q^k codewords as a read-only (q^k, length) array.  Cached after
+        first call."""
         if self._codewords is None:
             if self.num_codewords > self.enumeration_cap:
                 raise EnumerationCapError(
                     f"{self.num_codewords} codewords exceed cap {self.enumeration_cap}")
-            self._codewords = gflinalg.span(self.generator, self.field)
+            words = gflinalg.span(self.generator, self.field)
+            words.flags.writeable = False
+            self._codewords = words
         return self._codewords
 
     def min_distance(self) -> tuple[int, Fraction]:

@@ -4,10 +4,11 @@ Problems are   maximize c.x   subject to   A x = b,  x >= 0.
 
 Phase 1 starts from an all-artificial basis and maximizes minus the sum of
 the artificials; a row whose artificial cannot be driven out afterwards is
-redundant and gets dropped.  The artificial columns stay in the tableau the
-whole time — they start as the identity, so they always hold the current
-basis inverse — but an artificial that left the basis can never come back,
-because the entering rule only looks at real columns.
+redundant and gets dropped, with its artificial column.  The other
+artificial columns stay in the tableau the whole time — they start as the
+identity, so they always hold the current basis inverse — but an artificial
+that left the basis can never come back, because the entering rule only
+looks at real columns.
 
 The decoding LPs this solver exists for are extremely degenerate (most
 right-hand sides are zero), which makes plain Dantzig pivoting stall and
@@ -36,16 +37,16 @@ objectives over one set of constraints: the problems share the
 constraints, the phase-1 start and the Python work of each round, and a
 problem leaves the stack when it is optimal or unbounded.  The problems
 left move to the front of the same tableau array, and the dense update
-of a stack of many writes its products into one buffer that holds half of
-it (in two chunks while the stack is larger).  With the update's padded
-operands, the starting-cost products and the saved bases, a stack of k
-tableaux peaks at about 2.05 k tableaux of memory (a stack of 100 K3,3
-decoding LPs, 16 x 40 each; the operands are 2/rows + 2/columns of the
-stack, 0.18 of it here).  An engine error (the iteration cap, an
-unseparable tie) is raised in the round it occurs; the solutions, with
-their sign and residual checks, are built once the whole stack has
-stopped, so such a check raises on the first failing problem in stack
-order.  The starting reduced costs, residuals and c.x are matmuls over a
+of a stack of many forms its products in one buffer, from one set of
+padded operands, that hold half of it (in two chunks while the stack is
+larger).  With the starting-cost products and the saved bases, a stack of
+k tableaux peaks at about 1.96 k tableaux of memory (tracemalloc, a stack
+of 100 K3,3 decoding LPs, 16 x 40 each; the operands are (2/rows +
+2/columns) / 2 of the stack, 0.09 of it here).  An engine error (the
+iteration cap, an unseparable tie) is raised in the round it occurs; the
+solutions, with their sign and residual checks, are built once the whole
+stack has stopped, so such a check raises on the first failing problem in
+stack order.  The starting reduced costs, residuals and c.x are matmuls over a
 singleton axis, which run item by item the kernel of the one-problem
 product: (k, 1, m) @ (m, p) the vector-matrix call of cb @ M, (m, n) @
 (k, n, 1) the matrix-vector call of A0 @ x, (k, 1, n) @ (k, n, 1) the dot
@@ -169,12 +170,15 @@ class _Simplex:
 
     T has shape (k, rows + 1, n + m + 1).  Its columns are, per problem, the
     n real columns, then the m columns that started as the identity
-    (artificials, later the basis inverse), then the right-hand side.  Its
+    (artificials, later the basis inverse; a phase-1 start keeps only those
+    of the rows it kept), then the right-hand side.  Its
     last row holds the reduced costs, with minus the objective in the last
     column, so every pivot updates them with the constraint rows.
     basis[s, r] is the column basic in row r of problem s, an index >= n an
     artificial.  Every round pivots every problem of the stack once, so they
-    share one pivot count, capped at 500*(m+n) + 2000.
+    share one pivot count, capped at 500*(m+n) + 2000 for an m x n problem:
+    max_iters, or by default from the width of a tableau that keeps all m
+    artificial columns.
 
     Each problem has its own pivot row and column, so they are read and
     written through flat indices into the stack: one gather or scatter
@@ -184,19 +188,20 @@ class _Simplex:
     """
 
     def __init__(self, T: np.ndarray, basis: np.ndarray, n_real: int, opt_tol: float,
-                 iterations: int = 0):
+                 iterations: int = 0, max_iters: int | None = None):
         self.n = n_real
         self.opt_tol = opt_tol
         self.iterations = iterations
         k, height, width = T.shape
-        self.max_iters = 500 * (width - 1) + 2000
-        # the dense update's padded operands (see the module docstring), and
-        # its products: a stack of many forms them for half of it at a time,
-        # a stack of one for a block of rows at a time
-        self._all_lhs, self._all_rhs = np.zeros((k, height, 2)), np.zeros((k, 2, width))
+        self.max_iters = 500 * (width - 1) + 2000 if max_iters is None else max_iters
+        # the dense update's products and padded operands (see the module
+        # docstring): a stack of many forms them for up to half of it at a
+        # time, a stack of one for a block of rows at a time
         self._half = (k + 1) // 2
         self._block_rows = max(1, min(height, _BLOCK_BYTES // (8 * width)))
         self._outer = np.empty((self._half * height if k > 1 else self._block_rows) * width)
+        self._col_pad = np.zeros((self._half, height, 2))
+        self._row_pad = np.zeros((self._half, 2, width))
         # flat offsets: problem s's first row among all rows, and the first
         # cell of its row r among all cells.  keep() compacts the stack into
         # its first slots, so the first k' entries serve a stack of k'.
@@ -217,20 +222,23 @@ class _Simplex:
         self._cells, self._rows = self.T.reshape(-1), self.T.reshape(-1, width)
         self._basic = self.basis.reshape(-1)
         self._costs, self._rhs = self.T[:, -1, :self.n], self.T[:, :-1, -1]
-        # (part of the stack, its operands, its products) per chunk of the
-        # dense update: row blocks for a stack of one, else one chunk while
-        # the stack fits the buffer, two halves when it does not
-        lhs, rhs = self._all_lhs[:k], self._all_rhs[:k]
-        self._col_in, self._row_in = lhs[:, :, 0], rhs[:, 0]
+        # the dense update's chunks: (operands to write first, part of the
+        # stack, its operands, its products).  A stack of one forms its
+        # products a block of rows at a time, from operands written once for
+        # the whole tableau; a larger stack is one chunk while it fits the
+        # buffer, else two halves, each written to the same operands in turn
         height, half, step = self.T.shape[1], self._half, self._block_rows
-        spans = ([(slice(0, 1), slice(r, r + step)) for r in range(0, height, step)] if k == 1
-                 else [(slice(0, k), slice(None))] if k <= half
-                 else [(slice(0, half), slice(None)), (slice(half, k), slice(None))])
+        spans = ([slice(0, 1)] if k == 1 else [slice(0, k)] if k <= half
+                 else [slice(0, half), slice(half, k)])
+        blocks = [slice(r, r + step) for r in range(0, height, step)] if k == 1 else [slice(None)]
         self._chunks = []
-        for s, r in spans:
-            part = self.T[s, r]
-            self._chunks.append(
-                (part, lhs[s, r], rhs[s], self._outer[:part.size].reshape(part.shape)))
+        for s in spans:
+            lhs, rhs = self._col_pad[:s.stop - s.start], self._row_pad[:s.stop - s.start]
+            fill = (s, lhs[:, :, 0], rhs[:, 0])
+            for i, r in enumerate(blocks):
+                part = self.T[s, r]
+                self._chunks.append((None if i else fill, part, lhs[:, r], rhs,
+                                     self._outer[:part.size].reshape(part.shape)))
 
     def keep(self, going: np.ndarray) -> None:
         """Keep only the problems where the mask going is set, at least one:
@@ -275,8 +283,10 @@ class _Simplex:
         else:
             # each entry gets the same product and subtraction, in whichever
             # chunk it falls
-            self._col_in[...], self._row_in[...] = col, piv_rows
-            for part, lhs, rhs, out in self._chunks:
+            for fill, part, lhs, rhs, out in self._chunks:
+                if fill:
+                    s, col_in, row_in = fill
+                    col_in[...], row_in[...] = col[s], piv_rows[s]
                 part -= np.matmul(lhs, rhs, out=out)
         self._cells[col_cells] = 0.0
         self._rows[at] = piv_rows
@@ -346,7 +356,8 @@ class Phase1:
     its own feas_tol; search_iterations counts that search's pivots (what an
     infeasible verdict reports), iterations adds the pivots that drove the
     leftover artificials out.  tableau and basis are the state after those
-    pivots, with redundant rows dropped; the tableau is read-only.
+    pivots, with redundant rows and their artificial columns dropped; the
+    tableau is read-only.
     """
 
     shape: tuple[int, int]
@@ -393,7 +404,11 @@ def phase1(eq_coeffs: np.ndarray, eq_rhs: np.ndarray,
         if len(candidates):
             keep.append(r)
             tab.pivot(np.array([r]), candidates[:1])
-    tableau = tab.T[0, keep]
+    # a dropped row's artificial stayed basic, so its column is that row's
+    # unit vector, +-0 in every kept row: phase 2 never enters it, and keys
+    # of +-0 never separate a tie, so the column goes with its row
+    columns = [*range(n), *(n + r for r in keep), n + m]
+    tableau = tab.T[0][np.ix_(keep, columns)]
     tableau.flags.writeable = False
     return Phase1(shape=(m, n), opt_tol=opt_tol, infeasibility=infeasibility,
                   search_iterations=search_iterations, iterations=tab.iterations,
@@ -505,7 +520,8 @@ def solve_many(objectives, eq_coeffs, eq_rhs, start: Phase1 | None = None,
     T[:, -1:, :n] = C[:, None] - cb @ T0[:, :n]
     T[:, -1:, n:-1] = -(cb @ T0[:, n:-1])
     T[:, -1:, -1:] = -(cb @ T0[:, -1:])
-    tab = _Simplex(T, np.repeat(basis0[None], len(C), axis=0), n, opt_tol, start.iterations)
+    tab = _Simplex(T, np.repeat(basis0[None], len(C), axis=0), n, opt_tol, start.iterations,
+                   max_iters=500 * sum(start.shape) + 2000)
     live = np.arange(len(C))            # the problem in each stack slot
     # where each problem stopped: its basis, right-hand side and pivot count
     basis, rhs = np.empty_like(tab.basis), np.empty(tab.basis.shape)

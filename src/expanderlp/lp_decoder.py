@@ -35,11 +35,11 @@ lockstep, as many per stack as fit in STACK_BYTES (512 KiB) of tableau;
 the objectives are built with one gather, and the optima lifted, rounded
 and checked as codewords, a stack at a time, by the code decode uses.  The
 budget bounds the stack's memory, which peaks at about 2 times the
-tableaux (the stack, a product buffer for half of it, the update's padded
-operands and the starting-cost products): the scan's ~16-row LPs fit ~110
-to a stack, and an LP whose tableau alone fills it (the sweep's 320 x 160,
-the 96 x 768 of a 12-vertex parity code) is solved in stacks of one, by
-the same engine decode's solve runs.
+tableaux (the stack, a product buffer and the update's padded operands for
+half of it, and the starting-cost products): the scan's ~16-row LPs fit
+~110 to a stack, and an LP whose tableau takes over half the budget (the
+sweep's 320 x 160, the 96 x 768 of a 12-vertex parity code) is solved in
+stacks of one, by the same engine decode's solve runs.
 
 build_reduced hands each decode a copy of one cached LpProblem, so the
 constraints it shares are checked once per code, not once per decode.

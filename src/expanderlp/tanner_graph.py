@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -33,7 +32,12 @@ _DENSE_LIMIT = 600          # use a dense eigensolve up to this many total verti
 _TOP_TOL = 1e-7             # the dense top eigenvalue must be Delta within this times Delta
 _POWER_TOL = 1e-6
 _POWER_STEPS = 100_000
-_MATCHING_ATTEMPTS = 100_000
+_MATCHING_ATTEMPTS = 100_000   # single permutation draws per matching
+# random_regular_bipartite draws a matching's candidates in batches that
+# start at up to _FIRST_BATCH permutations and double up to _BATCH_BYTES of
+# int64 rows
+_FIRST_BATCH = 8
+_BATCH_BYTES = 64 * 1024
 _GRAPH_ATTEMPTS = 200
 
 
@@ -252,26 +256,51 @@ def random_regular_bipartite(n: int, delta: int, seed: int) -> TannerGraph:
     Built as a union of Delta random perfect matchings; each matching is
     redrawn until it is edge-disjoint from the earlier ones, and the whole
     graph is resampled until connected.  Deterministic for a fixed seed.
+
+    The matchings are drawn in batches, but the graph is the one that
+    drawing one rng.permutation(n) at a time gives: rng.permuted over the
+    rows of a (b, n) batch consumes the generator as b such calls do and
+    returns the same rows.  The first row that is disjoint from the edges
+    used so far is the matching; when rows follow it, the generator goes
+    back to its state before the batch and redraws the rows up to that one.
+    So it stands where the one-at-a-time loop leaves it, and the next
+    matching, or the resample after a disconnected graph, sees the same
+    numbers.  A failed search reports the same error after the same
+    _MATCHING_ATTEMPTS draws.
     """
     if not 1 <= delta <= n:
         raise GraphConstructionError(f"need 1 <= delta <= n, got delta={delta}, n={n}")
     rng = np.random.default_rng(seed)
-    row_start = range(0, n * n, n)      # edge (a, b) is the number a*n + b
+    most = max(1, _BATCH_BYTES // (8 * n))
+    vertices = np.broadcast_to(np.arange(n), (most, n))
+    row_start = np.arange(0, n * n, n)      # edge (a, b) is the number a*n + b
     for _ in range(_GRAPH_ATTEMPTS):
-        used: set[int] = set()
-        for _ in range(delta):
-            for _ in range(_MATCHING_ATTEMPTS):
-                perm = rng.permutation(n).tolist()
-                if used.isdisjoint(map(add, row_start, perm)):
-                    used.update(map(add, row_start, perm))
+        used = np.zeros(n * n, dtype=bool)
+        for j in range(delta):
+            # a draw misses the j earlier matchings with chance about e^-j
+            drawn, batch = 0, min(_FIRST_BATCH, 1 << j)
+            while True:
+                size = min(batch, most, _MATCHING_ATTEMPTS - drawn)
+                if size == 0:
+                    raise GraphConstructionError(
+                        f"could not find {delta} disjoint matchings on n={n} "
+                        f"within {_MATCHING_ATTEMPTS} attempts")
+                state = rng.bit_generator.state
+                edges = rng.permuted(vertices[:size], axis=1)
+                edges += row_start
+                free = np.flatnonzero(~used.take(edges).any(axis=1))
+                if len(free):
+                    hit = int(free[0])
+                    if hit + 1 < size:
+                        rng.bit_generator.state = state
+                        rng.permuted(vertices[:hit + 1], axis=1)
+                    used[edges[hit]] = True
                     break
-            else:
-                raise GraphConstructionError(
-                    f"could not find {delta} disjoint matchings on n={n} "
-                    f"within {_MATCHING_ATTEMPTS} attempts")
-        edges = [divmod(e, n) for e in sorted(used)]
+                drawn += size
+                batch *= 2
         try:
-            return TannerGraph(n, delta, edges)
+            # row-major order is the sorted order of the numbers a*n + b
+            return TannerGraph(n, delta, np.column_stack(used.reshape(n, n).nonzero()))
         except ValueError:
             continue   # disconnected sample; try again
     raise GraphConstructionError(

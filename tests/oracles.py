@@ -13,14 +13,17 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 import numpy as np
+
+from expanderlp import tanner_graph
 
 from expanderlp.certificate import (CertifyResult, WitnessCheck,
                                     build_witness_from_orientation,
                                     build_witness_from_peeling, check_witness,
                                     find_error_core, peel)
-from expanderlp.errors import NoValidThetaError, NumericError
+from expanderlp.errors import GraphConstructionError, NoValidThetaError, NumericError
 from expanderlp.expander_code import check_word, compute_theta, hamming_distance
 from expanderlp.lp_core import (_PIVOT_TOL, DEFAULT_FEAS_TOL, DEFAULT_OPT_TOL, LpProblem,
                                 LpSolution)
@@ -107,6 +110,38 @@ def connected_by_search(n, edges):
                 seen.add(u)
                 stack.append(u)
     return len(seen) == 2 * n
+
+
+def random_regular_bipartite_one_at_a_time(n, delta, seed):
+    """tanner_graph.random_regular_bipartite drawing one rng.permutation(n)
+    per attempt and testing it against a set of the edge numbers a*n + b.
+    Returns the graph and the generator, which stands after the last draw;
+    reads tanner_graph's attempt limits when called, so a patched limit
+    holds here too."""
+    n_graphs, n_matchings = tanner_graph._GRAPH_ATTEMPTS, tanner_graph._MATCHING_ATTEMPTS
+    if not 1 <= delta <= n:
+        raise GraphConstructionError(f"need 1 <= delta <= n, got delta={delta}, n={n}")
+    rng = np.random.default_rng(seed)
+    row_start = range(0, n * n, n)      # edge (a, b) is the number a*n + b
+    for _ in range(n_graphs):
+        used: set[int] = set()
+        for _ in range(delta):
+            for _ in range(n_matchings):
+                perm = rng.permutation(n).tolist()
+                if used.isdisjoint(map(add, row_start, perm)):
+                    used.update(map(add, row_start, perm))
+                    break
+            else:
+                raise GraphConstructionError(
+                    f"could not find {delta} disjoint matchings on n={n} "
+                    f"within {n_matchings} attempts")
+        edges = [divmod(e, n) for e in sorted(used)]
+        try:
+            return tanner_graph.TannerGraph(n, delta, edges), rng
+        except ValueError:
+            continue   # disconnected sample; try again
+    raise GraphConstructionError(
+        f"no connected sample in {n_graphs} attempts (n={n}, delta={delta})")
 
 
 def nearest_codeword_scan(code, y):

@@ -205,11 +205,27 @@ def test_codeword_basis_spans(k33_parity2):
 
 
 def test_cached_matrices_are_read_only():
+    # equal specs give both sides one local code, so a write through either
+    # side would change both: the local codes' arrays are read-only too
     code = resolve_instance("complete:3", "parity:2:3", "parity:2:3")
-    for cached in (code.codeword_basis(), code.parity_check_matrix()):
+    assert code.code_a is code.code_b
+    local = code.code_a
+    for cached in (code.codeword_basis(), code.parity_check_matrix(), local.generator,
+                   local.parity_check, local.codewords()):
         with pytest.raises(ValueError):
             cached[0, 0] ^= 1
+    with pytest.raises(ValueError):
+        local.codewords()[1] = local.codewords()[0]
     assert all(code.is_codeword(row) for row in code.codeword_basis())
+    assert local.codewords().tolist() == [[0, 0, 0], [1, 0, 1], [0, 1, 1], [1, 1, 0]]
+    # the code copies its generator: the caller's array stays writable and
+    # unchanged, and writing to it afterwards does not reach the code
+    G = np.array([[1, 0, 1], [0, 1, 1]])
+    own = LocalCode(GF(2), G)
+    assert own.generator is not G and G.flags.writeable
+    G[0, 0] = 0
+    assert G.tolist() == [[0, 0, 1], [0, 1, 1]]
+    assert own.generator.tolist() == [[1, 0, 1], [0, 1, 1]]
 
 
 def test_restriction_validates_side_vertex_and_word(k33_parity2):

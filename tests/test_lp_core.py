@@ -340,6 +340,41 @@ def test_solve_takes_the_reference_pivots(graph, local, weight):
     assert _fields(fast) == _fields(solve_by_reference(problem))
 
 
+@pytest.mark.parametrize("graph, local, dropped", [
+    ("random:40:6:1", "repetition:2:6", 161),
+    ("random:20:6:1", "repetition:3:6", 162),
+    ("random:12:6:1", "parity:2:6", 0),
+    ("complete:4", "grs:5:4:2", 0),
+])
+def test_start_drops_redundant_rows_artificial_columns(graph, local, dropped, monkeypatch):
+    # a redundant row's artificial column is zero in every kept row and goes
+    # with its row, so no artificial column of a start is all zero.  Solves
+    # from the start take the pivots of the reference, which keeps every
+    # column, under the whole problem's iteration cap
+    g = resolve_graph(graph)
+    code = ExpanderCode(g, resolve_code(local, g.delta), resolve_code(local, g.delta))
+    rng = np.random.default_rng(3)
+    c = code.random_codeword(rng)
+    problems = [build_reduced(code, sample_error_pattern(code, c, weight, rng))[0]
+                for weight in (0, 3, 12)]
+    A, b = problems[0].eq_coeffs, problems[0].eq_rhs
+    start = lp_core.phase1(A, b)
+    (m, n), (rows, width) = start.shape, start.tableau.shape
+    assert (m - rows, width) == (dropped, n + rows + 1)
+    assert (start.tableau[:, n:-1] != 0).any(axis=0).all()
+    caps = []
+    real_run = lp_core._Simplex.run
+
+    def recording_run(self):
+        caps.append(self.max_iters)
+        return real_run(self)
+
+    monkeypatch.setattr(lp_core._Simplex, "run", recording_run)
+    for problem in problems:
+        assert _fields(solve(problem, start=start)) == _fields(solve_by_reference(problem))
+    assert set(caps) == {500 * (m + n) + 2000}
+
+
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "lp_solves.json").read_text())
 
 

@@ -16,7 +16,9 @@ from expanderlp import (
     resolve_graph,
 )
 
-from oracles import complete_bipartite_gamma, connected_by_search, cycle_gamma
+from expanderlp import tanner_graph
+from oracles import (complete_bipartite_gamma, connected_by_search, cycle_gamma,
+                     random_regular_bipartite_one_at_a_time)
 
 
 def test_complete_bipartite_shape():
@@ -235,6 +237,90 @@ def test_random_graph_gamma_reasonable():
     g = random_regular_bipartite(20, 6, seed=7)
     gamma = g.spectral_gamma().gamma
     assert 0.0 < gamma < 0.9
+
+
+# -- the batched sampler against the one-at-a-time loop -----------------------------
+
+def test_permuted_rows_are_successive_permutations():
+    # random_regular_bipartite relies on this: rng.permuted over the rows of
+    # a (b, n) batch returns the rows b calls of rng.permutation(n) return,
+    # and leaves the generator where they leave it
+    for n in (1, 2, 5, 40):
+        for seed in range(3):
+            one, batch = np.random.default_rng(seed), np.random.default_rng(seed)
+            rows = [one.permutation(n).tolist() for _ in range(11)]
+            drawn = batch.permuted(np.broadcast_to(np.arange(n), (11, n)), axis=1)
+            assert drawn.tolist() == rows
+            assert batch.bit_generator.state == one.bit_generator.state
+
+
+def sample_outcome(sampler, n, delta, seed):
+    """The sampler's graph text, or its error message, and the state it
+    leaves its generator in."""
+    made = []
+    real = np.random.default_rng
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "default_rng", lambda s: made.append(real(s)) or made[-1])
+        try:
+            result = sampler(n, delta, seed)
+            text = (result[0] if isinstance(result, tuple) else result).to_text()
+        except GraphConstructionError as exc:
+            text = f"raised: {exc}"
+    (rng,) = made
+    return text, rng.bit_generator.state
+
+
+def assert_sampler_matches_reference(n, delta, seed):
+    expected = sample_outcome(random_regular_bipartite_one_at_a_time, n, delta, seed)
+    assert sample_outcome(random_regular_bipartite, n, delta, seed) == expected
+    return expected[0]
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_sampler_matches_one_at_a_time(n, monkeypatch):
+    # every degree the paper's instances use, a few seeds each; with the
+    # attempt limits lowered, samples that keep failing (delta = 1 is never
+    # connected for n >= 2, delta near n rarely finds its last matching)
+    # stay cheap and still end at the same error after the same draws
+    monkeypatch.setattr(tanner_graph, "_GRAPH_ATTEMPTS", 20)
+    monkeypatch.setattr(tanner_graph, "_MATCHING_ATTEMPTS", 1000)
+    for delta in range(1, min(n, 9) + 1):
+        for seed in range(3):
+            assert_sampler_matches_reference(n, delta, seed)
+
+
+@pytest.mark.parametrize("n, delta, seed", [(12, 6, 1), (40, 6, 1), (100, 6, 1),
+                                            (24, 9, 1), (20, 3, 1), (80, 6, 1)])
+def test_sampler_matches_one_at_a_time_at_the_real_limits(n, delta, seed):
+    assert not assert_sampler_matches_reference(n, delta, seed).startswith("raised")
+
+
+def test_sampler_resamples_a_disconnected_graph_as_the_loop_does(monkeypatch):
+    # seed 3 draws twelve disconnected unions of two matchings on n = 10
+    # before a connected one
+    real, disconnected = tanner_graph.TannerGraph, []
+
+    def counting(*args):
+        try:
+            return real(*args)
+        except ValueError:
+            disconnected.append(args)
+            raise
+
+    monkeypatch.setattr(tanner_graph, "TannerGraph", counting)
+    assert not assert_sampler_matches_reference(10, 2, 3).startswith("raised")
+    assert len(disconnected) == 2 * 12
+
+
+@pytest.mark.parametrize("attempts", [1, 7, 8, 37, 100])
+def test_sampler_gives_up_at_the_same_draw(attempts, monkeypatch):
+    # some matching search on K9,9 fails within these limits: the sampler
+    # gives up after exactly `attempts` draws of it, whether the limit cuts
+    # a batch short (7, 37) or falls at a batch's end (1, 8)
+    monkeypatch.setattr(tanner_graph, "_MATCHING_ATTEMPTS", attempts)
+    text = assert_sampler_matches_reference(9, 9, 0)
+    assert text == (f"raised: could not find 9 disjoint matchings on n=9 "
+                    f"within {attempts} attempts")
 
 
 # -- graphs pinned to recorded values ---------------------------------------------
