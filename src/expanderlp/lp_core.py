@@ -228,8 +228,7 @@ class _Simplex:
         # the whole tableau; a larger stack is one chunk while it fits the
         # buffer, else two halves, each written to the same operands in turn
         height, half, step = self.T.shape[1], self._half, self._block_rows
-        spans = ([slice(0, 1)] if k == 1 else [slice(0, k)] if k <= half
-                 else [slice(0, half), slice(half, k)])
+        spans = [slice(0, k)] if k <= half else [slice(0, half), slice(half, k)]
         blocks = [slice(r, r + step) for r in range(0, height, step)] if k == 1 else [slice(None)]
         self._chunks = []
         for s in spans:

@@ -18,7 +18,6 @@ from operator import add
 import numpy as np
 
 from expanderlp import tanner_graph
-
 from expanderlp.certificate import (CertifyResult, WitnessCheck,
                                     build_witness_from_orientation,
                                     build_witness_from_peeling, check_witness,
@@ -115,8 +114,7 @@ def connected_by_search(n, edges):
 def random_regular_bipartite_one_at_a_time(n, delta, seed):
     """tanner_graph.random_regular_bipartite drawing one rng.permutation(n)
     per attempt and testing it against a set of the edge numbers a*n + b.
-    Returns the graph and the generator, which stands after the last draw;
-    reads tanner_graph's attempt limits when called, so a patched limit
+    It reads tanner_graph's attempt limits when called, so a patched limit
     holds here too."""
     n_graphs, n_matchings = tanner_graph._GRAPH_ATTEMPTS, tanner_graph._MATCHING_ATTEMPTS
     if not 1 <= delta <= n:
@@ -137,7 +135,7 @@ def random_regular_bipartite_one_at_a_time(n, delta, seed):
                     f"within {n_matchings} attempts")
         edges = [divmod(e, n) for e in sorted(used)]
         try:
-            return tanner_graph.TannerGraph(n, delta, edges), rng
+            return tanner_graph.TannerGraph(n, delta, edges)
         except ValueError:
             continue   # disconnected sample; try again
     raise GraphConstructionError(
