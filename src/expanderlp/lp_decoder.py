@@ -31,15 +31,15 @@ once, so each worker's cache stays warm across its jobs.
 
 decode_many decodes a stack of received words.  Their LPs share the
 constraints and the phase-1 start, so lp_core.solve_many solves them in
-lockstep, as many per stack as fit in STACK_BYTES (512 KiB) of tableau;
-the objectives are built with one gather, and the optima lifted, rounded
-and checked as codewords, a stack at a time, by the code decode uses.  The
-budget bounds the stack's memory, which peaks at about 2 times the
-tableaux (the stack, a product buffer and the update's padded operands for
-half of it, and the starting-cost products): the scan's ~16-row LPs fit
-~110 to a stack, and an LP whose tableau takes over half the budget (the
-sweep's 320 x 160, the 96 x 768 of a 12-vertex parity code) is solved in
-stacks of one, by the same engine decode's solve runs.
+lockstep, as many per stack as fit in STACK_BYTES (512 KiB), at the
+phase-1 start's problem_bytes a problem (B^-1 with the basic values, the
+reduced costs, and pricing's weights and bins); the objectives are built
+with one gather, and the optima lifted, rounded and checked as codewords,
+a stack at a time, by the code decode uses.  The budget bounds the stack's
+memory, whose peak is about 1.5 times the budgeted bytes (1.47 on 100
+K3,3 LPs, tracemalloc; the rank-1 update's products are as large as
+B^-1): the scan's ~16-row LPs fit ~170 to a stack, the 96 x 768 LP of a
+12-vertex parity code 4, and the sweep's 320 x 160 (159 rows kept) 2.
 
 build_reduced hands each decode a copy of one cached LpProblem, so the
 constraints it shares are checked once per code, not once per decode.
@@ -61,7 +61,7 @@ from .lp_core import LpProblem, LpSolution
 
 DEFAULT_INT_TOL = 1e-6
 
-# decode_many's tableau memory per stack of LPs
+# decode_many's memory per stack of LPs, as Phase1.problem_bytes counts it
 STACK_BYTES = 512 * 1024
 
 
@@ -202,7 +202,8 @@ class DecodeResult:
     then a certified nearest codeword.  status 'fractional-failure' keeps
     the raw optimizer state for inspection.  raw_w holds the (n, K) A-side
     and B-side blocks of the LP solution, views into it: row v is vertex
-    v's weight on each of its local codewords.
+    v's weight on each of its local codewords.  lp_iterations and min_pivot
+    are the LP solution's pivot count and smallest pivot (see LpSolution).
     """
 
     status: str
@@ -211,6 +212,7 @@ class DecodeResult:
     raw_w: tuple[np.ndarray, np.ndarray]
     objective: float
     lp_iterations: int = 0
+    min_pivot: float = float("inf")
 
     def distance_to(self, y) -> int | None:
         if self.codeword is None:
@@ -245,15 +247,16 @@ def decode_many(code: ExpanderCode, ys,
 
     The LPs share their constraints and phase-1 start, so they are solved
     in stacks by lp_core.solve_many, as many per stack as fit in
-    STACK_BYTES (512 KiB) of tableau and at least one; the objectives are
-    built, and the optima lifted and rounded, a stack at a time.
+    STACK_BYTES (512 KiB) at the start's problem_bytes each, and at least
+    one; the objectives are built, and the optima lifted and rounded, a
+    stack at a time.
     """
     q, num_edges = code.field.q, code.num_edges
     if not len(ys):
         return []
     words = check_word(ys, q, (None, num_edges))
     start = _phase1_start(code, opt_tol)
-    per_stack = max(1, STACK_BYTES // start.tableau.nbytes)
+    per_stack = max(1, STACK_BYTES // start.problem_bytes)
     poly = _polytope(code)
     results: list[DecodeResult] = []
     for first in range(0, len(words), per_stack):
@@ -301,7 +304,7 @@ def _decoded(code: ExpanderCode, sols: list[LpSolution], first_b: int,
     return [DecodeResult(status="codeword" if ok else "fractional-failure",
                          codeword=words[i] if ok else None, raw_f=f[i],
                          raw_w=(w_a[i], w_b[i]), objective=sol.objective_value,
-                         lp_iterations=sol.iterations)
+                         lp_iterations=sol.iterations, min_pivot=sol.min_pivot)
             for i, (ok, sol) in enumerate(zip(integral.tolist(), sols))]
 
 

@@ -251,11 +251,14 @@ def cycle_graph(n: int) -> TannerGraph:
 
 
 def random_regular_bipartite(n: int, delta: int, seed: int) -> TannerGraph:
-    """A uniform-ish random simple Delta-regular bipartite graph.
+    """A random simple Delta-regular bipartite graph.
 
     Built as a union of Delta random perfect matchings; each matching is
     redrawn until it is edge-disjoint from the earlier ones, and the whole
     graph is resampled until connected.  Deterministic for a fixed seed.
+    Neither this rejection loop nor its fallback below samples uniformly
+    from the Delta-regular bipartite graphs; a switch chain is the usual
+    route to near-uniform samples.
 
     The matchings are drawn in batches, but the graph is the one that
     drawing one rng.permutation(n) at a time gives: rng.permuted over the
@@ -265,8 +268,14 @@ def random_regular_bipartite(n: int, delta: int, seed: int) -> TannerGraph:
     back to its state before the batch and redraws the rows up to that one.
     So it stands where the one-at-a-time loop leaves it, and the next
     matching, or the resample after a disconnected graph, sees the same
-    numbers.  A failed search reports the same error after the same
-    _MATCHING_ATTEMPTS draws.
+    numbers.
+
+    With Delta near n the last matchings are rare among all permutations.
+    When one has not turned up in _MATCHING_ATTEMPTS draws, this matching
+    and the rest are completed by augmenting paths (_augmented_matching):
+    the edges not used by the j matchings so far form an (n - j)-regular
+    bipartite graph, which has a perfect matching by Konig's theorem, so
+    every valid (n, Delta) finishes.
     """
     if not 1 <= delta <= n:
         raise GraphConstructionError(f"need 1 <= delta <= n, got delta={delta}, n={n}")
@@ -279,12 +288,8 @@ def random_regular_bipartite(n: int, delta: int, seed: int) -> TannerGraph:
         for j in range(delta):
             # a draw misses the j earlier matchings with chance about e^-j
             drawn, batch = 0, min(_FIRST_BATCH, 1 << j)
-            while True:
+            while drawn < _MATCHING_ATTEMPTS:
                 size = min(batch, most, _MATCHING_ATTEMPTS - drawn)
-                if size == 0:
-                    raise GraphConstructionError(
-                        f"could not find {delta} disjoint matchings on n={n} "
-                        f"within {_MATCHING_ATTEMPTS} attempts")
                 state = rng.bit_generator.state
                 edges = rng.permuted(vertices[:size], axis=1)
                 edges += row_start
@@ -298,6 +303,10 @@ def random_regular_bipartite(n: int, delta: int, seed: int) -> TannerGraph:
                     break
                 drawn += size
                 batch *= 2
+            else:
+                for _ in range(j, delta):
+                    used[row_start + _augmented_matching(~used.reshape(n, n), rng)] = True
+                break
         try:
             # row-major order is the sorted order of the numbers a*n + b
             return TannerGraph(n, delta, np.column_stack(used.reshape(n, n).nonzero()))
@@ -305,3 +314,42 @@ def random_regular_bipartite(n: int, delta: int, seed: int) -> TannerGraph:
             continue   # disconnected sample; try again
     raise GraphConstructionError(
         f"no connected sample in {_GRAPH_ATTEMPTS} attempts (n={n}, delta={delta})")
+
+
+def _augmented_matching(free: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A perfect matching inside the (n, n) boolean mask free, as the B
+    vertex matched to each A vertex; the mask must hold one.
+
+    A vertices are matched in the order of one rng.permutation(n), each
+    along the shortest augmenting path (breadth first), trying its free B
+    vertices in the order of its own row of rng.permuted over an (n, n)
+    batch.  By Berge's theorem an unmatched A vertex has an augmenting path
+    while a perfect matching exists, so every A vertex gets matched.
+    """
+    n = len(free)
+    order = rng.permuted(np.broadcast_to(np.arange(n), (n, n)), axis=1)
+    options = [row[free[a, row]].tolist() for a, row in enumerate(order)]
+    match_a, match_b = [-1] * n, [-1] * n
+    for root in rng.permutation(n).tolist():
+        reached_from = {}               # B vertex -> the A vertex that reached it
+        frontier = [root]
+        while match_a[root] < 0:
+            if not frontier:
+                raise GraphConstructionError("mask holds no perfect matching")
+            nxt = []
+            for a in frontier:
+                for b in options[a]:
+                    if b in reached_from:
+                        continue
+                    reached_from[b] = a
+                    if match_b[b] < 0:
+                        # flip the path back to the root
+                        while b >= 0:
+                            a = reached_from[b]
+                            match_b[b], match_a[a], b = a, b, match_a[a]
+                        break
+                    nxt.append(match_b[b])
+                if match_a[root] >= 0:
+                    break
+            frontier = nxt
+    return np.array(match_a)

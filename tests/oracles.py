@@ -114,8 +114,10 @@ def connected_by_search(n, edges):
 def random_regular_bipartite_one_at_a_time(n, delta, seed):
     """tanner_graph.random_regular_bipartite drawing one rng.permutation(n)
     per attempt and testing it against a set of the edge numbers a*n + b.
-    It reads tanner_graph's attempt limits when called, so a patched limit
-    holds here too."""
+    Where a matching is not found within the draw limit, it hands the
+    matchings left to tanner_graph._augmented_matching, as the sampler
+    does.  It reads tanner_graph's attempt limits and fallback when called,
+    so a patched one holds here too."""
     n_graphs, n_matchings = tanner_graph._GRAPH_ATTEMPTS, tanner_graph._MATCHING_ATTEMPTS
     if not 1 <= delta <= n:
         raise GraphConstructionError(f"need 1 <= delta <= n, got delta={delta}, n={n}")
@@ -123,16 +125,19 @@ def random_regular_bipartite_one_at_a_time(n, delta, seed):
     row_start = range(0, n * n, n)      # edge (a, b) is the number a*n + b
     for _ in range(n_graphs):
         used: set[int] = set()
-        for _ in range(delta):
+        for j in range(delta):
             for _ in range(n_matchings):
                 perm = rng.permutation(n).tolist()
                 if used.isdisjoint(map(add, row_start, perm)):
                     used.update(map(add, row_start, perm))
                     break
             else:
-                raise GraphConstructionError(
-                    f"could not find {delta} disjoint matchings on n={n} "
-                    f"within {n_matchings} attempts")
+                for _ in range(j, delta):
+                    free = np.ones((n, n), dtype=bool)
+                    free.flat[sorted(used)] = False
+                    used.update(map(add, row_start,
+                                    tanner_graph._augmented_matching(free, rng).tolist()))
+                break
         edges = [divmod(e, n) for e in sorted(used)]
         try:
             return tanner_graph.TannerGraph(n, delta, edges)
@@ -279,9 +284,14 @@ def build_primal(code, y):
 
 
 # -- the simplex, one tableau at a time ----------------------------------------
-# lp_core's rules the plain way: one tableau, one pivot per step, the full
-# outer-product update and the column-by-column tie-break.  lp_core's stacked
-# engine must take exactly the same pivots and leave the same tableaux.
+# The dense tableau simplex: one tableau, one pivot per step, the full
+# outer-product update and the column-by-column tie-break, under lp_core's
+# entering rule, lexicographic ratio test and checks.  It is the reference
+# tests/golden/lp_solves.json pins, bit for bit.  lp_core's revised engine
+# keeps B^-1 where this keeps the whole tableau, so its floats, and on wide
+# LPs its pivots, differ; its status and objective must agree with this
+# one's.  Its ratio test also scales the pivot tolerance by the entering
+# column's largest magnitude above 1, where this one keeps it fixed.
 
 def pivot_dense(self, row, col):
     """A pivot as one full outer-product update of the whole tableau.
@@ -353,9 +363,9 @@ class ReferenceTableau:
 
 
 def solve_by_reference(problem, feas_tol=DEFAULT_FEAS_TOL, opt_tol=DEFAULT_OPT_TOL):
-    """lp_core.solve on one tableau: phase 1 from the artificial basis, the
-    leftover artificials driven out and redundant rows dropped, then phase 2,
-    with the same checks and messages."""
+    """The dense tableau simplex on one problem: phase 1 from the artificial
+    basis, the leftover artificials driven out and redundant rows dropped,
+    then phase 2, with lp_core.solve's checks and messages."""
     A0, b0, c = problem.eq_coeffs, problem.eq_rhs, problem.objective
     m, n = A0.shape
     signs = np.where(b0 < 0, -1.0, 1.0)

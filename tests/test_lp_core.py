@@ -209,18 +209,30 @@ def tie_heavy_tableau(rng, m, n):
     return ReferenceTableau(T, n, range(n, n + m))
 
 
-def engine_stack(tabs):
-    """lp_core's engine over a stack of copies of reference tableaux, each
-    with its reduced costs as its last row."""
-    T = np.stack([np.vstack([tab.T, tab.z]) for tab in tabs])
-    return lp_core._Simplex(T, np.array([tab.basis for tab in tabs]), tabs[0].n,
-                            tabs[0].opt_tol)
+def engine_stack(tabs, A=None):
+    """lp_core's engine over a stack of copies of reference tableaux: each
+    problem's B^-1 and right-hand side are its tableau's columns that
+    started as the identity and its last column, and its reduced costs the
+    real part of its cost row.  A (all zero unless given) is what the
+    engine prices the real columns through."""
+    n, m = tabs[0].n, tabs[0].T.shape[0]
+    A = np.zeros((m, n)) if A is None else A
+    return lp_core._Revised(lp_core._Columns(A), np.stack([tab.T[:, n:] for tab in tabs]),
+                            np.array([tab.basis for tab in tabs]),
+                            np.stack([tab.z[:n] for tab in tabs]), np.full(len(tabs), np.inf),
+                            tabs[0].opt_tol, 0, 10**9)
+
+
+def _candidates(alpha):
+    return alpha > lp_core._pivot_floor(alpha)
 
 
 def test_leaving_matches_column_by_column_on_ties():
     # stacks of one and of five tie-heavy tableaux: the engine's row in each
     # problem is the reference's; a problem without a positive entry makes
-    # it report None, and otherwise an unseparable tie raises
+    # it report None, and otherwise an unseparable tie raises.  The entries
+    # are small integers, so the engine's scaled zero test and the
+    # reference's fixed one pick the same candidates
     rng = np.random.default_rng(2024)
     multi_row_ties = unseparable = 0
     for k in (1, 5):
@@ -239,49 +251,52 @@ def test_leaving_matches_column_by_column_on_ties():
                     pos = np.flatnonzero(colvals > 1e-9)
                     ratios = tab.T[pos, -1] / colvals[pos]
                     multi_row_ties += np.count_nonzero(ratios == ratios.min(initial=np.inf)) > 2
+                alpha = np.stack([tab.T[:, col] for tab in tabs])
                 if None in expected:
-                    assert engine._leaving(engine.T[:, :, col]) is None
+                    assert engine._leaving(alpha, _candidates(alpha)) is None
                 elif "raised" in expected:
                     with pytest.raises(NumericError, match="could not separate candidate rows"):
-                        engine._leaving(engine.T[:, :, col])
+                        engine._leaving(alpha, _candidates(alpha))
                     unseparable += 1
                 else:
-                    assert engine._leaving(engine.T[:, :, col]).tolist() == expected
+                    assert engine._leaving(alpha, _candidates(alpha)).tolist() == expected
     assert multi_row_ties > 100 and unseparable > 20
 
 
+def test_pivot_floor_scales_with_the_entering_column():
+    # up to a largest magnitude of 1 the bound is _PIVOT_TOL; above, it
+    # grows with the column, so round-off of an exact zero in a large
+    # column is no candidate (a GF(4) decoding LP once pivoted on 1.4e-9
+    # in a column of size 2.6e4, and its basis was singular after)
+    alpha = np.array([[0.5, -1.0, 2e-9], [26447.75, 1.4e-9, 0.0], [0.0, 0.0, 0.0]])
+    assert lp_core._pivot_floor(alpha)[:, 0].tolist() == [
+        lp_core._PIVOT_TOL, 26447.75 * lp_core._PIVOT_TOL, lp_core._PIVOT_TOL]
+    assert _candidates(alpha).tolist() == [[True, False, True], [True, False, False],
+                                           [False, False, False]]
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_sparse_and_dense_pivots_give_equal_tableaux(seed, monkeypatch):
-    # m = 40 rows: pivot columns with at most 10 nonzeros in all take the
-    # sparse update, 11 or more the dense one.  A stack of one forms the
-    # dense products in row blocks, here of 5 rows, so 41 rows make 9 blocks
-    # and the last has one row; a stack of six takes two halves, and one
-    # such stack shrinks through keep to three (one chunk) and then to one
-    # (row blocks).  The product buffer holds NaN before every pivot, and
-    # some entries of the pivot columns and rows are so small that their
-    # products are subnormal or underflow to zero of either sign.  Every
-    # entry, its sign bit included, is what the reference's full
-    # outer-product update leaves
+def test_sparse_and_dense_pivots_give_equal_tableaux(seed):
+    # m = 40 rows: a stack whose entering columns hold at most a quarter of
+    # its rows' entries takes the row-sparse update, a fuller one the full
+    # update.  Some entries are -0.0, and some entries of the entering
+    # columns and pivot rows are so small that their products are
+    # subnormal or underflow to zero of either sign.  Either update leaves
+    # B^-1 and the right-hand side, every entry and its sign bit, as the
+    # reference's full outer-product update leaves the tableau's columns
+    # that started as the identity and its last column
     rng = np.random.default_rng(seed)
     m, n = 40, 30
-    monkeypatch.setattr(lp_core, "_BLOCK_BYTES", 5 * 8 * (n + m + 1))
     scales = np.array([1.0, 2.0 ** -530, 2.0 ** -560])
     branches, subnormal, signed_underflow = set(), 0, 0
-    for k, shrink in ((1, {}), (6, {}), (6, {4: [0, 2, 5], 8: [1]})):
+    for k in (1, 6):
         tabs = []
         for _ in range(k):
             T = rng.normal(size=(m, n + m + 1)) * (rng.random((m, n + m + 1)) < 0.3)
             T[rng.random(T.shape) < 0.2] = -0.0
-            T[:, n:-1] = np.eye(m)
-            tab = ReferenceTableau(T, n, range(n, n + m))
-            tab.z[:] = rng.normal(size=n + m + 1)
-            tabs.append(tab)
+            tabs.append(ReferenceTableau(T, n, range(n, n + m)))
         engine = engine_stack(tabs)
-        for round_, nnz_choices in enumerate(([1, 2], [10, 11, 25, m], [1, 2, 10, 11, 25, m]) * 4):
-            if round_ in shrink:
-                going = np.isin(np.arange(len(tabs)), shrink[round_])
-                engine.keep(going)
-                tabs = [tab for tab, kept in zip(tabs, going) if kept]
+        for nnz_choices in ([1, 2], [10, 11, 25, m], [1, 2, 10, 11, 25, m]) * 4:
             rows, cols = [], []
             for s, tab in enumerate(tabs):
                 col, nnz = int(rng.integers(0, n)), int(rng.choice(nnz_choices))
@@ -291,28 +306,25 @@ def test_sparse_and_dense_pivots_give_equal_tableaux(seed, monkeypatch):
                                    * rng.choice([-1.0, 1.0], size=nnz) * rng.choice(scales, size=nnz))
                 column[rows_nz[0]] = rng.uniform(0.5, 2.0)
                 tab.T[:, col] = column
-                row_scales = rng.choice(scales, size=n + m + 1, p=[0.6, 0.2, 0.2])
-                row_scales[col] = 1.0
-                tab.T[rows_nz[0]] *= row_scales
-                engine.T[s, :m] = tab.T
-                body_col = np.append(column, tab.z[col])
-                products = np.outer(body_col, tab.T[rows_nz[0]] / column[rows_nz[0]])
-                nonzero = np.outer(body_col != 0, tab.T[rows_nz[0]] != 0)
+                row_scales = rng.choice(scales, size=m + 1, p=[0.6, 0.2, 0.2])
+                tab.T[rows_nz[0], n:] *= row_scales
+                engine.W[s] = tab.T[:, n:]
+                products = np.outer(column, tab.T[rows_nz[0], n:] / column[rows_nz[0]])
+                nonzero = np.outer(column != 0, tab.T[rows_nz[0], n:] != 0)
                 subnormal += np.count_nonzero(
                     (products != 0) & (np.abs(products) < np.finfo(float).tiny))
                 signed_underflow += np.count_nonzero(nonzero & (products == 0) & np.signbit(products))
                 rows.append(int(rows_nz[0]))
                 cols.append(col)
-            branches.add((len(tabs), len(engine._chunks), 4 * sum(
-                np.count_nonzero(tab.T[:, c]) for tab, c in zip(tabs, cols)) <= len(tabs) * m))
-            engine._outer[:] = np.nan
-            engine.pivot(np.array(rows), np.array(cols))
+            alpha = np.stack([tab.T[:, col] for tab, col in zip(tabs, cols)])
+            branches.add((k, 4 * np.count_nonzero(alpha) <= alpha.size))
+            cols = np.array(cols)
+            engine._pivot(np.array(rows), cols, alpha, np.zeros(k), engine._d_rows + cols)
             for tab, row, col in zip(tabs, rows, cols):
                 pivot_dense(tab, row, col)
-            assert engine.T.tobytes() == engine_stack(tabs).T.tobytes()
+            assert engine.W.tobytes() == np.stack([tab.T[:, n:] for tab in tabs]).tobytes()
             assert engine.basis.tolist() == [tab.basis for tab in tabs]
-    assert branches == {(k, chunks, sparse) for k, chunks in ((1, 9), (3, 1), (6, 2))
-                        for sparse in (True, False)}
+    assert branches == {(k, sparse) for k in (1, 6) for sparse in (True, False)}
     assert subnormal > 100 and signed_underflow > 100
 
 
@@ -323,21 +335,13 @@ def _fields(sol):
     return sol.status, values, objective, sol.iterations, sol.phase1_iterations
 
 
-@pytest.mark.parametrize("graph, local, weight", [
-    ("random:40:6:1", "repetition:2:6", 30),
-    ("random:40:6:1", "repetition:2:6", 54),
-    ("random:12:6:1", "parity:2:6", 3),
-    ("random:12:6:1", "parity:2:6", 6),
-])
-def test_solve_takes_the_reference_pivots(graph, local, weight):
-    g = resolve_graph(graph)
-    code = ExpanderCode(g, resolve_code(local, g.delta), resolve_code(local, g.delta))
-    rng = np.random.default_rng(weight)
-    c = code.random_codeword(rng)
-    problem, _ = build_reduced(code, sample_error_pattern(code, c, weight, rng))
-    fast = solve(problem)
-    assert fast.status == "optimal"
-    assert _fields(fast) == _fields(solve_by_reference(problem))
+def _agree(sol, ref, b, feas_tol=lp_core.DEFAULT_FEAS_TOL):
+    """sol has ref's status, and an objective within feas_tol * (1 + |b|_inf)
+    of ref's."""
+    assert sol.status == ref.status
+    if sol.status == "optimal":
+        bound = feas_tol * (1.0 + np.abs(b).max(initial=0.0))
+        assert abs(sol.objective_value - ref.objective_value) <= bound
 
 
 @pytest.mark.parametrize("graph, local, dropped", [
@@ -347,10 +351,11 @@ def test_solve_takes_the_reference_pivots(graph, local, weight):
     ("complete:4", "grs:5:4:2", 0),
 ])
 def test_start_drops_redundant_rows_artificial_columns(graph, local, dropped, monkeypatch):
-    # a redundant row's artificial column is zero in every kept row and goes
-    # with its row, so no artificial column of a start is all zero.  Solves
-    # from the start take the pivots of the reference, which keeps every
-    # column, under the whole problem's iteration cap
+    # a redundant row goes with its column of B^-1 (its artificial's, which
+    # is zero in every kept row), so what is left inverts the kept rows'
+    # basis and no column of it is all zero.  Solves from the start agree
+    # with the reference, which keeps every row, under the whole problem's
+    # iteration cap
     g = resolve_graph(graph)
     code = ExpanderCode(g, resolve_code(local, g.delta), resolve_code(local, g.delta))
     rng = np.random.default_rng(3)
@@ -359,19 +364,23 @@ def test_start_drops_redundant_rows_artificial_columns(graph, local, dropped, mo
                 for weight in (0, 3, 12)]
     A, b = problems[0].eq_coeffs, problems[0].eq_rhs
     start = lp_core.phase1(A, b)
-    (m, n), (rows, width) = start.shape, start.tableau.shape
-    assert (m - rows, width) == (dropped, n + rows + 1)
-    assert (start.tableau[:, n:-1] != 0).any(axis=0).all()
+    (m, n), rows = start.shape, len(start.basis)
+    assert (m - rows, start.inverse.shape, start.eq_coeffs.shape) == (dropped, (rows, rows),
+                                                                    (rows, n))
+    assert (start.inverse != 0).any(axis=0).all()
+    basis = start.eq_coeffs[:, list(start.basis)]
+    assert np.abs(start.inverse @ basis - np.eye(rows)).max() < 1e-9
+    assert np.abs(start.inverse @ start.eq_rhs - start.rhs).max() < 1e-9
     caps = []
-    real_run = lp_core._Simplex.run
+    real_run = lp_core._Revised.run
 
     def recording_run(self):
         caps.append(self.max_iters)
         return real_run(self)
 
-    monkeypatch.setattr(lp_core._Simplex, "run", recording_run)
+    monkeypatch.setattr(lp_core._Revised, "run", recording_run)
     for problem in problems:
-        assert _fields(solve(problem, start=start)) == _fields(solve_by_reference(problem))
+        _agree(solve(problem, start=start), solve_by_reference(problem), b)
     assert set(caps) == {500 * (m + n) + 2000}
 
 
@@ -389,15 +398,24 @@ def golden_fields(sol):
 
 @pytest.mark.parametrize("case", sorted(GOLDEN["solve"]))
 def test_solve_matches_the_golden(case):
-    # the reference-pivot instances, solved cold; recorded from the
-    # two-engine solver this one replaced
+    # recorded from the dense tableau simplex, whose pivots the reference
+    # still takes bit for bit; solve, on its own float path, reaches the
+    # same status and objective, and on the tall repetition LPs the same
+    # pivot counts too
     graph, local, weight = case.split()
     g = resolve_graph(graph)
     code = ExpanderCode(g, resolve_code(local, g.delta), resolve_code(local, g.delta))
     rng = np.random.default_rng(int(weight))
     c = code.random_codeword(rng)
     problem, _ = build_reduced(code, sample_error_pattern(code, c, int(weight), rng))
-    assert golden_fields(solve(problem)) == GOLDEN["solve"][case]
+    expected = GOLDEN["solve"][case]
+    reference = solve_by_reference(problem)
+    assert golden_fields(reference) == expected
+    sol = solve(problem)
+    _agree(sol, reference, problem.eq_rhs)
+    if local.startswith("repetition"):
+        assert (sol.iterations, sol.phase1_iterations) == (expected["iterations"],
+                                                           expected["phase1_iterations"])
 
 
 @pytest.mark.parametrize("rows", [0, 1], ids=["no-rows", "one-zero-row"])
@@ -506,14 +524,14 @@ def test_infeasible_verdict_counts_the_phase_1_search(monkeypatch):
     # solve that stops at the verdict does
     A, b = np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([2.0, 1.0])
     searched = []
-    real_run = lp_core._Simplex.run
+    real_run = lp_core._Revised.run
 
     def recording_run(self):
         status = real_run(self)
         searched.append(self.iterations)
         return status
 
-    monkeypatch.setattr(lp_core._Simplex, "run", recording_run)
+    monkeypatch.setattr(lp_core._Revised, "run", recording_run)
     start = lp_core.phase1(A, b)
     assert searched == [1] and start.iterations == 2
     problem = LpProblem(objective=[1.0, 1.0], eq_coeffs=A, eq_rhs=b)
@@ -521,11 +539,25 @@ def test_infeasible_verdict_counts_the_phase_1_search(monkeypatch):
         assert (sol.status, sol.iterations, sol.phase1_iterations) == ("infeasible", 1, 1)
 
 
+def test_min_pivot_spans_both_phases():
+    # x0 + 4 x1 = 4: phase 1 enters x1 on the pivot 4; maximizing x0, phase
+    # 2 enters x0 on B^-1 a_0 = 1/4.  Without a pivot the smallest is inf
+    A, b = np.array([[1.0, 4.0]]), np.array([4.0])
+    start = lp_core.phase1(A, b)
+    assert (start.iterations, start.min_pivot) == (1, 4.0)
+    sol = solve(LpProblem(objective=[1.0, 0.0], eq_coeffs=A, eq_rhs=b), start=start)
+    assert (sol.iterations, sol.min_pivot, sol.values.tolist()) == (2, 0.25, [4.0, 0.0])
+    assert solve(LpProblem(objective=[0.0, 1.0], eq_coeffs=A, eq_rhs=b)).min_pivot == 4.0
+    assert solve(LpProblem(objective=[1.0], eq_coeffs=np.zeros((0, 1)),
+                           eq_rhs=np.zeros(0))).min_pivot == np.inf
+
+
 def test_start_must_match_the_problem():
     rng = np.random.default_rng(5)
     problem = make_bounded_problem(rng, 3, 6)
     start = lp_core.phase1(problem.eq_coeffs, problem.eq_rhs)
-    assert start.tableau.flags.writeable is False
+    for arr in (start.eq_coeffs, start.eq_rhs, start.inverse, start.rhs):
+        assert arr.flags.writeable is False
     other = make_bounded_problem(rng, 3, 7)
     with pytest.raises(ValueError, match="phase-1 start"):
         solve(other, start=start)
@@ -545,23 +577,20 @@ def test_phase_counts_split_the_total():
 
 # -- many objectives in one stack ------------------------------------------------
 
-def _each(objectives, A, b, start, feas_tol=lp_core.DEFAULT_FEAS_TOL, reference=False):
-    """solve() on each objective, or the reference solver (which runs its
-    own phase 1): its fields, or the NumericError it raised."""
+def _each(objectives, A, b, start, feas_tol=lp_core.DEFAULT_FEAS_TOL):
+    """solve() on each objective: its fields, or the NumericError it raised."""
     out = []
     for c in objectives:
         problem = LpProblem(objective=c, eq_coeffs=A, eq_rhs=b)
         try:
-            out.append(_fields(solve_by_reference(problem, feas_tol=feas_tol) if reference
-                               else solve(problem, feas_tol=feas_tol, start=start)))
+            out.append(_fields(solve(problem, feas_tol=feas_tol, start=start)))
         except NumericError as exc:
             out.append(("raised", str(exc)))
     return out
 
 
-def _assert_many_matches_each(objectives, A, b, start, feas_tol=lp_core.DEFAULT_FEAS_TOL,
-                              reference=False):
-    each = _each(objectives, A, b, start, feas_tol, reference)
+def _assert_many_matches_each(objectives, A, b, start, feas_tol=lp_core.DEFAULT_FEAS_TOL):
+    each = _each(objectives, A, b, start, feas_tol)
     raised = [o for o in each if o[0] == "raised"]
     try:
         many = lp_core.solve_many(objectives, A, b, start, feas_tol=feas_tol)
@@ -585,11 +614,35 @@ def test_solve_many_equals_solve_per_objective(family):
             lp_core.solve_many(objectives, A, b)
         return
     for feas_tol in feas_tols:
-        each = _assert_many_matches_each(objectives, A, b, start, feas_tol, reference=True)
+        each = _assert_many_matches_each(objectives, A, b, start, feas_tol)
     if all(o[0] != "raised" for o in each):
         # without a start, phase 1 runs inside, as in solve
         assert [_fields(s) for s in lp_core.solve_many(objectives, A, b,
                                                        feas_tol=feas_tols[-1])] == each
+
+
+@settings(max_examples=300, deadline=None)
+@given(constraint_families())
+def test_solve_agrees_with_the_reference_and_enumeration(family):
+    # degenerate, redundant and clashing rows: solve reaches the dense
+    # reference's status, and an objective within feas_tol * (1 + |b|_inf)
+    # of the reference's and of the best basis by enumeration
+    A, b, base_A, base_b, clash, objectives, feas_tols = family
+    bound_of = lambda tol: tol * (1.0 + np.abs(b).max(initial=0.0))  # noqa: E731
+    for c, feas_tol in zip(objectives, feas_tols):
+        problem = LpProblem(objective=c, eq_coeffs=A, eq_rhs=b)
+        got = _outcome(lambda: solve(problem, feas_tol=feas_tol))
+        ref = _outcome(lambda: solve_by_reference(problem, feas_tol=feas_tol))
+        assert got[0] == ref[0]
+        if got[0] != "optimal":
+            continue
+        assert abs(got[2] - ref[2]) <= bound_of(feas_tol)
+        # the enumeration oracle needs independent rows to find every vertex
+        if (not clash and feas_tol <= lp_core.DEFAULT_FEAS_TOL
+                and np.linalg.matrix_rank(base_A) == base_A.shape[0]):
+            status, best = lp_optimum_by_enumeration(c, base_A, base_b)
+            assert status == "optimal"
+            assert abs(got[2] - best) <= bound_of(feas_tol)
 
 
 @pytest.mark.parametrize("graph, local", [("complete:3", "parity:2:3"),
@@ -605,10 +658,11 @@ def test_solve_many_takes_each_problems_own_pivot_count(graph, local):
                 for _ in range(40)]
     A, b = problems[0].eq_coeffs, problems[0].eq_rhs
     start = lp_core.phase1(A, b)
-    each = _assert_many_matches_each(np.array([p.objective for p in problems]), A, b, start,
-                                     reference=True)
+    each = _assert_many_matches_each(np.array([p.objective for p in problems]), A, b, start)
     phase2 = {o[3] - o[4] for o in each}
     assert len(phase2) >= 2
+    for problem, fields in zip(problems, each):
+        _agree(solve(problem, start=start), solve_by_reference(problem), b)
 
 
 def test_solve_many_infeasible_start():
@@ -623,14 +677,16 @@ def test_solve_many_infeasible_start():
 
 
 def _unseparable_start():
-    """A start whose two rows agree everywhere: entering column 2 ties them
-    with equal keys, which no lexicographic comparison separates."""
-    T = np.array([[1.0, 0.0, 1.0, 1.0, 1.0, 0.0],
-                  [0.0, 1.0, 1.0, 1.0, 1.0, 0.0]])
-    T.flags.writeable = False
+    """A start whose basis inverse has two equal rows: entering column 2
+    ties them with equal keys, which no lexicographic comparison separates."""
+    A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    arrays = A, np.zeros(2), np.ones((2, 2)), np.zeros(2)
+    for arr in arrays:
+        arr.flags.writeable = False
     start = lp_core.Phase1(shape=(2, 3), opt_tol=lp_core.DEFAULT_OPT_TOL, infeasibility=0.0,
-                           search_iterations=0, iterations=0, tableau=T, basis=(0, 1))
-    return T[:, :3], np.zeros(2), start
+                           search_iterations=0, iterations=0, eq_coeffs=arrays[0],
+                           eq_rhs=arrays[1], inverse=arrays[2], rhs=arrays[3], basis=(0, 1))
+    return A, np.zeros(2), start
 
 
 def test_solve_many_raises_the_unseparable_tie_as_solve_does():
@@ -655,7 +711,7 @@ def test_optimal_raises_the_first_failing_residual_in_stack_order():
                           ([[1.0, 2.0], [1.0, 2.5], [1.75, 2.0]], 0.5)):
         with pytest.raises(NumericError, match=f"^constraint residual {residual} exceeds"):
             lp_core._optimal(A, b, C, basis, np.array(rhs), np.zeros(3, dtype=np.int64),
-                             start, lp_core.DEFAULT_FEAS_TOL)
+                             np.ones(3), start, lp_core.DEFAULT_FEAS_TOL)
 
 
 def test_solve_many_checks_its_inputs():
@@ -691,18 +747,20 @@ def test_leaving_rows_matches_leaving_on_tie_heavy_stacks():
                 continue
             expected = []
             for tab in stacked_tabs:
+                alpha = tab.T[None, :, col]
                 single = engine_stack([tab])
                 try:
-                    expected.extend(single._leaving(single.T[:, :, col]).tolist())
+                    expected.extend(single._leaving(alpha, _candidates(alpha)).tolist())
                 except NumericError:
                     expected.append(None)
             stacked = engine_stack(stacked_tabs)
+            alpha = np.stack([tab.T[:, col] for tab in stacked_tabs])
             if None in expected:
                 with pytest.raises(NumericError, match="could not separate"):
-                    stacked._leaving(stacked.T[:, :, col])
+                    stacked._leaving(alpha, _candidates(alpha))
                 unseparable += 1
                 continue
-            assert stacked._leaving(stacked.T[:, :, col]).tolist() == expected
+            assert stacked._leaving(alpha, _candidates(alpha)).tolist() == expected
             T = np.stack([tab.T for tab in tabs])
             colvals = T[:, :, col]
             pos = colvals > 1e-9
@@ -712,39 +770,60 @@ def test_leaving_rows_matches_leaving_on_tie_heavy_stacks():
     assert multi_row_ties > 50 and unseparable > 10
 
 
+def _random_stack(rng, k, m, n):
+    """k problems over one random sparse m x n A: a sparse B^-1 (the
+    identity with a few more entries), a right-hand side and reduced costs,
+    with zeros of both signs; returns the engine's arguments but A."""
+    W = np.zeros((k, m, m + 1))
+    W[:, :, :m] = np.eye(m)
+    W[:, :, :m] += rng.normal(size=(k, m, m)) * (rng.random((k, m, m)) < 0.02)
+    W[:, :, m] = rng.uniform(0.0, 2.0, size=(k, m)) * (rng.random((k, m)) < 0.5)
+    W[rng.random(W.shape) < 0.05] = -0.0
+    d = rng.normal(size=(k, n))
+    basis = np.repeat(np.arange(n, n + m)[None], k, axis=0)
+    return W, basis, d
+
+
+def _engine_on(cols, W, basis, d):
+    return lp_core._Revised(cols, W, basis, d, np.full(len(W), np.inf),
+                            lp_core.DEFAULT_OPT_TOL, 0, 10**9)
+
+
+def _safe_pivots(engine, rng):
+    """An entering column per problem, and in it the row of the largest
+    magnitude."""
+    cols = rng.integers(0, engine.d.shape[1], size=len(engine.W))
+    return np.abs(engine.column(cols)).argmax(axis=1), cols
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_stacked_pivot_is_pivot_bit_for_bit(seed):
-    # both sides of the sparse/dense switch in one stack, and zeros of both
-    # signs: every entry, its sign bit included, is what pivoting each
-    # problem in a stack of one leaves
+    # B^-1 starts sparse and fills in, so pivots take the row-sparse update
+    # and the full one, and a problem of the stack need not take the one it
+    # takes alone: every entry of B^-1, the right-hand side and the reduced
+    # costs, its sign bit included, the basis and the smallest pivot are
+    # what pivoting each problem in a stack of one leaves
     rng = np.random.default_rng(seed)
     m, n, k = 40, 30, 6
-    tabs = []
-    for _ in range(k):
-        T = rng.normal(size=(m, n + m + 1)) * (rng.random((m, n + m + 1)) < 0.3)
-        T[rng.random(T.shape) < 0.2] = -0.0
-        T[:, n:-1] = np.eye(m)
-        tab = ReferenceTableau(T, n, range(n, n + m))
-        tab.z[:] = rng.normal(size=n + m + 1)
-        tabs.append(tab)
-    singles = [engine_stack([tab]) for tab in tabs]
-    stacked = engine_stack(tabs)
-    for _ in range(12):
-        rows, cols = [], []
+    A = rng.integers(-2, 3, size=(m, n)) * (rng.random((m, n)) < 0.1)
+    A[rng.integers(0, m, size=n), np.arange(n)] = 1      # no column is all zero
+    cols = lp_core._Columns(A.astype(float))
+    W, basis, d = _random_stack(rng, k, m, n)
+    stacked = _engine_on(cols, W.copy(), basis.copy(), d.copy())
+    singles = [_engine_on(cols, W[s:s + 1].copy(), basis[s:s + 1].copy(), d[s:s + 1].copy())
+               for s in range(k)]
+    branches = set()
+    for _ in range(30):
+        rows, entering = _safe_pivots(stacked, rng)
+        alpha = stacked.column(entering)
+        branches.add(4 * np.count_nonzero(alpha) <= alpha.size)
+        stacked.pivot(rows, entering)
         for s, single in enumerate(singles):
-            col, nnz = int(rng.integers(0, n)), int(rng.choice([1, 2, 10, 11, 25, m]))
-            rows_nz = rng.choice(m, size=nnz, replace=False)
-            column = np.zeros(m)
-            column[rows_nz] = (rng.uniform(0.5, 2.0, size=nnz)
-                               * rng.choice([-1.0, 1.0], size=nnz))
-            single.T[0, :m, col] = stacked.T[s, :m, col] = column
-            rows.append(int(rows_nz[0]))
-            cols.append(col)
-        stacked.pivot(np.array(rows), np.array(cols))
-        for single, row, col in zip(singles, rows, cols):
-            single.pivot(np.array([row]), np.array([col]))
-        assert stacked.T.tobytes() == np.concatenate([s.T for s in singles]).tobytes()
-        assert stacked.basis.tolist() == [s.basis[0].tolist() for s in singles]
+            single.pivot(rows[s:s + 1], entering[s:s + 1])
+        for name in ("W", "d", "basis", "min_pivot"):
+            assert getattr(stacked, name).tobytes() == np.concatenate(
+                [getattr(single, name) for single in singles]).tobytes()
+    assert branches == {True, False}
 
 
 # -- the stack's working set ---------------------------------------------------------
@@ -752,37 +831,37 @@ def test_stacked_pivot_is_pivot_bit_for_bit(seed):
 def test_keep_compacts_the_stack_in_its_own_buffer():
     # problems leave from the front, the middle and the back: the kept ones
     # move, in slot order, to the front of the same arrays, and pivot there
-    # as a fresh stack of them does, across the chunked and the one-call
-    # dense update
+    # as a fresh stack of them does
     rng = np.random.default_rng(17)
     k, m, n = 9, 5, 6
-    T = rng.normal(size=(k, m + 1, n + m + 1))
-    basis = rng.integers(0, n + m, size=(k, m))
-    tab = lp_core._Simplex(T.copy(), basis.copy(), n, lp_core.DEFAULT_OPT_TOL)
-    buffer = tab.T
-    for entering, going in enumerate(([0, 1, 1, 0, 1, 1, 1, 1, 0], [1, 0, 1, 1, 1, 1],
-                                      [1, 1, 1, 0, 1], [0, 1, 1, 1], [1, 1, 0], [0, 1])):
+    A = rng.integers(-2, 3, size=(m, n)).astype(float)
+    A[0] = 1.0                                           # no column is all zero
+    cols = lp_core._Columns(A)
+    tab = _engine_on(cols, *_random_stack(rng, k, m, n))
+    buffers = [tab.W, tab.d, tab.basis, tab.min_pivot]
+    for going in ([0, 1, 1, 0, 1, 1, 1, 1, 0], [1, 0, 1, 1, 1, 1],
+                  [1, 1, 1, 0, 1], [0, 1, 1, 1], [1, 1, 0], [0, 1]):
         going = np.array(going, dtype=bool)
-        expected_T, expected_basis = tab.T[going], tab.basis[going]
+        expected = [arr[going].copy() for arr in (tab.W, tab.d, tab.basis, tab.min_pivot)]
         tab.keep(going)
-        assert np.shares_memory(tab.T, buffer) and tab.T.ctypes.data == buffer.ctypes.data
-        assert tab.T.tobytes() == expected_T.tobytes()
-        assert tab.basis.tolist() == expected_basis.tolist()
-        fresh = lp_core._Simplex(expected_T.copy(), expected_basis.copy(), n,
-                                 lp_core.DEFAULT_OPT_TOL)
-        # a column not pivoted on before, so every pivot entry is nonzero
-        rows, cols = rng.integers(0, m, size=len(tab.T)), np.full(len(tab.T), entering)
-        tab.pivot(rows, cols)
-        fresh.pivot(rows, cols)
-        assert tab.T.tobytes() == fresh.T.tobytes()
-        assert tab.basis.tolist() == fresh.basis.tolist()
+        kept = [tab.W, tab.d, tab.basis, tab.min_pivot]
+        for arr, buffer, want in zip(kept, buffers, expected):
+            assert arr.ctypes.data == buffer.ctypes.data
+            assert arr.tobytes() == want.tobytes()
+        W, d, basis, min_pivot = expected
+        fresh = lp_core._Revised(cols, W, basis, d, min_pivot, lp_core.DEFAULT_OPT_TOL, 0, 10**9)
+        rows, entering = _safe_pivots(tab, rng)
+        tab.pivot(rows, entering)
+        fresh.pivot(rows, entering)
+        for arr, want in zip((tab.W, tab.d, tab.basis, tab.min_pivot),
+                             (fresh.W, fresh.d, fresh.basis, fresh.min_pivot)):
+            assert arr.tobytes() == want.tobytes()
 
 
 def test_solve_many_peak_memory_is_under_twice_its_stack(k33_parity2):
-    # 100 problems of a stack: with compaction in place and a product
-    # buffer for half the stack, solve_many's peak allocation stays below
-    # 2.2 times the stack's tableaux (a copy per retirement and a full
-    # buffer would take it past 3)
+    # 100 problems of a stack: with compaction in place, solve_many's peak
+    # allocation stays below 2.2 times the bytes the stack is budgeted
+    # (Phase1.problem_bytes each; a copy per retirement would take it past 3)
     words = np.array(list(itertools.product(range(2), repeat=9)))[:100]
     problems = [build_reduced(k33_parity2, y)[0] for y in words]
     A, b = problems[0].eq_coeffs, problems[0].eq_rhs
@@ -796,6 +875,4 @@ def test_solve_many_peak_memory_is_under_twice_its_stack(k33_parity2):
     finally:
         tracemalloc.stop()
     assert {sol.status for sol in solutions} == {"optimal"}
-    height, width = start.tableau.shape
-    stack = len(objectives) * (height + 1) * width * 8
-    assert peak < 2.2 * stack
+    assert peak < 2.2 * len(objectives) * start.problem_bytes

@@ -1,7 +1,6 @@
 """The decoding LP: embeddings, assembly, and end-to-end decodes."""
 
 import gc
-import hashlib
 import itertools
 import json
 import os
@@ -17,7 +16,6 @@ from expanderlp import (
     ExpanderCode,
     LpProblem,
     NotIntegralError,
-    NumericError,
     build_reduced,
     cost_from_received,
     decode,
@@ -29,7 +27,7 @@ from expanderlp import (
 from expanderlp import lp_core, lp_decoder
 from expanderlp.harness import resolve_instance, sample_error_pattern
 
-from oracles import build_primal, lift_f_by_edge, nearest_codeword_scan
+from oracles import build_primal, lift_f_by_edge, nearest_codeword_scan, solve_by_reference
 from test_lp_core import golden_fields
 
 
@@ -297,17 +295,17 @@ def test_warm_decode_pivots_only_in_phase_2(monkeypatch, r20_rep2):
     # a fresh code, so phase 1 runs under the counting pivot too
     code = _fresh(r20_rep2)
     pivots, solutions = [0], []
-    real_pivot, real_solve = lp_core._Simplex._pivot, lp_core.solve
+    real_pivot, real_solve = lp_core._Revised._pivot, lp_core.solve
 
     def counting_pivot(self, *args):
-        pivots[0] += len(self.T)     # one pivot in each problem of the stack
+        pivots[0] += len(self.W)     # one pivot in each problem of the stack
         real_pivot(self, *args)
 
     def recording_solve(*args, **kwargs):
         solutions.append(real_solve(*args, **kwargs))
         return solutions[-1]
 
-    monkeypatch.setattr(lp_core._Simplex, "_pivot", counting_pivot)
+    monkeypatch.setattr(lp_core._Revised, "_pivot", counting_pivot)
     monkeypatch.setattr(lp_core, "solve", recording_solve)
     for k, y in enumerate(_words(code, 3, seed=5)):
         pivots[0] = 0
@@ -346,9 +344,9 @@ def test_decode_many_across_stack_boundaries(monkeypatch, k33_parity2):
     words = list(itertools.product(range(2), repeat=9))
     expected = [_fields(decode(k33_parity2, y)) for y in words]
     assert sum(f[0] == "fractional-failure" for f in expected) == 0
-    tableau = lp_decoder._phase1_start(k33_parity2, lp_core.DEFAULT_OPT_TOL).tableau.nbytes
+    size = lp_decoder._phase1_start(k33_parity2, lp_core.DEFAULT_OPT_TOL).problem_bytes
     for per_stack in (3, 7, len(words) - 1):
-        monkeypatch.setattr(lp_decoder, "STACK_BYTES", per_stack * tableau)
+        monkeypatch.setattr(lp_decoder, "STACK_BYTES", per_stack * size)
         assert [_fields(r) for r in lp_decoder.decode_many(k33_parity2, words)] == expected
 
 
@@ -364,11 +362,11 @@ def test_decode_many_keeps_fractional_optima():
 
 
 def test_decode_many_solves_large_lps_in_stacks_of_one(monkeypatch, r20_rep2):
-    # a budget that holds one r20 tableau and not two: each word is a stack
+    # a budget that holds one r20 problem and not two: each word is a stack
     # of one in solve_many, never a call to decode, with decode's results
     real, stacks = lp_core.solve_many, []
-    tableau = lp_decoder._phase1_start(r20_rep2, lp_core.DEFAULT_OPT_TOL).tableau.nbytes
-    monkeypatch.setattr(lp_decoder, "STACK_BYTES", 2 * tableau - 1)
+    size = lp_decoder._phase1_start(r20_rep2, lp_core.DEFAULT_OPT_TOL).problem_bytes
+    monkeypatch.setattr(lp_decoder, "STACK_BYTES", 2 * size - 1)
 
     def recording(objectives, *args, **kwargs):
         stacks.append(len(objectives))
@@ -382,17 +380,34 @@ def test_decode_many_solves_large_lps_in_stacks_of_one(monkeypatch, r20_rep2):
     assert stacks == [1, 1, 1]
 
 
-# the dense simplex's open defect: on this feasible LP, phase 2 from the
-# cached start drifts, over ~2,500 rank-1 updates, into a basis that is
-# infeasible in exact terms, and the residual check raises.  The LP value
-# is 44 (HiGHS; a codeword at distance 8 reaches 60 - 2*8).  When the
-# solver is mended this passes, and strict=True makes the marker go.
-@pytest.mark.xfail(raises=NumericError, strict=True,
-                   reason="the dense simplex drifts into an exactly infeasible basis")
-def test_decode_of_a_word_the_dense_simplex_fails_on():
+# GF(4) words whose LPs ended in NumericError on the dense tableau
+# simplex: it pivoted on round-off of an exact zero (1.7e-9 on the first,
+# above its fixed pivot tolerance) into a singular basis, and the residual
+# check raised.  The LP values are HiGHS's; 44 = 60 - 2*8 is a codeword at
+# distance 8.
+@pytest.mark.parametrize("word, value", [
+    ("213302310020221333302321033120103110222113230111321000000133", 44.0),
+    ("000000000000000102000000000000000000230202100000001030000100", 40.0),
+    ("311201021201000310201030311031120002120332103023012030030230", 36.0),
+], ids=["lp-value-44", "lp-value-40", "lp-value-36"])
+def test_decode_of_a_gf4_word_with_a_near_singular_path(word, value):
     code = resolve_instance("random:20:3:1", "grs:4:3:2", "grs:4:3:2")
-    y = [int(s) for s in "213302310020221333302321033120103110222113230111321000000133"]
-    assert decode(code, y).objective == pytest.approx(44.0)
+    result = decode(code, [int(s) for s in word])
+    assert result.objective == pytest.approx(value)
+    assert result.min_pivot > 1e-6
+
+
+def test_decode_carries_the_lp_pivot_stats(k33_parity2):
+    # the decode result's pivot count and smallest pivot are its LP
+    # solution's, in decode and decode_many alike
+    words = _words(k33_parity2, 4, seed=9)
+    start = lp_decoder._phase1_start(k33_parity2, lp_core.DEFAULT_OPT_TOL)
+    for y, many in zip(words, lp_decoder.decode_many(k33_parity2, words)):
+        sol = solve(build_reduced(k33_parity2, y)[0], start=start)
+        result = decode(k33_parity2, y)
+        assert (result.lp_iterations, result.min_pivot) == (sol.iterations, sol.min_pivot)
+        assert (many.lp_iterations, many.min_pivot) == (sol.iterations, sol.min_pivot)
+        assert 0 < sol.min_pivot < np.inf
 
 
 @pytest.mark.parametrize("ys", [[[0, 0, 0]], [[0, 0, 0, 5]], [[0, 0, 0, -1]], [0, 0, 0, 0],
@@ -413,9 +428,11 @@ GOLDEN = json.loads((Path(__file__).parent / "golden" / "lp_solves.json").read_t
 
 @pytest.mark.parametrize("name", sorted(GOLDEN["decode"]))
 def test_decode_matches_the_golden(request, monkeypatch, name):
-    # decode's LP solutions, recorded from the two-engine solver this one
-    # replaced, on the words decode_many is checked with; decode_many's
-    # results carry the same solutions
+    # decode's LP solutions as the dense tableau simplex found them, on the
+    # words decode_many is checked with: the reference still takes those
+    # pivots bit for bit.  decode, on its own float path, reaches the same
+    # LP objective (possibly at another optimal vertex), and decode_many's
+    # results are decode's
     code = (resolve_instance(*INSTANCES[name]) if name in INSTANCES
             else request.getfixturevalue(name))
     cases = GOLDEN["decode"][name]
@@ -427,15 +444,16 @@ def test_decode_matches_the_golden(request, monkeypatch, name):
 
     monkeypatch.setattr(lp_core, "solve", recording)
     words = [case["word"] for case in cases]
-    for case, y in zip(cases, words):
+    results = [decode(code, y) for y in words]
+    for case, y, sol in zip(cases, words, solutions):
+        problem, _ = build_reduced(code, y)
         expected = {k: v for k, v in case.items() if k not in ("word", "decode_status")}
-        assert decode(code, y).status == case["decode_status"]
-        assert golden_fields(solutions[-1]) == expected
-    for case, result in zip(cases, lp_decoder.decode_many(code, words)):
-        values = np.concatenate([block.ravel() for block in result.raw_w])
-        assert (result.status, result.lp_iterations, result.objective.hex(),
-                hashlib.sha256(values.tobytes()).hexdigest()) == (
-            case["decode_status"], case["iterations"], case["objective"], case["values_sha256"])
+        assert golden_fields(solve_by_reference(problem)) == expected
+        bound = lp_core.DEFAULT_FEAS_TOL * (1.0 + np.abs(problem.eq_rhs).max())
+        assert sol.status == "optimal"
+        assert abs(sol.objective_value - float.fromhex(case["objective"])) <= bound
+    assert ([_fields(r) for r in lp_decoder.decode_many(code, words)]
+            == [_fields(r) for r in results])
 
 
 _NO_POOL = """

@@ -311,15 +311,67 @@ def test_sampler_resamples_a_disconnected_graph_as_the_loop_does(monkeypatch):
     assert len(disconnected) == 2 * 12
 
 
+def _record_fallback(monkeypatch):
+    """Patch the sampler's augmenting-path fallback to record, at each
+    call, the free edges it is given and the generator's state."""
+    real, entries = tanner_graph._augmented_matching, []
+
+    def recording(free, rng):
+        entries.append((free.tobytes(), rng.bit_generator.state))
+        return real(free, rng)
+
+    monkeypatch.setattr(tanner_graph, "_augmented_matching", recording)
+    return entries
+
+
 @pytest.mark.parametrize("attempts", [1, 7, 8, 37, 100])
 def test_sampler_gives_up_at_the_same_draw(attempts, monkeypatch):
     # some matching search on K9,9 fails within these limits: the sampler
     # gives up after exactly `attempts` draws of it, whether the limit cuts
-    # a batch short (7, 37) or falls at a batch's end (1, 8)
+    # a batch short (7, 37) or falls at a batch's end (1, 8), and completes
+    # that matching and the rest by augmenting paths.  The fallback starts
+    # from the same free edges and generator state as in the one-at-a-time
+    # loop, and the graph (K9,9 itself) and final state are the loop's
     monkeypatch.setattr(tanner_graph, "_MATCHING_ATTEMPTS", attempts)
-    text = assert_sampler_matches_reference(9, 9, 0)
-    assert text == (f"raised: could not find 9 disjoint matchings on n=9 "
-                    f"within {attempts} attempts")
+    entries = _record_fallback(monkeypatch)
+    assert assert_sampler_matches_reference(9, 9, 0) == complete_bipartite(9).to_text()
+    half = len(entries) // 2
+    assert half > 0 and entries[:half] == entries[half:]
+    # one call per matching left, each with n fewer free edges
+    free_counts = [np.frombuffer(free, dtype=bool).sum() for free, _ in entries[:half]]
+    assert free_counts == list(range(9 * half, 0, -9))
+
+
+@pytest.mark.parametrize("spec", ["random:9:9:0", "random:13:9:1", "random:12:9:1",
+                                  "random:9:8:0", "random:10:9:0"])
+def test_sampler_finishes_where_rejection_gives_up(spec, monkeypatch):
+    # at the real limits the last matchings of these are not found in
+    # 100,000 draws; the augmenting-path fallback completes them
+    entries = _record_fallback(monkeypatch)
+    _, n, delta, seed = spec.split(":")
+    g = random_regular_bipartite(int(n), int(delta), int(seed))
+    assert (g.n, g.delta) == (int(n), int(delta)) and entries
+    assert connected_by_search(g.n, g.edges())
+
+
+def test_augmented_matching_stays_inside_the_mask():
+    # the complements of j random disjoint perfect matchings on n vertices:
+    # the fallback returns a permutation that uses only free edges; a mask
+    # with an isolated A vertex has no perfect matching and raises
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 5, 12, 30):
+        for j in range(n):
+            free = np.ones((n, n), dtype=bool)
+            for _ in range(j):
+                match = tanner_graph._augmented_matching(free, rng)
+                free[np.arange(n), match] = False
+            match = tanner_graph._augmented_matching(free, rng)
+            assert sorted(match.tolist()) == list(range(n))
+            assert free[np.arange(n), match].all()
+    free = np.ones((4, 4), dtype=bool)
+    free[2] = False
+    with pytest.raises(GraphConstructionError, match="no perfect matching"):
+        tanner_graph._augmented_matching(free, rng)
 
 
 # -- graphs pinned to recorded values ---------------------------------------------
