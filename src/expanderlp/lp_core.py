@@ -25,7 +25,9 @@ entering rule stays Dantzig (most positive reduced cost, lowest index on
 ties).  All choices are deterministic, so identical inputs give identical
 iterates.  B^-1 is never reinverted: the rank-1 update keeps the exact
 zeros of a degenerate right-hand side, which a fresh inverse does not, and
-the lexicographic rule relies on them.
+the lexicographic rule relies on them.  A row is a pivot candidate where
+the entering column exceeds _PIVOT_TOL times the column's largest
+magnitude, when that exceeds 1 (_pivot_floor).
 
 Phase 1 reads only the constraints, so it is a step of its own: phase1()
 returns the state it leaves (the kept rows, B^-1, the right-hand side, the
@@ -54,18 +56,19 @@ order.
 
 A problem's pivots and outputs do not depend on the rest of the stack.
 Every step is elementwise per problem, or sums a problem's own terms in an
-order fixed by the constraints: the entering column sums a row's products
-along the last axis, and the pricing of a pivot row is one np.bincount over
-A's nonzeros, sorted by column, with each problem's entries offset to bins
-of their own.  The rank-1 update adds 0.0 to every product, so a zero
-product is +0.0 and t - (+0.0) leaves t as it is, the sign of a zero
-included: updating only the rows where the entering column is nonzero
-leaves every entry as the full update does.  The starting costs c_B B^-1
-are matmuls over a singleton axis, (k, 1, m) @ (m, m), which run item by
-item the vector-matrix kernel of the one-problem product.
+order fixed by the constraints.  The pricing of a pivot row is one
+np.bincount over A's nonzeros, sorted by column, with each problem's
+entries offset to bins of their own.  The entering columns B^-1 a_q and
+the starting costs c_B B^-1 are matmuls over a singleton axis, (k, m, m) @
+(k, m, 1) and (k, 1, m) @ (m, m), which run item by item the kernel of the
+one-problem product.  The rank-1 update forms its products with einsum,
+which adds each to zero, so a zero product is +0.0 and t - (+0.0) leaves t
+as it is, the sign of a zero included: updating only the rows where the
+entering column is nonzero leaves every entry as the full update does.
 
 tests/oracles.py keeps the dense one-tableau simplex with the same rules
-as the reference; tests/golden/lp_solves.json pins its pivots and values.
+(but a fixed pivot tolerance) as the reference; tests/golden/lp_solves.json
+pins its pivots and values.
 """
 
 from __future__ import annotations
@@ -252,7 +255,7 @@ class _Revised:
         and the costs' flat indices, as run() has them."""
         at = self._first_row + rows
         pivots = alpha.take(at)
-        # x / x is exactly 1, so the pivot row written last keeps its basis
+        # the divided pivot rows, written over the update's result for them
         piv_rows = self._rows.take(at, axis=0)
         piv_rows /= pivots[:, None]
         if 4 * np.count_nonzero(alpha) <= alpha.size:
