@@ -344,6 +344,37 @@ def _agree(sol, ref, b, feas_tol=lp_core.DEFAULT_FEAS_TOL):
         assert abs(sol.objective_value - ref.objective_value) <= bound
 
 
+@pytest.mark.parametrize("graph, local, weight", [
+    ("random:40:6:1", "repetition:2:6", 30),
+    ("random:40:6:1", "repetition:2:6", 54),
+    ("random:12:6:1", "parity:2:6", 3),
+    ("random:12:6:1", "parity:2:6", 6),
+])
+def test_solve_takes_the_reference_pivots(graph, local, weight):
+    # on the tall repetition LPs solve takes the dense reference's pivots and
+    # returns its every field bit for bit.  On the wide parity LPs the revised
+    # simplex's rounding breaks ties between entering columns otherwise, so
+    # it reaches another optimal vertex: the reference's status and objective,
+    # and a point of the constraints whose objective is its own
+    g = resolve_graph(graph)
+    code = ExpanderCode(g, resolve_code(local, g.delta), resolve_code(local, g.delta))
+    rng = np.random.default_rng(weight)
+    c = code.random_codeword(rng)
+    problem, _ = build_reduced(code, sample_error_pattern(code, c, weight, rng))
+    fast = solve(problem)
+    reference = solve_by_reference(problem)
+    assert fast.status == "optimal"
+    if local.startswith("repetition"):
+        assert _fields(fast) == _fields(reference)
+        return
+    b = problem.eq_rhs
+    _agree(fast, reference, b)
+    bound = lp_core.DEFAULT_FEAS_TOL * (1.0 + np.abs(b).max())
+    assert fast.values.min() >= -bound
+    assert np.abs(problem.eq_coeffs @ fast.values - b).max() <= bound
+    assert abs(problem.objective @ fast.values - fast.objective_value) <= bound
+
+
 @pytest.mark.parametrize("graph, local, dropped", [
     ("random:40:6:1", "repetition:2:6", 161),
     ("random:20:6:1", "repetition:3:6", 162),
