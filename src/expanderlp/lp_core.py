@@ -27,7 +27,9 @@ iterates.  B^-1 is never reinverted: the rank-1 update keeps the exact
 zeros of a degenerate right-hand side, which a fresh inverse does not, and
 the lexicographic rule relies on them.  A row is a pivot candidate where
 the entering column exceeds _PIVOT_TOL times the column's largest
-magnitude, when that exceeds 1 (_pivot_floor).
+magnitude, when that exceeds 1 (_pivot_floor).  Phase 1's cleanup scales
+the test on a leftover artificial's row of the tableau by the terms each
+entry sums instead, since a redundant row has no entry of real size.
 
 Phase 1 reads only the constraints, so it is a step of its own: phase1()
 returns the state it leaves (the kept rows, B^-1, the right-hand side, the
@@ -61,10 +63,7 @@ np.bincount over A's nonzeros, sorted by column, with each problem's
 entries offset to bins of their own.  The entering columns B^-1 a_q and
 the starting costs c_B B^-1 are matmuls over a singleton axis, (k, m, m) @
 (k, m, 1) and (k, 1, m) @ (m, m), which run item by item the kernel of the
-one-problem product.  The rank-1 update forms its products with einsum,
-which adds each to zero, so a zero product is +0.0 and t - (+0.0) leaves t
-as it is, the sign of a zero included: updating only the rows where the
-entering column is nonzero leaves every entry as the full update does.
+one-problem product.
 
 tests/oracles.py keeps the dense one-tableau simplex with the same rules
 (but a fixed pivot tolerance) as the reference; tests/golden/lp_solves.json
@@ -258,13 +257,7 @@ class _Revised:
         # the divided pivot rows, written over the update's result for them
         piv_rows = self._rows.take(at, axis=0)
         piv_rows /= pivots[:, None]
-        if 4 * np.count_nonzero(alpha) <= alpha.size:
-            # only rows where alpha is nonzero change (see the module docstring)
-            slot, row = alpha.nonzero()
-            self._rows[self._first_row[slot] + row] -= np.einsum(
-                "i,ij->ij", alpha[slot, row], piv_rows[slot])
-        else:
-            self.W -= np.einsum("si,sj->sij", alpha, piv_rows)
+        self.W -= np.einsum("si,sj->sij", alpha, piv_rows)
         self._rows[at] = piv_rows
         self._basic[at] = cols
         # the entering column's cost is exactly 0 now, as its tableau column is
@@ -408,13 +401,19 @@ def phase1(eq_coeffs: np.ndarray, eq_rhs: np.ndarray,
     search_iterations = tab.iterations
 
     # drive leftover artificials out of the basis, dropping redundant rows:
-    # row r of the tableau is row r of B^-1 times A
-    keep = []
+    # row r of the tableau is row r of B^-1 times A.  Each entry is a
+    # candidate where it exceeds _PIVOT_TOL times the size of the terms it
+    # sums, when that exceeds 1: on a redundant row every entry is
+    # round-off of an exact zero, of the order of those terms times the
+    # unit round-off, which grows with B^-1
+    keep, abs_A = [], np.abs(A)
     for r in range(m):
         if tab.basis[0, r] < n:
             keep.append(r)
             continue
-        candidates = np.nonzero(np.abs(tab.price(tab.W[0, r:r + 1, :-1])[0]) > _PIVOT_TOL)[0]
+        row = tab.price(tab.W[0, r:r + 1, :-1])[0]
+        terms = np.abs(tab.W[0, r, :-1]) @ abs_A
+        candidates = np.nonzero(np.abs(row) > _PIVOT_TOL * np.maximum(terms, 1.0))[0]
         if len(candidates):
             keep.append(r)
             tab.pivot(np.array([r]), candidates[:1])

@@ -426,13 +426,21 @@ def test_decode_many_of_no_words(four_cycle_rep3):
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "lp_solves.json").read_text())
 
 
+# the golden words whose decode verdict differs from the recorded one at
+# the same LP objective: on the 96 x 768 parity LP, decode's float path
+# ends at another optimal vertex, integral where the recorded one is
+# fractional or the other way round
+VERDICT_CHANGED = {("decode", 2), ("decode", 3), ("decode", 4)}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN["decode"]))
 def test_decode_matches_the_golden(request, monkeypatch, name):
     # decode's LP solutions as the dense tableau simplex found them, on the
     # words decode_many is checked with: the reference still takes those
-    # pivots bit for bit.  decode, on its own float path, reaches the same
-    # LP objective (possibly at another optimal vertex), and decode_many's
-    # results are decode's
+    # pivots bit for bit, and its optimum, rounded as decode rounds, has
+    # the recorded verdict.  decode, on its own float path, reaches the
+    # same LP objective, with the recorded verdict except on the words of
+    # VERDICT_CHANGED, and decode_many's results are decode's
     code = (resolve_instance(*INSTANCES[name]) if name in INSTANCES
             else request.getfixturevalue(name))
     cases = GOLDEN["decode"][name]
@@ -445,13 +453,18 @@ def test_decode_matches_the_golden(request, monkeypatch, name):
     monkeypatch.setattr(lp_core, "solve", recording)
     words = [case["word"] for case in cases]
     results = [decode(code, y) for y in words]
-    for case, y, sol in zip(cases, words, solutions):
-        problem, _ = build_reduced(code, y)
+    for i, (case, y, sol, result) in enumerate(zip(cases, words, solutions, results)):
+        problem, first_b = build_reduced(code, y)
         expected = {k: v for k, v in case.items() if k not in ("word", "decode_status")}
-        assert golden_fields(solve_by_reference(problem)) == expected
+        reference = solve_by_reference(problem)
+        assert golden_fields(reference) == expected
+        assert lp_decoder._decoded(code, [reference], first_b, lp_decoder.DEFAULT_INT_TOL
+                                   )[0].status == case["decode_status"]
         bound = lp_core.DEFAULT_FEAS_TOL * (1.0 + np.abs(problem.eq_rhs).max())
         assert sol.status == "optimal"
         assert abs(sol.objective_value - float.fromhex(case["objective"])) <= bound
+        assert ((result.status == case["decode_status"])
+                == ((name, i) not in VERDICT_CHANGED))
     assert ([_fields(r) for r in lp_decoder.decode_many(code, words)]
             == [_fields(r) for r in results])
 
