@@ -2,7 +2,7 @@
 
 The pieces, bottom to top: exact GF(q) arithmetic and linear algebra;
 local codes on the vertices of a regular bipartite graph; the global
-expander code; a dense two-phase simplex core; the decoding LP with
+expander code; a revised two-phase simplex core; the decoding LP with
 integrality-certified rounding; dual witnesses built by peeling or by
 edge orientation; a brute-force oracle; and a Monte Carlo harness with a
 CLI wrapper.

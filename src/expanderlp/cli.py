@@ -112,7 +112,11 @@ def _cmd_certify(args) -> int:
     code = _instance(args)
     c = _load_word(args.sent, code.field.q, code.graph.num_edges)
     y = _load_word(args.received, code.field.q, code.graph.num_edges)
-    result = find_witness(code, c, y, mode=args.mode, epsilon=Fraction(args.epsilon))
+    try:
+        epsilon = Fraction(args.epsilon)
+    except ZeroDivisionError:
+        raise ValueError(f"epsilon {args.epsilon} has a zero denominator") from None
+    result = find_witness(code, c, y, mode=args.mode, epsilon=epsilon)
     payload = {
         "witness_found": result.witness_found,
         "mode": result.mode,

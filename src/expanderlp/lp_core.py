@@ -32,27 +32,22 @@ the test on a leftover artificial's row of the tableau by the terms each
 entry sums instead, since a redundant row has no entry of real size.
 
 Phase 1 reads only the constraints, so it is a step of its own: phase1()
-returns the state it leaves (the kept rows, B^-1, the right-hand side, the
-basis, the phase-1 objective and its pivot count), and solve(problem,
-start=...) runs phase 2 alone from that state.  A caller that solves many
-problems with the same constraints and different objectives runs phase 1
-once; each solve takes exactly the pivots, and returns exactly the values
-and counts, it would have without the start.  The feasibility verdict
-compares the stored phase-1 objective with each call's own feas_tol.
+returns a Phase1 start, which owns the checked, read-only constraints it
+ran on and the state it leaves.  solve_many(objectives, start) runs phase 2
+alone from it, and solve(problem, start=...) refuses a start for other
+constraints or another opt_tol.  Each solve from a start takes exactly the
+pivots, and returns exactly the values and counts, it would without it;
+the feasibility verdict compares the stored phase-1 objective with each
+call's own feas_tol.
 
 One engine takes every pivot: _Revised runs a stack of k >= 1 problems over
 the same constraints in lockstep, with one entering rule, one ratio test,
-one rank-1 update and one loop.  phase1 runs it on a stack of one, solve is
-solve_many of one objective, and solve_many runs phase 2 for many
-objectives: the problems share the constraints, the phase-1 start and the
-Python work of each round, and a problem leaves the stack when it is
-optimal or unbounded; the problems left move to the front of the same
-arrays.  A problem of the stack holds m (m + 1) floats of B^-1 and
-right-hand side and n of reduced costs, against (m + 1)(n + m + 1) for a
-dense tableau: 97 x 865 is 656 KiB on the 96 x 768 parity decoding LP,
-96 x 97 plus 768 is 79 KiB.  An engine error (the iteration cap, an
-unseparable tie) is raised in the round it occurs; the solutions, with
-their sign and residual checks, are built once the whole stack has
+one rank-1 update and one loop.  phase1 runs it on a stack of one, and
+solve_many on one problem per objective (solve is solve_many of one); a
+problem leaves the stack when it is optimal or unbounded, and the problems
+left move to the front of the same arrays.  An engine error (the iteration
+cap, an unseparable tie) is raised in the round it occurs; the solutions,
+with their sign and residual checks, are built once the whole stack has
 stopped, so such a check raises on the first failing problem in stack
 order.
 
@@ -72,6 +67,7 @@ pins its pivots and values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,11 +79,27 @@ DEFAULT_FEAS_TOL = 1e-8
 DEFAULT_OPT_TOL = 1e-9
 
 
+def check_tolerance(name: str, value: float) -> None:
+    """ValueError unless the tolerance is finite and >= 0: a NaN one would
+    switch off every check it enters, and an infinite one pass anything."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, not {value}")
+
+
+def _read_only(arr) -> np.ndarray:
+    """arr as a read-only float array; a writable one is copied first, so
+    the caller's array stays its own."""
+    out = np.asarray(arr, dtype=float)
+    if out.flags.writeable:
+        out = out.copy()
+        out.flags.writeable = False
+    return out
+
+
 def _checked_constraints(eq_coeffs, eq_rhs) -> tuple[np.ndarray, np.ndarray]:
-    """eq_coeffs and eq_rhs as float arrays, or ValueError unless they are a
-    matrix and one right-hand side per row, all finite."""
-    A = np.asarray(eq_coeffs, dtype=float)
-    b = np.asarray(eq_rhs, dtype=float)
+    """eq_coeffs and eq_rhs as read-only float arrays, or ValueError unless
+    they are a matrix and one right-hand side per row, all finite."""
+    A, b = _read_only(eq_coeffs), _read_only(eq_rhs)
     if A.ndim != 2:
         raise ValueError("eq_coeffs must be a matrix")
     if b.shape != A.shape[:1]:
@@ -98,9 +110,21 @@ def _checked_constraints(eq_coeffs, eq_rhs) -> tuple[np.ndarray, np.ndarray]:
     return A, b
 
 
+def _checked_objectives(objectives, n: int) -> np.ndarray:
+    """objectives as a (k, n) float array, or ValueError unless it is one,
+    all finite."""
+    C = np.asarray(objectives, dtype=float)
+    if C.ndim != 2 or C.shape[1] != n:
+        raise ValueError(f"objectives must be a (k, {n}) array")
+    if not np.isfinite(C).all():
+        raise ValueError("objectives contain non-finite entries")
+    return C
+
+
 @dataclass
 class LpProblem:
-    """maximize objective . x  s.t.  eq_coeffs @ x = eq_rhs,  x >= 0."""
+    """maximize objective . x  s.t.  eq_coeffs @ x = eq_rhs,  x >= 0; the
+    constraints are held read-only (a writable input is copied)."""
 
     objective: np.ndarray
     eq_coeffs: np.ndarray
@@ -108,12 +132,8 @@ class LpProblem:
 
     def __post_init__(self) -> None:
         self.eq_coeffs, self.eq_rhs = _checked_constraints(self.eq_coeffs, self.eq_rhs)
-        self.objective = np.asarray(self.objective, dtype=float)
-        n = self.eq_coeffs.shape[1]
-        if self.objective.shape != (n,):
-            raise ValueError(f"objective must have length {n}")
-        if not np.isfinite(self.objective).all():
-            raise ValueError("objective contains non-finite entries")
+        self.objective = _checked_objectives(np.asarray(self.objective, dtype=float)[None],
+                                             self.num_vars)[0]
 
     @property
     def num_vars(self) -> int:
@@ -145,13 +165,16 @@ class LpSolution:
 class _Columns:
     """A's nonzeros sorted by column, then row (nz_cols, nz_rows, nz_vals):
     the order pricing sums them in; and A's columns as the rows of the
-    C-contiguous transpose dense_t, which the entering column reads."""
+    C-contiguous transpose dense_t, which the entering column reads.  All
+    four are read-only: every solve from one start shares them."""
 
     def __init__(self, A: np.ndarray):
         self.shape = A.shape
         self.nz_cols, self.nz_rows = np.nonzero(A.T)
         self.nz_vals = A[self.nz_rows, self.nz_cols]
         self.dense_t = np.ascontiguousarray(A.T)
+        for arr in (self.nz_cols, self.nz_rows, self.nz_vals, self.dense_t):
+            arr.flags.writeable = False
 
 
 def _pivot_floor(alpha: np.ndarray) -> np.ndarray:
@@ -338,41 +361,39 @@ def _engine(cols: _Columns, inverse: np.ndarray, rhs: np.ndarray, basis, d: np.n
 class Phase1:
     """Where phase 1 leaves the simplex, for one (eq_coeffs, eq_rhs, opt_tol).
 
-    Phase 1 never reads the objective, so this state serves every problem
-    with the same constraints; solve(problem, start=...) runs only phase 2
-    from it.  infeasibility is the sum of the artificials at the end of the
-    phase-1 search, which solve compares with its own feas_tol;
+    Phase 1 never reads the objective, so a start serves every problem with
+    its constraints: eq_coeffs and eq_rhs as checked, which the optima's
+    residuals are taken against.  Phase 2 runs at its opt_tol, under its
+    iteration cap max_iters.  infeasibility is the sum of the artificials
+    after the phase-1 search, which solve_many compares with its feas_tol;
     search_iterations counts that search's pivots (what an infeasible
-    verdict reports), iterations adds the pivots that drove the leftover
-    artificials out, and min_pivot is the smallest pivot magnitude of
-    both.  The rest is the state after those pivots, with redundant rows
-    dropped: eq_coeffs and eq_rhs are the kept rows, sign-normalized so the
-    right-hand side is >= 0, inverse is their basis inverse, rhs the basic
-    values and basis the basic columns.  The arrays are read-only.
+    verdict reports), iterations adds those that drove the leftover
+    artificials out, and min_pivot is the smallest pivot of both.  The rest
+    is the state after them, redundant rows dropped: columns holds the kept
+    rows, sign-normalized so their right-hand side is >= 0, inverse their
+    basis inverse, rhs the basic values and basis the basic columns.  Every
+    array is read-only.
     """
 
-    shape: tuple[int, int]
     opt_tol: float
+    max_iters: int
     infeasibility: float
     search_iterations: int
     iterations: int
     eq_coeffs: np.ndarray
     eq_rhs: np.ndarray
+    columns: _Columns = field(repr=False)
     inverse: np.ndarray
     rhs: np.ndarray
     basis: tuple[int, ...]
     min_pivot: float = float("inf")
-    columns: _Columns = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "columns", _Columns(self.eq_coeffs))
 
     @property
     def problem_bytes(self) -> int:
         """The bytes one problem of a phase-2 stack from this start holds:
         B^-1 with the right-hand side, the reduced costs, and pricing's
         weights and bins over A's nonzeros."""
-        m, n = self.eq_coeffs.shape
+        m, n = self.columns.shape
         return 8 * (m * (m + 1) + n + 2 * len(self.columns.nz_vals))
 
 
@@ -380,17 +401,18 @@ def phase1(eq_coeffs: np.ndarray, eq_rhs: np.ndarray,
            opt_tol: float = DEFAULT_OPT_TOL) -> Phase1:
     """Phase 1 of solve() for the constraints eq_coeffs @ x = eq_rhs, x >= 0;
     ValueError unless they are a matrix and one right-hand side per row, all
-    finite."""
+    finite, and opt_tol is finite and >= 0."""
+    check_tolerance("opt_tol", opt_tol)
     A0, b0 = _checked_constraints(eq_coeffs, eq_rhs)
     m, n = A0.shape
+    max_iters = 500 * (m + n) + 2000
 
     # sign-normalize so b >= 0; B^-1 starts as the identity, and the reduced
     # costs for maximizing -(sum of artificials) are A's column sums
     signs = np.where(b0 < 0, -1.0, 1.0)
     A, b = A0 * signs[:, None], b0 * signs
-    cols = _Columns(A)
-    tab = _engine(cols, np.eye(m), b, range(n, n + m), np.zeros((1, n)), float("inf"),
-                  opt_tol, 0, 500 * (m + n) + 2000)
+    tab = _engine(_Columns(A), np.eye(m), b, range(n, n + m), np.zeros((1, n)), float("inf"),
+                  opt_tol, 0, max_iters)
     tab.d[:] = tab.price(np.ones((1, m)))
 
     _, unbounded = tab.run()
@@ -419,52 +441,22 @@ def phase1(eq_coeffs: np.ndarray, eq_rhs: np.ndarray,
             tab.pivot(np.array([r]), candidates[:1])
     # a dropped row's artificial stayed basic, so its column of B^-1 is that
     # row's unit vector and the kept rows and columns invert the kept basis
-    inverse = tab.W[0][np.ix_(keep, keep)]
-    # the kept rows as a view of their C-contiguous transpose, which
-    # _Columns then keeps without a copy
-    A_kept, b_kept, rhs = A[keep].T.copy().T, b[keep], tab.W[0, keep, -1]
-    for arr in (inverse, A_kept, b_kept, rhs):
-        arr.flags.writeable = False
-    return Phase1(shape=(m, n), opt_tol=opt_tol, infeasibility=infeasibility,
+    inverse, rhs = tab.W[0][np.ix_(keep, keep)], tab.W[0, keep, -1]
+    inverse.flags.writeable = rhs.flags.writeable = False
+    return Phase1(opt_tol=opt_tol, max_iters=max_iters, infeasibility=infeasibility,
                   search_iterations=search_iterations, iterations=tab.iterations,
-                  eq_coeffs=A_kept, eq_rhs=b_kept, inverse=inverse, rhs=rhs,
-                  basis=tuple(tab.basis[0, keep].tolist()),
+                  eq_coeffs=A0, eq_rhs=b0, columns=_Columns(A[keep]), inverse=inverse,
+                  rhs=rhs, basis=tuple(tab.basis[0, keep].tolist()),
                   min_pivot=float(tab.min_pivot[0]))
 
 
-def _checked_start(A0: np.ndarray, b0: np.ndarray, start: Phase1 | None,
-                   opt_tol: float) -> Phase1:
-    """start, after checking it is for A0's shape at opt_tol and that b0
-    has one finite entry per row, or phase 1 run here, which checks the
-    constraints."""
-    if start is None:
-        return phase1(A0, b0, opt_tol)
-    if start.shape != A0.shape or start.opt_tol != opt_tol:
-        raise ValueError(
-            f"phase-1 start is for a {start.shape} problem at opt_tol "
-            f"{start.opt_tol}, not {A0.shape} at {opt_tol}")
-    if b0.shape != start.shape[:1]:
-        raise ValueError(f"eq_rhs must have length {start.shape[0]}")
-    if not np.isfinite(b0).all():
-        raise ValueError("eq_rhs contains non-finite entries")
-    return start
-
-
-def _phase2_basis(start: Phase1, n: int) -> np.ndarray:
-    """The start's basis as an index array; every basic column must be real."""
-    basis = np.array(start.basis, dtype=np.int64)
-    if (basis >= n).any():
-        raise NumericError("artificial variable left in the basis after cleanup")
-    return basis
-
-
-def _optimal(A0: np.ndarray, b0: np.ndarray, C: np.ndarray, basis: np.ndarray,
-             rhs: np.ndarray, iterations: np.ndarray, min_pivot: np.ndarray,
-             start: Phase1, feas_tol: float) -> list[LpSolution]:
+def _optimal(C: np.ndarray, basis: np.ndarray, rhs: np.ndarray, iterations: np.ndarray,
+             min_pivot: np.ndarray, start: Phase1, feas_tol: float) -> list[LpSolution]:
     """The solutions at a stack of optimal bases, one per row of C: in
     problem i, basic variable basis[i, r] takes rhs[i, r], after
-    iterations[i] pivots.  A sign or residual check raises on the first
-    failing problem in stack order."""
+    iterations[i] pivots.  A sign or residual check, against the start's
+    constraints, raises on the first failing problem in stack order."""
+    A0, b0 = start.eq_coeffs, start.eq_rhs
     X = np.zeros((len(C), A0.shape[1]))
     X[np.arange(len(C))[:, None], basis] = rhs
     lowest = X.min(axis=1)
@@ -491,41 +483,40 @@ def solve(problem: LpProblem,
           start: Phase1 | None = None) -> LpSolution:
     """Two-phase primal simplex.  See the module docstring for the rules.
 
-    start is phase1()'s result for this problem's constraints (the caller
-    vouches that eq_coeffs and eq_rhs are the ones it was run on); without
-    it phase 1 runs here.  Either way the pivots, the outputs and the
-    iteration counts are the same.
+    start is phase1()'s result for this problem's constraints at opt_tol,
+    and ValueError otherwise; without it phase 1 runs here.  Either way the
+    pivots, the outputs and the iteration counts are the same.  A problem
+    that shares the start's arrays, as build_reduced's do, passes the check
+    without reading them.
     """
-    return solve_many(problem.objective[None], problem.eq_coeffs, problem.eq_rhs, start,
-                      feas_tol=feas_tol, opt_tol=opt_tol)[0]
+    if start is None:
+        start = phase1(problem.eq_coeffs, problem.eq_rhs, opt_tol)
+    elif start.opt_tol != opt_tol:
+        raise ValueError(f"phase-1 start is at opt_tol {start.opt_tol}, not {opt_tol}")
+    elif not all(ours is theirs or np.array_equal(ours, theirs)
+                 for ours, theirs in ((start.eq_coeffs, problem.eq_coeffs),
+                                      (start.eq_rhs, problem.eq_rhs))):
+        raise ValueError("phase-1 start is for other constraints than the problem's")
+    return solve_many(problem.objective[None], start, feas_tol)[0]
 
 
-def solve_many(objectives, eq_coeffs, eq_rhs, start: Phase1 | None = None,
-               feas_tol: float = DEFAULT_FEAS_TOL,
-               opt_tol: float = DEFAULT_OPT_TOL) -> list[LpSolution]:
-    """solve() for each row of objectives over the same constraints.
+def solve_many(objectives, start: Phase1,
+               feas_tol: float = DEFAULT_FEAS_TOL) -> list[LpSolution]:
+    """solve() for each row of objectives over the start's constraints:
+    result i is solve(LpProblem(objectives[i], start.eq_coeffs,
+    start.eq_rhs), feas_tol, start.opt_tol, start).
 
-    The result at index i is the one solve(LpProblem(objectives[i],
-    eq_coeffs, eq_rhs), feas_tol, opt_tol, start) returns: phase 2 runs on
-    a stack of problems, and a problem leaves the stack when it is optimal
-    or unbounded.  Each problem's basis, right-hand side, pivot count and
-    smallest pivot are kept when it stops, and the solutions are built in
-    one pass at the end.  So an engine error is raised in the round it
-    occurs, and a failed sign or residual check once the stack has
-    stopped, on the first failing problem in stack order; either is an
-    error that problem's own solve raises.  Without a start, phase 1
-    checks the constraints; with one, eq_rhs is checked against it (one
-    finite entry per row) and the caller vouches for eq_coeffs.
+    Phase 2 runs on a stack of problems, and a problem leaves the stack
+    when it is optimal or unbounded; the solutions are built in one pass
+    once the stack has stopped.  So an engine error is raised in the round
+    it occurs, and a failed sign or residual check at the end, on the first
+    failing problem in stack order; either is an error that problem's own
+    solve raises.  ValueError unless objectives is a finite (k, n) array
+    and feas_tol is finite and >= 0.
     """
-    A0 = np.asarray(eq_coeffs, dtype=float)
-    b0 = np.asarray(eq_rhs, dtype=float)
-    start = _checked_start(A0, b0, start, opt_tol)
-    n = start.shape[1]
-    C = np.asarray(objectives, dtype=float)
-    if C.ndim != 2 or C.shape[1] != n:
-        raise ValueError(f"objectives must be a (k, {n}) array")
-    if not np.isfinite(C).all():
-        raise ValueError("objectives contain non-finite entries")
+    check_tolerance("feas_tol", feas_tol)
+    n = start.eq_coeffs.shape[1]
+    C = _checked_objectives(objectives, n)
     if not len(C):
         return []
     if start.infeasibility > feas_tol:
@@ -534,9 +525,11 @@ def solve_many(objectives, eq_coeffs, eq_rhs, start: Phase1 | None = None,
                            min_pivot=start.min_pivot) for _ in C]
 
     # phase 2: reduced costs c - (c_B B^-1) A for each real objective
-    basis0 = _phase2_basis(start, n)
+    basis0 = np.array(start.basis, dtype=np.int64)
+    if (basis0 >= n).any():
+        raise NumericError("artificial variable left in the basis after cleanup")
     tab = _engine(start.columns, start.inverse, start.rhs, basis0, C, start.min_pivot,
-                  opt_tol, start.iterations, 500 * sum(start.shape) + 2000)
+                  start.opt_tol, start.iterations, start.max_iters)
     tab.d -= tab.price((C[:, None, basis0] @ start.inverse)[:, 0])
     tab.d[:, basis0] = 0.0
     live = np.arange(len(C))            # the problem in each stack slot
@@ -565,8 +558,7 @@ def solve_many(objectives, eq_coeffs, eq_rhs, start: Phase1 | None = None,
                                   phase1_iterations=start.iterations,
                                   min_pivot=float(min_pivot[i]))
     done = np.flatnonzero(~is_unbounded)
-    for i, sol in zip(done.tolist(), _optimal(A0, b0, C[done], basis[done], rhs[done],
-                                              iterations[done], min_pivot[done], start,
-                                              feas_tol)):
+    for i, sol in zip(done.tolist(), _optimal(C[done], basis[done], rhs[done], iterations[done],
+                                              min_pivot[done], start, feas_tol)):
         solutions[i] = sol
     return solutions

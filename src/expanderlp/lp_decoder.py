@@ -42,7 +42,8 @@ B^-1): the scan's ~16-row LPs fit ~170 to a stack, the 96 x 768 LP of a
 12-vertex parity code 4, and the sweep's 320 x 160 (159 rows kept) 2.
 
 build_reduced hands each decode a copy of one cached LpProblem, so the
-constraints it shares are checked once per code, not once per decode.
+constraints it shares are checked once per code, not once per decode, and
+its phase-1 starts hold those same arrays.
 """
 
 from __future__ import annotations
@@ -231,8 +232,9 @@ def decode(code: ExpanderCode, y,
     speed the solver is given the equivalent w-only system from
     build_reduced and the code's cached phase-1 start; f is lifted back as
     the A-side marginals, which the retained constraints force to agree
-    with the B-side ones.
+    with the B-side ones.  ValueError unless each tolerance is finite and >= 0.
     """
+    lp_core.check_tolerance("int_tol", int_tol)
     problem, first_b = build_reduced(code, y)
     sol: LpSolution = lp_core.solve(problem, feas_tol=feas_tol, opt_tol=opt_tol,
                                     start=_phase1_start(code, opt_tol))
@@ -254,15 +256,15 @@ def decode_many(code: ExpanderCode, ys,
     q, num_edges = code.field.q, code.num_edges
     if not len(ys):
         return []
+    lp_core.check_tolerance("int_tol", int_tol)
     words = check_word(ys, q, (None, num_edges))
     start = _phase1_start(code, opt_tol)
     per_stack = max(1, STACK_BYTES // start.problem_bytes)
     poly = _polytope(code)
     results: list[DecodeResult] = []
     for first in range(0, len(words), per_stack):
-        sols = lp_core.solve_many(_objectives(code, words[first:first + per_stack]),
-                                  poly.problem.eq_coeffs, poly.problem.eq_rhs, start,
-                                  feas_tol=feas_tol, opt_tol=opt_tol)
+        sols = lp_core.solve_many(_objectives(code, words[first:first + per_stack]), start,
+                                  feas_tol=feas_tol)
         results += _decoded(code, sols, poly.first_b, int_tol)
     return results
 

@@ -137,6 +137,23 @@ def test_certify_epsilon_outside_the_proven_range_is_input_error(capsys, epsilon
     assert f"epsilon {epsilon} " in err and "1/12" in err
 
 
+def test_certify_epsilon_dividing_by_zero_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "--epsilon", "1/0", "certify", *K66,
+                             "--sent", " ".join(["0"] * 36),
+                             "--received", " ".join(["0"] * 36))
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err.startswith("error: ") and "1/0" in err
+
+
+@pytest.mark.parametrize("flag", ["--feas-tol", "--opt-tol", "--int-tol"])
+def test_decode_nan_tolerance_is_input_error(capsys, flag):
+    code, out, err = run_cli(capsys, flag, "nan", "decode", *INSTANCE, "--received", "0 0 0 1")
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err.startswith("error: ") and "must be finite and >= 0" in err
+
+
 def test_certify_rejects_non_codeword_sent(capsys):
     code, _, err = run_cli(capsys, "certify", *INSTANCE,
                            "--sent", "0 0 0 1", "--received", "0 0 0 0")

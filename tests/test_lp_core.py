@@ -103,7 +103,7 @@ def test_cleanup_drops_a_redundant_row_whose_round_off_passes_the_pivot_toleranc
                   [4.0, 1.0, -4.0, 0.0], [5.0, 2000002.0, 6.0, 1.0]])
     b = np.array([5.0, 0.0, 1999998.0, 1.0, 2000003.0])
     start = lp_core.phase1(A, b)
-    assert start.eq_rhs.tolist() == b[:4].tolist()
+    assert start.columns.dense_t.T.tolist() == A[:4].tolist()
     assert start.min_pivot > 1e-8
     sol = solve(LpProblem([3.0, 1.0, 0.0, 0.0], A, b), start=start)
     assert sol.status == "optimal"
@@ -172,10 +172,10 @@ def test_problem_validation():
         LpProblem(objective=[np.nan, 1.0], eq_coeffs=[[1.0, 2.0]], eq_rhs=[1.0])
 
 
-# constraints LpProblem refuses reach phase 1 through solve_many without a
-# start: an infinite right-hand side once came back "optimal" with values
-# [nan, inf], a NaN coefficient raised phase 1's "cannot happen" NumericError,
-# and a short right-hand side a numpy broadcast error
+# phase1 refuses what LpProblem refuses: through phase 1, an infinite
+# right-hand side once came back "optimal" with values [nan, inf], a NaN
+# coefficient raised phase 1's "cannot happen" NumericError, and a short
+# right-hand side a numpy broadcast error
 @pytest.mark.parametrize("eq_coeffs, eq_rhs, message", [
     pytest.param(np.eye(2), [1.0, np.inf], "eq_rhs contains non-finite", id="inf-rhs"),
     pytest.param([[1.0, np.nan], [0.0, 1.0]], [1.0, 1.0], "eq_coeffs contains non-finite",
@@ -183,23 +183,50 @@ def test_problem_validation():
     pytest.param(np.eye(2), [1.0], "eq_rhs must have length 2", id="short-rhs"),
 ])
 def test_bad_constraints_rejected_before_phase1(eq_coeffs, eq_rhs, message):
-    for call in (lambda: lp_core.solve_many(np.ones((1, 2)), eq_coeffs, eq_rhs),
-                 lambda: lp_core.phase1(eq_coeffs, eq_rhs),
+    for call in (lambda: lp_core.phase1(eq_coeffs, eq_rhs),
                  lambda: LpProblem(objective=[1.0, 1.0], eq_coeffs=eq_coeffs, eq_rhs=eq_rhs)):
         with pytest.raises(ValueError, match=message):
             call()
 
 
-# with a start, solve_many checks eq_rhs against it: a short one used to raise
-# a residual NumericError, and an infinite one came back "optimal"
-@pytest.mark.parametrize("eq_rhs, message", [
-    pytest.param([1.0], "eq_rhs must have length 2", id="short-rhs"),
-    pytest.param([1.0, np.inf], "eq_rhs contains non-finite", id="inf-rhs"),
+# a start of the problem's shape but for other constraints used to give a
+# verdict about its own LP: "unbounded" on the first, whose optimum is 1
+# (the start leaves x2 free), and "infeasible" on the second, whose optimum
+# is 1 too
+@pytest.mark.parametrize("problem, start_coeffs, start_rhs", [
+    pytest.param(([0.0, 0.0, 1.0], [[1.0, 1.0, 1.0]], [1.0]), [[1.0, 1.0, 0.0]], [1.0],
+                 id="other-coeffs"),
+    pytest.param(([1.0, 0.0], [[1.0, 1.0]], [1.0]), [[1.0, 1.0]], [-1.0], id="other-rhs"),
 ])
-def test_rhs_checked_against_the_start(eq_rhs, message):
-    start = lp_core.phase1(np.eye(2), [1.0, 2.0])
-    with pytest.raises(ValueError, match=message):
-        lp_core.solve_many(np.ones((1, 2)), np.eye(2), eq_rhs, start)
+def test_foreign_start_is_rejected(problem, start_coeffs, start_rhs):
+    problem = LpProblem(*problem)
+    start = lp_core.phase1(start_coeffs, start_rhs)
+    with pytest.raises(ValueError, match="phase-1 start is for other constraints"):
+        solve(problem, start=start)
+    assert solve(problem).objective_value == 1.0
+    # equal constraints in other arrays are the problem's own
+    own = lp_core.phase1(np.array(problem.eq_coeffs), np.array(problem.eq_rhs))
+    assert _fields(solve(problem, start=own)) == _fields(solve(problem))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1e-9], ids=["nan", "inf", "negative"])
+def test_tolerances_are_checked_where_they_enter(value):
+    # x + y = -1 is infeasible; a NaN or infinite feas_tol used to call it
+    # "optimal" at [0, 0]
+    problem = LpProblem(objective=[1.0, 0.0], eq_coeffs=[[1.0, 1.0]], eq_rhs=[-1.0])
+    start = lp_core.phase1(problem.eq_coeffs, problem.eq_rhs)
+    for call in (lambda: solve(problem, feas_tol=value),
+                 lambda: solve(problem, feas_tol=value, start=start),
+                 lambda: lp_core.solve_many([[1.0, 0.0]], start, feas_tol=value)):
+        with pytest.raises(ValueError, match="feas_tol must be finite and >= 0"):
+            call()
+    for call in (lambda: solve(problem, opt_tol=value),
+                 lambda: lp_core.phase1(problem.eq_coeffs, problem.eq_rhs, opt_tol=value)):
+        with pytest.raises(ValueError, match="opt_tol must be finite and >= 0"):
+            call()
+    with pytest.raises(ValueError, match="opt_tol"):
+        solve(problem, opt_tol=value, start=start)
+    assert solve(problem, feas_tol=0.0, opt_tol=0.0).status == "infeasible"
 
 
 def test_iteration_budget_is_finite():
@@ -412,13 +439,14 @@ def test_start_drops_redundant_rows_artificial_columns(graph, local, dropped, mo
                 for weight in (0, 3, 12)]
     A, b = problems[0].eq_coeffs, problems[0].eq_rhs
     start = lp_core.phase1(A, b)
-    (m, n), rows = start.shape, len(start.basis)
-    assert (m - rows, start.inverse.shape, start.eq_coeffs.shape) == (dropped, (rows, rows),
-                                                                    (rows, n))
+    (m, n), rows = start.eq_coeffs.shape, len(start.basis)
+    assert (m - rows, start.inverse.shape, start.columns.shape) == (dropped, (rows, rows),
+                                                                  (rows, n))
     assert (start.inverse != 0).any(axis=0).all()
-    basis = start.eq_coeffs[:, list(start.basis)]
+    basis = start.columns.dense_t[list(start.basis)].T
     assert np.abs(start.inverse @ basis - np.eye(rows)).max() < 1e-9
-    assert np.abs(start.inverse @ start.eq_rhs - start.rhs).max() < 1e-9
+    # the basic values solve every row, the dropped ones included
+    assert np.abs(A[:, list(start.basis)] @ start.rhs - b).max() < 1e-9
     caps = []
     real_run = lp_core._Revised.run
 
@@ -604,7 +632,9 @@ def test_start_must_match_the_problem():
     rng = np.random.default_rng(5)
     problem = make_bounded_problem(rng, 3, 6)
     start = lp_core.phase1(problem.eq_coeffs, problem.eq_rhs)
-    for arr in (start.eq_coeffs, start.eq_rhs, start.inverse, start.rhs):
+    columns = start.columns
+    for arr in (start.eq_coeffs, start.eq_rhs, start.inverse, start.rhs, columns.nz_cols,
+                columns.nz_rows, columns.nz_vals, columns.dense_t):
         assert arr.flags.writeable is False
     other = make_bounded_problem(rng, 3, 7)
     with pytest.raises(ValueError, match="phase-1 start"):
@@ -612,6 +642,21 @@ def test_start_must_match_the_problem():
     with pytest.raises(ValueError, match="opt_tol"):
         solve(problem, opt_tol=1e-7, start=start)
     assert _outcome(lambda: solve(problem, start=start)) == _outcome(lambda: solve(problem))
+
+
+def test_start_owns_its_constraints():
+    # a writable input is copied, so the caller's later edits do not reach
+    # the start; a read-only one, such as the decoder's cached constraints,
+    # is held as it is, and a problem on it passes solve's check by identity
+    A, b = np.array([[1.0, 1.0]]), np.array([1.0])
+    start = lp_core.phase1(A, b)
+    A[0, 0], b[0] = 5.0, 7.0
+    assert (start.eq_coeffs.tolist(), start.eq_rhs.tolist()) == ([[1.0, 1.0]], [1.0])
+    A.flags.writeable = b.flags.writeable = False
+    start = lp_core.phase1(A, b)
+    problem = LpProblem(objective=[1.0, 0.0], eq_coeffs=A, eq_rhs=b)
+    assert start.eq_coeffs is problem.eq_coeffs is A and start.eq_rhs is problem.eq_rhs is b
+    assert solve(problem, start=start).values.tolist() == pytest.approx([1.4, 0.0])
 
 
 def test_phase_counts_split_the_total():
@@ -641,7 +686,7 @@ def _assert_many_matches_each(objectives, A, b, start, feas_tol=lp_core.DEFAULT_
     each = _each(objectives, A, b, start, feas_tol)
     raised = [o for o in each if o[0] == "raised"]
     try:
-        many = lp_core.solve_many(objectives, A, b, start, feas_tol=feas_tol)
+        many = lp_core.solve_many(objectives, start, feas_tol=feas_tol)
     except NumericError as exc:
         # raised in the round where some problem's solve raises it
         assert ("raised", str(exc)) in raised
@@ -659,14 +704,14 @@ def test_solve_many_equals_solve_per_objective(family):
         start = lp_core.phase1(A, b)
     except NumericError as exc:
         with pytest.raises(NumericError, match=str(exc)):
-            lp_core.solve_many(objectives, A, b)
+            solve(LpProblem(objective=objectives[0], eq_coeffs=A, eq_rhs=b))
         return
     for feas_tol in feas_tols:
         each = _assert_many_matches_each(objectives, A, b, start, feas_tol)
     if all(o[0] != "raised" for o in each):
-        # without a start, phase 1 runs inside, as in solve
-        assert [_fields(s) for s in lp_core.solve_many(objectives, A, b,
-                                                       feas_tol=feas_tols[-1])] == each
+        # without a start, phase 1 runs inside solve
+        assert [_fields(solve(LpProblem(objective=c, eq_coeffs=A, eq_rhs=b),
+                              feas_tol=feas_tols[-1])) for c in objectives] == each
 
 
 @settings(max_examples=300, deadline=None)
@@ -731,9 +776,10 @@ def _unseparable_start():
     arrays = A, np.zeros(2), np.ones((2, 2)), np.zeros(2)
     for arr in arrays:
         arr.flags.writeable = False
-    start = lp_core.Phase1(shape=(2, 3), opt_tol=lp_core.DEFAULT_OPT_TOL, infeasibility=0.0,
+    start = lp_core.Phase1(opt_tol=lp_core.DEFAULT_OPT_TOL, max_iters=4500, infeasibility=0.0,
                            search_iterations=0, iterations=0, eq_coeffs=arrays[0],
-                           eq_rhs=arrays[1], inverse=arrays[2], rhs=arrays[3], basis=(0, 1))
+                           eq_rhs=arrays[1], columns=lp_core._Columns(A), inverse=arrays[2],
+                           rhs=arrays[3], basis=(0, 1))
     return A, np.zeros(2), start
 
 
@@ -745,7 +791,7 @@ def test_solve_many_raises_the_unseparable_tie_as_solve_does():
     assert each[0] == ("raised", "lexicographic ratio test could not separate candidate rows")
     assert [o[0] for o in each[1:]] == ["optimal", "optimal"]
     with pytest.raises(NumericError, match="could not separate candidate rows"):
-        lp_core.solve_many(objectives, A, b, start)
+        lp_core.solve_many(objectives, start)
     _assert_many_matches_each(objectives[1:], A, b, start)
 
 
@@ -758,7 +804,7 @@ def test_optimal_raises_the_first_failing_residual_in_stack_order():
     for rhs, residual in (([[1.0, 2.0], [1.0, 2.5], [1.0, 2.0]], 0.5),
                           ([[1.0, 2.0], [1.0, 2.5], [1.75, 2.0]], 0.5)):
         with pytest.raises(NumericError, match=f"^constraint residual {residual} exceeds"):
-            lp_core._optimal(A, b, C, basis, np.array(rhs), np.zeros(3, dtype=np.int64),
+            lp_core._optimal(C, basis, np.array(rhs), np.zeros(3, dtype=np.int64),
                              np.ones(3), start, lp_core.DEFAULT_FEAS_TOL)
 
 
@@ -768,15 +814,12 @@ def test_solve_many_checks_its_inputs():
     A, b = problem.eq_coeffs, problem.eq_rhs
     start = lp_core.phase1(A, b)
     with pytest.raises(ValueError, match="objectives"):
-        lp_core.solve_many(np.ones((2, 5)), A, b, start)
+        lp_core.solve_many(np.ones((2, 5)), start)
+    with pytest.raises(ValueError, match="objectives"):
+        lp_core.solve_many(np.ones(6), start)
     with pytest.raises(ValueError, match="non-finite"):
-        lp_core.solve_many([[np.inf] + [0.0] * 5], A, b, start)
-    other = make_bounded_problem(rng, 3, 7)
-    with pytest.raises(ValueError, match="phase-1 start"):
-        lp_core.solve_many(np.ones((2, 7)), other.eq_coeffs, other.eq_rhs, start)
-    with pytest.raises(ValueError, match="opt_tol"):
-        lp_core.solve_many(np.ones((2, 6)), A, b, start, opt_tol=1e-7)
-    assert lp_core.solve_many(np.zeros((0, 6)), A, b, start) == []
+        lp_core.solve_many([[np.inf] + [0.0] * 5], start)
+    assert lp_core.solve_many(np.zeros((0, 6)), start) == []
 
 
 def test_leaving_rows_matches_leaving_on_tie_heavy_stacks():
@@ -909,10 +952,10 @@ def test_solve_many_peak_memory_is_under_twice_its_stack(k33_parity2):
     A, b = problems[0].eq_coeffs, problems[0].eq_rhs
     start = lp_core.phase1(A, b)
     objectives = np.array([p.objective for p in problems])
-    lp_core.solve_many(objectives, A, b, start)
+    lp_core.solve_many(objectives, start)
     tracemalloc.start()
     try:
-        solutions = lp_core.solve_many(objectives, A, b, start)
+        solutions = lp_core.solve_many(objectives, start)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

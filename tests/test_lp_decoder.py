@@ -269,6 +269,27 @@ def test_cached_constraints_are_read_only(four_cycle_rep3):
     assert not np.array_equal(first.objective, second.objective)
 
 
+def test_the_cached_start_shares_the_cached_constraints(monkeypatch, four_cycle_rep3):
+    # decode's problem and its start hold one pair of arrays, so solve's
+    # check that they match never compares their entries
+    y = [0, 0, 0, 1]
+    problem, _ = build_reduced(four_cycle_rep3, y)
+    start = lp_decoder._phase1_start(four_cycle_rep3, lp_core.DEFAULT_OPT_TOL)
+    assert start.eq_coeffs is problem.eq_coeffs and start.eq_rhs is problem.eq_rhs
+    monkeypatch.setattr(np, "array_equal", None)
+    assert decode(four_cycle_rep3, y).status == "codeword"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1e-6], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("name", ["int_tol", "feas_tol", "opt_tol"])
+def test_decode_checks_its_tolerances(four_cycle_rep3, name, value):
+    y = [0, 0, 0, 1]
+    for call in (lambda: decode(four_cycle_rep3, y, **{name: value}),
+                 lambda: lp_decoder.decode_many(four_cycle_rep3, [y], **{name: value})):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+            call()
+
+
 def test_warm_decodes_do_not_recheck_the_constraints(monkeypatch, r20_rep2):
     # the cached constraints are checked once per code; a user's own
     # LpProblem still checks its constraints

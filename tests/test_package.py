@@ -1,6 +1,7 @@
 """Rules every module of the package keeps."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,17 @@ from expanderlp import (GF, DomainError, ExpanderCode, LocalCode, OrientedEdgeSe
                         rref)
 
 MODULES = sorted(Path(expanderlp.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run():
+    # the README's library examples, in order, in one namespace, as a reader
+    # pastes them into one session
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert len(blocks) >= 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
 
 
 # the only imports a function may make: standard-library modules that one
