@@ -48,21 +48,24 @@ the code alone (the gather and one-hot tables behind the vertex totals,
 the peel threshold, the orientation caps) is one plan per code, built by
 the first search and kept while the code lives.
 
-One eps is enough.  A built witness's values are the half-integers -1/2,
-1/2, -5/2 and 3/2, some less eps, and its edge constraints hold for every
-eps > 0.  A vertex constraint compares a sum H - k*eps, with H a multiple
-of 1/2 and 0 <= k <= Delta, with a bound that is a multiple of 1/2.  For
-0 < eps <= 1/(2*Delta), k*eps is at most 1/2, so the constraint holds
-exactly when H exceeds the bound, or equals it with k = 0: the verdict is
-the same at every such eps, and find_witness builds and checks one witness
-(the dual-certificate argument of Feldman, Wainwright and Karger, IEEE T-IT
-2005).
+One eps is enough, so the search uses one: EPSILON_START.  A built
+witness's values are the half-integers -1/2, 1/2, -5/2 and 3/2, some less
+eps, and its edge constraints hold for every eps > 0.  A vertex constraint
+compares a sum H - k*eps, with H a multiple of 1/2 and 0 <= k <= Delta,
+with a bound that is a multiple of 1/2.  For 0 < eps <= 1/(2*Delta), k*eps
+is at most 1/2, so the constraint holds exactly when H exceeds the bound,
+or equals it with k = 0: the verdict is the same at every such eps (the
+dual-certificate argument of Feldman, Wainwright and Karger, IEEE T-IT
+2005).  EPSILON_START = 10**-6 lies in that range on every graph that can
+be built: a simple Delta-regular bipartite graph has n >= Delta, so E =
+n*Delta >= Delta**2, and Delta above 1/(2*EPSILON_START) = 500,000 would
+take over 2.5e11 edges, whose (2, E) int64 endpoint array alone is over
+4 TB.  check_witness still takes a witness at any eps.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,11 +80,16 @@ from .orientation import OrientationFailure, OrientedEdgeSet, orient
 
 EPSILON_START = Fraction(1, 10 ** 6)
 
-# A witness's values in halves, per edge kind: kind 0 a correct edge, 1 the
-# endpoint that released an error edge, 2 its other endpoint.  Off the
-# codeword symbol, kinds 0 and 1 also take -eps.
-_MATCH_HALVES = (-1, 1, 1)              # value at the codeword symbol
-_OFF_HALVES = (1, -5, 3)                # value at every other symbol
+# A written witness's values times _DEN, per edge kind: kind 0 a correct
+# edge, 1 the endpoint that released an error edge, 2 its other endpoint.
+# _MATCH holds the value at the codeword symbol (-1/2, 1/2, 1/2), _OFF at
+# every other symbol (1/2 - eps, -5/2 - eps, 3/2).  None exceeds 2,500,001
+# in absolute value, so the check's sums are int64 for Delta below 1.8e12,
+# and float64 sums the vertex totals exactly for Delta below 3.6e9.
+_DEN = math.lcm(2, EPSILON_START.denominator)
+_EPS_SCALED = int(EPSILON_START * _DEN)
+_MATCH = tuple(h * _DEN // 2 for h in (-1, 1, 1))
+_OFF = tuple(h * _DEN // 2 - _EPS_SCALED * (kind < 2) for kind, h in enumerate((1, -5, 3)))
 
 
 @dataclass
@@ -228,14 +236,6 @@ def _checked(code: ExpanderCode, c, y) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(c, dtype=np.int64), yw
 
 
-def _check_rational(epsilon) -> None:
-    """ValueError unless epsilon is an exact rational (a Fraction or an int):
-    a float's binary value is not the number it prints as."""
-    if not isinstance(epsilon, numbers.Rational):
-        raise ValueError(f"epsilon must be rational, such as a Fraction, "
-                         f"not {type(epsilon).__name__} {epsilon!r}")
-
-
 # -- peeling --------------------------------------------------------------------
 
 def peel(code: ExpanderCode, c, y) -> PeelingTrace:
@@ -315,8 +315,7 @@ class _Scaled(NamedTuple):
 
 
 def _write_witness(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
-                   released: np.ndarray, epsilon: numbers.Rational,
-                   source: str) -> tuple[DualWitness, _Scaled]:
+                   released: np.ndarray, source: str) -> tuple[DualWitness, _Scaled]:
     """The witness in which side released[e] (0 = A, 1 = B) let go of error
     edge e, for a codeword and a checked received word, and its values as
     scaled integers.  released is -1 off the error edges, or ValueError.
@@ -324,63 +323,49 @@ def _write_witness(code: ExpanderCode, cw: np.ndarray, yw: np.ndarray,
     On both sides a correct edge takes -1/2 at the codeword symbol and
     1/2-eps elsewhere, and an error edge +1/2 at the codeword symbol.  At
     the other symbols of an error edge, the endpoint that released it takes
-    -5/2-eps and the other endpoint +3/2.  The witness keeps the (2, E)
-    index kind*q + c_e of each row and the per-kind values, and renders
-    its lists from them on first read (_render), so they equal the scaled
+    -5/2-eps and the other endpoint +3/2, with eps = EPSILON_START.  The
+    witness keeps the (2, E) index kind*q + c_e of each row, and renders
+    its lists from it on first read (_render), so they equal the scaled
     integers.
     """
     q = code.field.q
-    delta = code.graph.delta
     if not np.array_equal(released >= 0, cw != yw):
         raise ValueError(f"{source} must cover exactly the error edges")
-    den = math.lcm(2, epsilon.denominator)
-    eps_scaled = epsilon.numerator * (den // epsilon.denominator)
-    half = den // 2
-    match = [h * half for h in _MATCH_HALVES]
-    off = [h * half - eps_scaled * (kind < 2) for kind, h in enumerate(_OFF_HALVES)]
     # kinds[s, e]: 0 off the error edges, 1 where side s released e, else 2
     kinds = np.where(released < 0, 0, 1 + (released != np.arange(2)[:, None]))
-    present = np.flatnonzero(np.bincount(kinds.ravel(), minlength=3)).tolist()
-    dtype = _exact_dtype([v for k in present for v in (match[k], off[k])],
-                         den, eps_scaled, delta)
     # table row kind*q + a: the q values of a row of that kind whose
     # codeword symbol is a, so tau is one row lookup at index
     index = kinds * q + cw
-    table = np.where(np.eye(q, dtype=bool), np.array(match, dtype=dtype)[:, None, None],
-                     np.array(off, dtype=dtype)[:, None, None]).reshape(3 * q, q)
+    table = np.where(np.eye(q, dtype=bool), np.array(_MATCH, dtype=np.int64)[:, None, None],
+                     np.array(_OFF, dtype=np.int64)[:, None, None]).reshape(3 * q, q)
     witness = object.__new__(DualWitness)
-    witness.epsilon = epsilon
-    witness._rows = (index, match, off, den, q)
-    return witness, _Scaled(table.take(index, axis=0), den, eps_scaled)
+    witness.epsilon = EPSILON_START
+    witness._rows = (index, q)
+    return witness, _Scaled(table.take(index, axis=0), _DEN, _EPS_SCALED)
 
 
-def _render(index: np.ndarray, match: list[int], off: list[int], den: int,
-            q: int) -> list[list[list[Fraction]]]:
+def _render(index: np.ndarray, q: int) -> list[list[list[Fraction]]]:
     """A written witness's tau_a and tau_b.  Row e is its own list, copied
     from the template index[s, e]: kind*q + codeword symbol.  All rows share
     the six value objects."""
     templates = [[m if alpha == symbol else o for alpha in range(q)]
-                 for m, o in zip((Fraction(v, den) for v in match),
-                                 (Fraction(v, den) for v in off))
+                 for m, o in zip((Fraction(v, _DEN) for v in _MATCH),
+                                 (Fraction(v, _DEN) for v in _OFF))
                  for symbol in range(q)]
     return [list(map(list, map(templates.__getitem__, row))) for row in index.tolist()]
 
 
-def build_witness_from_peeling(code: ExpanderCode, c, y, trace: PeelingTrace,
-                               epsilon: Fraction = EPSILON_START) -> DualWitness:
+def build_witness_from_peeling(code: ExpanderCode, c, y, trace: PeelingTrace) -> DualWitness:
     """Witness for a peel that terminated empty.
 
     An error edge that died in round i* (it is in edge_sets up to i* and not
     after) was released by its endpoint on the side of round i*-1; that
     endpoint held fewer than delta*Delta/4 surviving edges, and takes the
-    -5/2-eps values.  c and y must be words of the code and epsilon
-    rational, or ValueError.
+    -5/2-eps values.  c and y must be words of the code, or ValueError.
     """
-    _check_rational(epsilon)
     yw = check_word(y, code.field.q, code.num_edges)
     cw = check_word(c, code.field.q, code.num_edges)
-    return _write_witness(code, cw, yw, _released_by_peeling(trace), epsilon,
-                          "peeling trace")[0]
+    return _write_witness(code, cw, yw, _released_by_peeling(trace), "peeling trace")[0]
 
 
 def _released_by_peeling(trace: PeelingTrace) -> np.ndarray:
@@ -393,20 +378,18 @@ def _released_by_peeling(trace: PeelingTrace) -> np.ndarray:
 
 
 def build_witness_from_orientation(code: ExpanderCode, c, y,
-                                   orientation: OrientedEdgeSet,
-                                   epsilon: Fraction = EPSILON_START) -> DualWitness:
+                                   orientation: OrientedEdgeSet) -> DualWitness:
     """Witness from a low-in-degree orientation of the error edges.
 
     The head of each directed error edge takes the -5/2-eps values, so the
     vertex constraints need every in-degree to stay strictly below
     delta*Delta/4 on its side; that is checked here as a precondition.  c
-    and y must be words of the code and epsilon rational, or ValueError.
+    and y must be words of the code, or ValueError.
     """
-    _check_rational(epsilon)
     yw = check_word(y, code.field.q, code.num_edges)
     cw = check_word(c, code.field.q, code.num_edges)
     return _write_witness(code, cw, yw, _released_by_orientation(code, orientation),
-                          epsilon, "orientation")[0]
+                          "orientation")[0]
 
 
 def _released_by_orientation(code: ExpanderCode, orientation: OrientedEdgeSet) -> np.ndarray:
@@ -579,29 +562,24 @@ def _vertex_totals(values: np.ndarray, plan: _Plan) -> np.ndarray:
 
 # -- the search wrapper ----------------------------------------------------------------
 
-def find_witness(code: ExpanderCode, c, y, mode: str = "peel",
-                 epsilon: Fraction = EPSILON_START) -> CertifyResult:
+def find_witness(code: ExpanderCode, c, y, mode: str = "peel") -> CertifyResult:
     """Try to certify that decode() must return c on input y.
 
     mode 'peel' runs the peeling process and, if it empties, builds the
     witness from the trace; a stagnated peel reports the error core instead.
     mode 'orient' computes the theta caps, orients the error edges, and
     builds the witness from the orientation.  Either way one witness is
-    built at epsilon and checked once.  The witness's values are
+    built at EPSILON_START and checked once.  The witness's values are
     half-integers less 0 or eps, and eps enters a vertex constraint at most
-    Delta times, so for 0 < epsilon <= 1/(2*Delta) the verdict is the same
-    at every epsilon (see the module docstring); any other epsilon, and any
-    epsilon that is not rational (a float), is a ValueError.  In both modes
-    c must be a codeword and y a word of the code, or ValueError; they are
-    checked once, here, and the peel, the builder and the check run on the
-    checked arrays.  The check reads the integers the writer scaled the
-    witness's values to, not the Fraction lists it returns; check_witness
-    gives the same verdict on those lists.
+    Delta times, so every eps in (0, 1/(2*Delta)] gives the same verdict,
+    and EPSILON_START is in that range on every graph that can be built
+    (see the module docstring).  In both modes c must be a codeword and y a
+    word of the code, or ValueError; they are checked once, here, and the
+    peel, the builder and the check run on the checked arrays.  The check
+    reads the integers the writer scaled the witness's values to, not the
+    Fraction lists it returns; check_witness gives the same verdict on
+    those lists.
     """
-    _check_rational(epsilon)
-    bound = Fraction(1, 2 * code.graph.delta)
-    if not 0 < epsilon <= bound:
-        raise ValueError(f"epsilon {epsilon} must lie in (0, 1/(2*Delta)] = (0, {bound}]")
     cw, yw = _checked(code, c, y)
     if mode == "peel":
         trace = _peel(code, cw, yw)
@@ -623,9 +601,10 @@ def find_witness(code: ExpanderCode, c, y, mode: str = "peel",
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    witness, scaled = _write_witness(code, cw, yw, released, epsilon, source)
+    witness, scaled = _write_witness(code, cw, yw, released, source)
     result = _check_scaled(code, cw, yw, scaled)
     if not result.ok:
         return CertifyResult(witness_found=False, mode=mode,
                              reason=f"witness fails the exact check: {result.violation}")
-    return CertifyResult(witness_found=True, mode=mode, epsilon=epsilon, witness=witness)
+    return CertifyResult(witness_found=True, mode=mode, epsilon=EPSILON_START,
+                         witness=witness)

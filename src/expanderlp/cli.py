@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lp_core
-from .certificate import EPSILON_START, find_error_core, find_witness, peel
+from .certificate import find_error_core, find_witness, peel
 from .errors import ExpanderLPError, InternalInvariantError
 from .expander_code import ExpanderCode, parse_word
 from .harness import (ExperimentConfig, bounds_report, format_tables,
@@ -112,11 +112,7 @@ def _cmd_certify(args) -> int:
     code = _instance(args)
     c = _load_word(args.sent, code.field.q, code.graph.num_edges)
     y = _load_word(args.received, code.field.q, code.graph.num_edges)
-    try:
-        epsilon = Fraction(args.epsilon)
-    except ZeroDivisionError:
-        raise ValueError(f"epsilon {args.epsilon} has a zero denominator") from None
-    result = find_witness(code, c, y, mode=args.mode, epsilon=epsilon)
+    result = find_witness(code, c, y, mode=args.mode)
     payload = {
         "witness_found": result.witness_found,
         "mode": result.mode,
@@ -228,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--feas-tol", type=float, default=lp_core.DEFAULT_FEAS_TOL)
     parser.add_argument("--opt-tol", type=float, default=lp_core.DEFAULT_OPT_TOL)
     parser.add_argument("--int-tol", type=float, default=DEFAULT_INT_TOL)
-    parser.add_argument("--epsilon", default=str(EPSILON_START),
-                        help="witness slack, a rational in (0, 1/(2*Delta)]")
     parser.add_argument("--out", default=None, help="write output here, not stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 

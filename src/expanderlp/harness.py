@@ -401,7 +401,7 @@ def format_tables(step: float | None = None, regime: str = "both") -> str:
         step = 0.1 if step is None else step
         if not 0.0 < step < 1.0:
             raise ValueError(f"rate step must lie in (0, 1), got {step}")
-        rates = (i * step for i in range(1, round(1.0 / step)))
+        rates = (i * step for i in range(1, math.ceil(1.0 / step)))
         rows = [(f"{rate:.3f}", rate) for rate in rates if 0.0 < rate < 1.0]
     header = ("rate  binary-locals (x 1e-4)  reed-solomon-locals (x 1e-2)"
               if regime == "both" else f"rate  {regime}")

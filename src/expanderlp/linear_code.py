@@ -88,8 +88,6 @@ class LocalCode:
 
     def contains(self, word) -> bool:
         w = check_word(word, self.field.q, self.length)
-        if self.parity_check.shape[0] == 0:
-            return True
         return not gflinalg.mat_vec(self.parity_check, w, self.field).any()
 
     # -- text format ----------------------------------------------------------

@@ -254,9 +254,10 @@ def decode_many(code: ExpanderCode, ys,
     stack at a time.
     """
     q, num_edges = code.field.q, code.num_edges
+    for name, tol in (("int_tol", int_tol), ("feas_tol", feas_tol), ("opt_tol", opt_tol)):
+        lp_core.check_tolerance(name, tol)
     if not len(ys):
         return []
-    lp_core.check_tolerance("int_tol", int_tol)
     words = check_word(ys, q, (None, num_edges))
     start = _phase1_start(code, opt_tol)
     per_stack = max(1, STACK_BYTES // start.problem_bytes)

@@ -18,7 +18,7 @@ from operator import add
 import numpy as np
 
 from expanderlp import tanner_graph
-from expanderlp.certificate import (CertifyResult, WitnessCheck,
+from expanderlp.certificate import (CertifyResult, DualWitness, WitnessCheck,
                                     build_witness_from_orientation,
                                     build_witness_from_peeling, check_witness,
                                     find_error_core, peel)
@@ -467,13 +467,26 @@ def peel_by_sets(code, c, y):
     return vsets, esets, empty, released
 
 
-# -- the witness search over a halving eps schedule ---------------------------
+# -- witnesses at other margins, and the search over a halving eps schedule ---
+
+def remargin_witness(witness, epsilon):
+    """A written witness with its margin moved from witness.epsilon to
+    epsilon: a value h/2 - k*witness.epsilon becomes h/2 - k*epsilon, with
+    k = 1 exactly when twice the value is not an integer (k = 0 otherwise).
+    Equal values share one new value object, as in a written witness."""
+    shift = witness.epsilon - epsilon
+    moved = {v: v if (2 * v).denominator == 1 else v + shift
+             for row in itertools.chain(witness.tau_a, witness.tau_b) for v in row}
+    return DualWitness(tau_a=[[moved[v] for v in row] for row in witness.tau_a],
+                       tau_b=[[moved[v] for v in row] for row in witness.tau_b],
+                       epsilon=epsilon)
+
 
 def find_witness_by_halving(code, c, y, mode="peel", epsilon_start=Fraction(1, 10**6),
                             epsilon_floor=Fraction(1, 10**12)):
-    """find_witness as a search: rebuild and recheck the witness at
-    epsilon_start, epsilon_start/2, ... down to epsilon_floor, and report the
-    first eps whose witness passes the exact check."""
+    """find_witness as a search: recheck the witness at epsilon_start,
+    epsilon_start/2, ... down to epsilon_floor, and report the first eps
+    whose witness passes the exact check."""
     cw = np.asarray(c, dtype=np.int64)
     yw = check_word(y, code.field.q, code.num_edges)
     if mode == "peel":
@@ -482,9 +495,7 @@ def find_witness_by_halving(code, c, y, mode="peel", epsilon_start=Fraction(1, 1
             core = find_error_core(code, trace)
             return CertifyResult(witness_found=False, mode=mode, core=core,
                                  reason="peeling stagnated on an error core")
-
-        def builder(eps):
-            return build_witness_from_peeling(code, cw, yw, trace, eps)
+        witness = build_witness_from_peeling(code, cw, yw, trace)
     else:
         delta = code.graph.delta
         try:
@@ -497,17 +508,15 @@ def find_witness_by_halving(code, c, y, mode="peel", epsilon_start=Fraction(1, 1
             return CertifyResult(witness_found=False, mode=mode,
                                  reason=f"no orientation within caps "
                                         f"({oriented.violations} residual violations)")
-
-        def builder(eps):
-            return build_witness_from_orientation(code, cw, yw, oriented, eps)
+        witness = build_witness_from_orientation(code, cw, yw, oriented)
 
     eps, last_violation = epsilon_start, None
     while eps >= epsilon_floor:
-        witness = builder(eps)
-        result = check_witness(code, cw, yw, witness)
+        candidate = remargin_witness(witness, eps)
+        result = check_witness(code, cw, yw, candidate)
         if result.ok:
             return CertifyResult(witness_found=True, mode=mode, epsilon=eps,
-                                 witness=witness)
+                                 witness=candidate)
         last_violation = result.violation
         eps /= 2
     return CertifyResult(witness_found=False, mode=mode,

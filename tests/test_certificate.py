@@ -39,7 +39,7 @@ from expanderlp import (
 )
 
 from oracles import (check_witness_by_fraction, find_witness_by_halving, peel_by_sets,
-                     vertex_totals_by_positions)
+                     remargin_witness, vertex_totals_by_positions)
 
 EPS = Fraction(1, 10**6)
 
@@ -182,7 +182,7 @@ def test_peeling_witness_tau_values(k66_rep2):
     y = c.copy()
     y[5] = 1
     trace = peel(k66_rep2, c, y)
-    w = build_witness_from_peeling(k66_rep2, c, y, trace, EPS)
+    w = build_witness_from_peeling(k66_rep2, c, y, trace)
 
     # error edge, matched symbol: +1/2 at both endpoints
     assert w.tau_a[5][0] == Fraction(1, 2)
@@ -220,7 +220,7 @@ def valid_single_error_witness(code):
     y = c.copy()
     y[5] = 1
     trace = peel(code, c, y)
-    return c, y, build_witness_from_peeling(code, c, y, trace, EPS)
+    return c, y, build_witness_from_peeling(code, c, y, trace)
 
 
 def test_checker_flags_strict_edge_violation(k66_rep2):
@@ -291,7 +291,7 @@ def test_orientation_witness_rejects_heavy_heads(k66_rep2):
     y = c.copy()
     y[edges] = 1
     with pytest.raises(ValueError):
-        build_witness_from_orientation(k66_rep2, c, y, oriented, EPS)
+        build_witness_from_orientation(k66_rep2, c, y, oriented)
 
 
 def test_witness_builders_need_exactly_the_error_edges(k66_rep2):
@@ -305,9 +305,9 @@ def test_witness_builders_need_exactly_the_error_edges(k66_rep2):
     oriented = OrientedEdgeSet(graph=k66_rep2.graph, edges=(3,), head_side={3: "b"},
                                cap_a=1, cap_b=1)
     with pytest.raises(ValueError, match="peeling trace must cover exactly"):
-        build_witness_from_peeling(k66_rep2, c, other, peel(k66_rep2, c, y), EPS)
+        build_witness_from_peeling(k66_rep2, c, other, peel(k66_rep2, c, y))
     with pytest.raises(ValueError, match="orientation must cover exactly"):
-        build_witness_from_orientation(k66_rep2, c, other, oriented, EPS)
+        build_witness_from_orientation(k66_rep2, c, other, oriented)
     # the set refuses an edge id off the graph when it is made, and it is
     # frozen, so no edge id reaches the builder unchecked
     for edge in (-1, 36):
@@ -335,51 +335,19 @@ def test_unknown_mode_rejected(k66_rep2):
 # -- one epsilon -----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("epsilon", [Fraction(0), Fraction(-1, 2), Fraction(1),
-                                     Fraction(1, 2), Fraction(1, 11)],
-                         ids=["zero", "negative", "one", "half", "just-above-1-12"])
-def test_epsilon_outside_the_proven_range_rejected(k66_rep2, epsilon):
-    # 1/(2*Delta) = 1/12 on K_{6,6}; y == c would certify at once, so an
-    # epsilon outside (0, 1/12] must be refused, not turned into a verdict
-    c = np.zeros(36, dtype=np.int64)
-    with pytest.raises(ValueError) as err:
-        find_witness(k66_rep2, c, c, mode="peel", epsilon=epsilon)
-    assert f"epsilon {epsilon} " in str(err.value) and "1/12" in str(err.value)
-
-
-@pytest.mark.parametrize("start, floor", [
-    (Fraction(1, 10**15), Fraction(1, 10**12)),
-    (Fraction(0), Fraction(1, 10**12)),
-    (Fraction(-1, 2), Fraction(1, 10**12)),
-    (Fraction(1, 10**6), Fraction(0)),
-])
-def test_epsilon_outside_the_schedule_rejected(k66_rep2, start, floor):
-    # the ends of the old halving schedules, each tried as the one epsilon: an
-    # end outside (0, 1/12] is refused with a ValueError naming it, an end
-    # inside certifies y == c at exactly that epsilon
-    c = np.zeros(36, dtype=np.int64)
-    for eps in (start, floor):
-        if 0 < eps <= Fraction(1, 12):
-            result = find_witness(k66_rep2, c, c, mode="peel", epsilon=eps)
-            assert result.witness_found and result.epsilon == eps
-        else:
-            with pytest.raises(ValueError) as err:
-                find_witness(k66_rep2, c, c, mode="peel", epsilon=eps)
-            assert f"epsilon {eps} " in str(err.value) and "1/12" in str(err.value)
-
-
 def test_any_epsilon_up_to_the_bound_accepted(k66_rep2):
     # the error edge's A endpoint sums to -6*eps, against a bound of -2: the
-    # witness fails at eps = 1/2 (vertex constraint at a0) but holds for every
-    # eps up to 1/(2*Delta) = 1/12, however small
+    # witness holds for every eps up to 1/(2*Delta) = 1/12, however small,
+    # but fails at eps = 1/2 (vertex constraint at a0)
     c = np.zeros(36, dtype=np.int64)
     y = c.copy()
     y[0] = 1
+    result = find_witness(k66_rep2, c, y, mode="peel")
+    assert result.witness_found and result.epsilon == certificate.EPSILON_START
     for eps in (Fraction(1, 12), Fraction(1, 10**15)):
-        result = find_witness(k66_rep2, c, y, mode="peel", epsilon=eps)
-        assert result.witness_found and result.epsilon == eps
-    witness = build_witness_from_peeling(k66_rep2, c, y, peel(k66_rep2, c, y), Fraction(1, 2))
-    assert check_witness(k66_rep2, c, y, witness).violation.startswith("vertex constraint at a0")
+        assert check_witness(k66_rep2, c, y, remargin_witness(result.witness, eps)).ok
+    verdict = check_witness(k66_rep2, c, y, remargin_witness(result.witness, Fraction(1, 2)))
+    assert verdict.violation.startswith("vertex constraint at a0")
 
 
 def test_failed_check_is_reported_not_found(k66_rep2, monkeypatch):
@@ -398,7 +366,7 @@ def test_failed_check_is_reported_not_found(k66_rep2, monkeypatch):
     # quotes the witness's lists: the tamper reaches both
     monkeypatch.setattr(certificate, "_write_witness", broken)
     expected = check_witness(k66_rep2, c, y,
-                             build_witness_from_peeling(k66_rep2, c, y, peel(k66_rep2, c, y), EPS))
+                             build_witness_from_peeling(k66_rep2, c, y, peel(k66_rep2, c, y)))
     result = find_witness(k66_rep2, c, y, mode="peel")
     assert (result.witness_found, result.epsilon, result.witness) == (False, None, None)
     assert result.reason == f"witness fails the exact check: {expected.violation}"
@@ -425,13 +393,13 @@ def test_verdict_is_the_same_at_every_epsilon_up_to_the_bound(fixture, request):
                                    cap_a=1, cap_b=1)
         wrong = y.copy()
         wrong[0] = (c[0] + 1) % code.field.q
-        checks = [(y, lambda eps: build_witness_from_orientation(code, c, y, oriented, eps)),
-                  (wrong, lambda eps: build_witness_from_peeling(code, c, c, peel(code, c, c),
-                                                                 eps))]
+        checks = [(y, build_witness_from_orientation(code, c, y, oriented)),
+                  (wrong, build_witness_from_peeling(code, c, c, peel(code, c, c)))]
         if trace.terminated_empty:
-            checks.append((y, lambda eps: build_witness_from_peeling(code, c, y, trace, eps)))
-        for received, build in checks:
-            verdicts = {_location(check_witness(code, c, received, build(eps)))
+            checks.append((y, build_witness_from_peeling(code, c, y, trace)))
+        for received, witness in checks:
+            verdicts = {_location(check_witness(code, c, received,
+                                                remargin_witness(witness, eps)))
                         for eps in epsilons}
             assert len(verdicts) == 1
             seen |= verdicts
@@ -508,7 +476,7 @@ def _built_witnesses(code, rng, patterns):
         y = c.copy()
         errors = rng.choice(code.num_edges, size=int(rng.integers(1, 4)), replace=False)
         y[errors] = (y[errors] + rng.integers(1, q, size=len(errors))) % q
-        base = build_witness_from_peeling(code, c, c, peel(code, c, c), EPS)
+        base = build_witness_from_peeling(code, c, c, peel(code, c, c))
         built.append((c, y, base, "base"))
         for mode in ("peel", "orient"):
             result = find_witness(code, c, y, mode=mode)
@@ -598,7 +566,7 @@ def test_checker_dtype_boundary(k66_grs):
     m_last = ((2**62 - 1) // 8 - 2) // 5
     m_last -= 1 - m_last % 2
     for m, dtype in ((m_last, np.int64), (m_last + 2, object)):
-        w = build_witness_from_peeling(code, c, y, trace, Fraction(1, m))
+        w = remargin_witness(build_witness_from_peeling(code, c, y, trace), Fraction(1, m))
         assert certificate._scaled_taus(w, (36, 7), 6)[0].dtype == dtype
         assert _same_verdict(code, c, y, w).ok
         w.tau_b[7][int(y[7])] += Fraction(1, m)
@@ -685,7 +653,7 @@ def test_vertex_totals_equal_the_position_sum(fixture, path, seed, request):
 def test_checker_reads_rows_that_alias_one_list(k66_rep2):
     # y == c == 0: every edge is correct with symbol 0, so one row serves all
     c = np.zeros(36, dtype=np.int64)
-    w = build_witness_from_peeling(k66_rep2, c, c, peel(k66_rep2, c, c), EPS)
+    w = build_witness_from_peeling(k66_rep2, c, c, peel(k66_rep2, c, c))
     row = w.tau_a[0]
     w.tau_a = [row] * 36
     assert _same_verdict(k66_rep2, c, c, w).ok
@@ -730,7 +698,8 @@ def test_checker_reads_int_and_float_values(k66_rep2):
     c = np.zeros(36, dtype=np.int64)
     y = c.copy()
     y[5] = 1
-    w = build_witness_from_peeling(k66_rep2, c, y, peel(k66_rep2, c, y), Fraction(1, 4))
+    w = remargin_witness(build_witness_from_peeling(k66_rep2, c, y, peel(k66_rep2, c, y)),
+                         Fraction(1, 4))
     mixed = DualWitness(tau_a=[[float(x) for x in row] for row in w.tau_a],
                         tau_b=[list(row) for row in w.tau_b], epsilon=w.epsilon)
     assert _same_verdict(k66_rep2, c, y, mixed).ok
@@ -860,29 +829,6 @@ def test_complex_received_word_rejected(k33_parity2):
             call()
 
 
-@pytest.mark.parametrize("epsilon", [1e-7, np.float64(1e-7), 0.0625],
-                         ids=["float", "numpy-float", "float-exact-binary"])
-def test_float_epsilon_rejected(k66_rep2, epsilon):
-    # a float's binary value is not the number it prints as; 1e-7 once made
-    # find_witness report that a feasible witness fails the exact check
-    c = np.zeros(36, dtype=np.int64)
-    y = c.copy()
-    y[0] = 1
-    trace = peel(k66_rep2, c, y)
-    oriented = OrientedEdgeSet(graph=k66_rep2.graph, edges=(0,), head_side={0: "b"},
-                               cap_a=1, cap_b=1)
-    for call in (lambda: find_witness(k66_rep2, c, y, mode="peel", epsilon=epsilon),
-                 lambda: find_witness(k66_rep2, c, y, mode="orient", epsilon=epsilon),
-                 lambda: build_witness_from_peeling(k66_rep2, c, y, trace, epsilon),
-                 lambda: build_witness_from_orientation(k66_rep2, c, y, oriented, epsilon)):
-        with pytest.raises(ValueError, match="epsilon must be rational"):
-            call()
-    exact = Fraction(epsilon)
-    for mode in ("peel", "orient"):
-        result = find_witness(k66_rep2, c, y, mode=mode, epsilon=exact)
-        assert result.witness_found and result.epsilon == exact
-
-
 def test_find_witness_validates_c_and_y_once(k66_rep2, k66_grs, four_cycle_rep3, monkeypatch):
     # the search checks its inputs once, then runs peel, the builder and
     # the check on the checked arrays; the public entries keep checking
@@ -937,8 +883,8 @@ def test_witnesses_match_golden(fixture, request):
         heads = {int(e): side for e, side in case["orient_edges"].items()}
         oriented = OrientedEdgeSet(graph=code.graph, edges=tuple(heads), head_side=heads,
                                    cap_a=1, cap_b=1)
-        built = [build_witness_from_peeling(code, c, y, trace, EPS),
-                 build_witness_from_orientation(code, c, y, oriented, EPS)]
+        built = [build_witness_from_peeling(code, c, y, trace),
+                 build_witness_from_orientation(code, c, y, oriented)]
         assert [_as_strings(w) for w in built] == [case["peel"], case["orient"]]
         for mode in ("peel", "orient"):
             result = find_witness(code, c, y, mode=mode)
@@ -964,21 +910,28 @@ def test_writer_integers_equal_the_read_back(fixture, epsilon, dtype, request):
     # on the recorded patterns, both routes: the arrays the writer hands the
     # search are what check_witness reads back from the lists it renders
     code = request.getfixturevalue(fixture)
-    delta = code.graph.delta
+    shape, delta = (code.num_edges, code.field.q), code.graph.delta
     for case in GOLDEN_WITNESSES[fixture]:
         c, y = np.array(case["c"]), np.array(case["y"])
         heads = {int(e): side for e, side in case["orient_edges"].items()}
         oriented = OrientedEdgeSet(graph=code.graph, edges=tuple(heads), head_side=heads,
                                    cap_a=1, cap_b=1)
-        built = [certificate._write_witness(code, c, y, released, epsilon, "route")
+        built = [certificate._write_witness(code, c, y, released, "route")
                  for released in (certificate._released_by_peeling(peel(code, c, y)),
                                   certificate._released_by_orientation(code, oriented))]
         for witness, scaled in built:
-            tau, den, eps_scaled = certificate._scaled_taus(
-                witness, (code.num_edges, code.field.q), delta)
-            assert tau.dtype == scaled.tau.dtype == dtype
+            tau, den, eps_scaled = certificate._scaled_taus(witness, shape, delta)
+            assert tau.dtype == scaled.tau.dtype == np.int64
             assert np.array_equal(tau, scaled.tau)
             assert (den, eps_scaled) == (scaled.den, scaled.eps)
+            # moved to epsilon, the lists read back as the writer's integers
+            # with epsilon's in place of its own: h/2 * den - k * eps * den
+            tau, den, eps_scaled = certificate._scaled_taus(
+                remargin_witness(witness, epsilon), shape, delta)
+            k = scaled.tau % (scaled.den // 2) != 0
+            halves = (scaled.tau + k * scaled.eps) // (scaled.den // 2)
+            assert tau.dtype == dtype
+            assert np.array_equal(tau, halves.astype(object) * (den // 2) - k * eps_scaled)
 
 
 def _edit_both(code, c, witness, scaled, rng):
@@ -996,13 +949,16 @@ def _edit_both(code, c, witness, scaled, rng):
         scaled.tau[side, e, alpha] += int(step * scaled.den)
 
 
-@pytest.mark.parametrize("epsilon", [EPS, Fraction(1, 10**30)], ids=["int64", "object"])
+@pytest.mark.parametrize("epsilon, dtype", [(EPS, np.int64), (Fraction(1, 10**30), object)],
+                         ids=["int64", "object"])
 @pytest.mark.parametrize("fixture", ["k66_rep2", "k66_rep3", "k66_grs"])
-def test_find_witness_verdict_matches_fraction_reference(fixture, epsilon, request,
+def test_find_witness_verdict_matches_fraction_reference(fixture, epsilon, dtype, request,
                                                          monkeypatch):
     # the search's verdict and reason are the Fraction reference's on the
     # witness it built: as written, and after edits made to its lists and
-    # its integers alike
+    # its integers alike.  Moved to epsilon, the witness's check on the
+    # dtype's path agrees with the reference too, at the search's location
+    # when unedited
     code = request.getfixturevalue(fixture)
     rng = np.random.default_rng(505)
     real = certificate._write_witness
@@ -1027,17 +983,21 @@ def test_find_witness_verdict_matches_fraction_reference(fixture, epsilon, reque
         for mode in ("peel", "orient"):
             for edit in (False,) + (True,) * 6:
                 built.clear()
-                result = find_witness(code, c, y, mode=mode, epsilon=epsilon)
+                result = find_witness(code, c, y, mode=mode)
                 if not built:
                     continue
                 slow = check_witness_by_fraction(code, c, y, built[0])
                 if result.witness_found:
                     assert slow.ok and result.witness is built[0]
-                    kinds.add("ok")
                 else:
                     assert result.reason == f"witness fails the exact check: {slow.violation}"
-                    kinds.add(slow.violation.split(" at ")[0])
-                _same_verdict(code, c, y, built[0])
+                moved = remargin_witness(built[0], epsilon)
+                assert certificate._scaled_taus(moved, (code.num_edges, q),
+                                                code.graph.delta).tau.dtype == dtype
+                verdict = _same_verdict(code, c, y, moved)
+                if not edit:
+                    assert _location(verdict) == _location(slow)
+                kinds.add("ok" if verdict.ok else verdict.violation.split(" at ")[0])
     assert kinds == {"ok", "strict edge constraint", "weak edge constraint",
                      "vertex constraint"}
 

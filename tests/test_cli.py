@@ -118,34 +118,6 @@ def test_certify_core_reported(capsys):
     assert payload["core"]["edges"] == [0]
 
 
-def test_certify_epsilon_flag(capsys):
-    code, out, _ = run_cli(capsys, "--epsilon", "1/2048", "certify", *K66,
-                           "--sent", " ".join(["0"] * 36),
-                           "--received", " ".join(["1"] + ["0"] * 35))
-    assert code == EXIT_OK
-    assert json.loads(out)["epsilon"] == "1/2048"
-
-
-@pytest.mark.parametrize("epsilon", ["0", "1/2"], ids=["zero", "above-the-bound"])
-def test_certify_epsilon_outside_the_proven_range_is_input_error(capsys, epsilon):
-    # 1/(2*Delta) = 1/12 on K_{6,6}: an input error, not "no witness"
-    code, out, err = run_cli(capsys, "--epsilon", epsilon, "certify", *K66,
-                             "--sent", " ".join(["0"] * 36),
-                             "--received", " ".join(["0"] * 36))
-    assert code == EXIT_INPUT_ERROR
-    assert out == ""
-    assert f"epsilon {epsilon} " in err and "1/12" in err
-
-
-def test_certify_epsilon_dividing_by_zero_is_input_error(capsys):
-    code, out, err = run_cli(capsys, "--epsilon", "1/0", "certify", *K66,
-                             "--sent", " ".join(["0"] * 36),
-                             "--received", " ".join(["0"] * 36))
-    assert code == EXIT_INPUT_ERROR
-    assert out == ""
-    assert err.startswith("error: ") and "1/0" in err
-
-
 @pytest.mark.parametrize("flag", ["--feas-tol", "--opt-tol", "--int-tol"])
 def test_decode_nan_tolerance_is_input_error(capsys, flag):
     code, out, err = run_cli(capsys, flag, "nan", "decode", *INSTANCE, "--received", "0 0 0 1")

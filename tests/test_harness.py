@@ -242,3 +242,13 @@ def test_format_tables_shape():
     assert len(lines) == 10
     first = lines[1].split()
     assert first[0] == "0.1"
+
+
+@pytest.mark.parametrize("step", [0.3, 0.4, 0.07])
+def test_format_tables_step_grid_reaches_below_one(step):
+    # 1/step is not an integer: every multiple i*step below 1 is a row, and
+    # no rate at or above 1
+    lines = format_tables(step=step, regime="grs").splitlines()[1:]
+    rates = [float(line.split()[0]) for line in lines]
+    assert rates == [round(i * step, 3) for i in range(1, 100) if i * step < 1]
+    assert max(rates) < 1

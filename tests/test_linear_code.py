@@ -99,6 +99,15 @@ def test_encode_and_contains_agree():
         assert not code.contains(corrupted)
 
 
+@pytest.mark.parametrize("q", [3, 4])
+def test_full_space_contains_every_word(q):
+    # the identity generator spans GF(q)^3, so its parity check has no rows
+    code = LocalCode(GF(q), np.eye(3, dtype=int))
+    assert code.parity_check.shape == (0, 3)
+    words = np.stack(np.meshgrid(*[np.arange(q)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    assert all(code.contains(w) for w in words)
+
+
 @pytest.mark.parametrize("q", [7, 4, 9])
 @pytest.mark.parametrize("bad", [[-1, 0], [0, 9], [2, 1, 0]],
                          ids=["negative", "at-least-q", "wrong-length"])

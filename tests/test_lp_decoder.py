@@ -285,7 +285,8 @@ def test_the_cached_start_shares_the_cached_constraints(monkeypatch, four_cycle_
 def test_decode_checks_its_tolerances(four_cycle_rep3, name, value):
     y = [0, 0, 0, 1]
     for call in (lambda: decode(four_cycle_rep3, y, **{name: value}),
-                 lambda: lp_decoder.decode_many(four_cycle_rep3, [y], **{name: value})):
+                 lambda: lp_decoder.decode_many(four_cycle_rep3, [y], **{name: value}),
+                 lambda: lp_decoder.decode_many(four_cycle_rep3, [], **{name: value})):
         with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
             call()
 
